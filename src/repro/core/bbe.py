@@ -61,7 +61,7 @@ from repro.core.params import AlphaK
 from repro.core.reduction import reduction_components
 from repro.exceptions import ParameterError
 from repro.fastpath.backend import resolve_backend
-from repro.fastpath.compiled import as_compiled, source_graph
+from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
 from repro.graphs.signed_graph import Node, SignedGraph
 from repro.limits import ResourceGuard, make_guard
 from repro.models import make_constraint, resolve_model
@@ -236,16 +236,32 @@ def frame_draw(seed: int, free_reprs: Sequence[str]) -> int:
     return zlib.crc32(payload, seed & 0xFFFFFFFF) % len(free_reprs)
 
 
+def compile_floor(reduction: str, params: AlphaK) -> int:
+    """The positive degree every node kept by *reduction* has.
+
+    *reduction* is the model-mapped method. The (alpha, k) reductions
+    keep only nodes with at least ``ceil(alpha * k)`` positive
+    neighbours, so compiling only those changes neither the survivors
+    nor their order. ``"none"`` keeps every node.
+    """
+    return 0 if reduction == "none" else params.positive_threshold
+
+
 class MSCE:
     """Configured maximal (alpha, k)-clique enumerator (Algorithm 4).
 
     Parameters
     ----------
     graph:
-        Host signed graph (not mutated). May also be a
-        :class:`repro.fastpath.CompiledGraph`, in which case the
+        Host signed graph (not mutated), or a
+        :class:`repro.fastpath.CompiledGraph` of one. Either way the
         reduction and the branch-and-bound search run on the CSR/bitset
-        fastpath kernels (identical results, measurably faster).
+        fastpath: a ``SignedGraph`` is compiled on first use, keeping
+        only the nodes whose positive degree reaches ``ceil(alpha*k)``
+        when the reduction is an (alpha, k) core (no other node can
+        survive it). The search then runs on the re-indexed reduction
+        survivors, with a mask-space maximality test. (Seeded searches
+        are the exception, see :meth:`enumerate_seeded`.)
     params:
         The (alpha, k) parameters.
     selection:
@@ -268,10 +284,10 @@ class MSCE:
     core_pruning:
         Disable only for the pruning-rule ablation benchmark.
     compile:
-        When ``False``, ignore a compiled fastpath graph and run the
-        pure-Python search even when *graph* is a
-        :class:`~repro.fastpath.CompiledGraph` (ablation knob; the
-        default honours whichever representation was handed in).
+        When ``False``, run the pure-Python search over node sets even
+        when *graph* is a :class:`~repro.fastpath.CompiledGraph`. That
+        path is the reference the differential tests hold the compiled
+        search to (identical cliques and :class:`SearchStats`).
     seed:
         RNG seed for the random selection strategy.
     frame_rng:
@@ -324,9 +340,12 @@ class MSCE:
         backend: Optional[str] = None,
         model: Optional[str] = None,
     ):
-        #: Compiled fastpath representation, when one was handed in (and
-        #: not disabled); the search then runs on bitset kernels.
-        self.compiled = as_compiled(graph) if compile else None
+        #: Whether searches run on the compiled fastpath (see `compiled`).
+        self.compile = compile
+        #: The CompiledGraph handed in (``None`` for SignedGraph input).
+        self._given = as_compiled(graph) if compile else None
+        #: The compilation of SignedGraph input, made on first use.
+        self._compilation: Optional[CompiledGraph] = None
         self.graph = source_graph(graph)
         self.params = params
         self.selection = selection
@@ -362,7 +381,7 @@ class MSCE:
         #: ``ceil(alpha * k)`` ceiling share one coring pass; the result
         #: must be bit-identical to what ``reduce_mask`` would return.
         self.reducer = reducer
-        if reducer is not None and self.compiled is None:
+        if reducer is not None and not compile:
             raise ParameterError("reducer requires the compiled fastpath")
         #: Resolved kernel tier for every fastpath kernel this enumerator
         #: invokes (see :func:`repro.fastpath.backend.resolve_backend`).
@@ -385,6 +404,27 @@ class MSCE:
         self._maxtest = self.constraint.make_maxtest(maxtest)
         self._graph_ops = self.constraint.bind_graph(self)
         self._select = self._make_selector(selection)
+
+    # ------------------------------------------------------------------
+    # Compilation
+    # ------------------------------------------------------------------
+    @property
+    def compiled(self) -> Optional[CompiledGraph]:
+        """The compiled graph the reduction and search run on.
+
+        The :class:`~repro.fastpath.CompiledGraph` handed in, else a
+        compilation of the ``SignedGraph`` input made on first access
+        with the positive-degree floor of :func:`compile_floor`.
+        ``None`` when ``compile=False``.
+        """
+        if self._given is not None or not self.compile:
+            return self._given
+        if self._compilation is None:
+            reduction = self.constraint.reduction_rule(self.reduction)
+            self._compilation = compile_graph(
+                self.graph, min_positive_degree=compile_floor(reduction, self.params)
+            )
+        return self._compilation
 
     # ------------------------------------------------------------------
     # Public API
@@ -447,6 +487,9 @@ class MSCE:
         the MCCore) and for every candidate being adjacent to all of
         *included*; maximality testing remains global, so the results
         are maximal in the whole graph, not merely within *space*.
+        The search runs on the compiled fastpath only when a
+        :class:`~repro.fastpath.CompiledGraph` was handed in; a
+        ``SignedGraph`` is searched on the pure path, not compiled.
         """
         stats = SearchStats()
         stats.backend = self.backend
@@ -460,18 +503,21 @@ class MSCE:
         incomplete = 0
         try:
             stats.components = 1
-            if self.compiled is not None:
+            # Compiling a SignedGraph here would cost O(m) per call.
+            compiled = self._given
+            if compiled is not None:
                 from repro.fastpath.search import search_component_fast
 
                 tripped = search_component_fast(
                     self,
-                    self.compiled.mask_from_nodes(space),
+                    compiled.mask_from_nodes(space),
                     stats,
                     found,
                     size_heap,
                     None,
                     guard,
-                    seed_mask=self.compiled.mask_from_nodes(included),
+                    seed_mask=compiled.mask_from_nodes(included),
+                    compiled=compiled,
                 )
                 if tripped is not None:
                     interrupted_reason, incomplete = tripped
@@ -548,7 +594,7 @@ class MSCE:
         """
         from repro.fastpath.search import FrameSearch
 
-        if self.compiled is None:
+        if self._given is None:
             raise ParameterError(
                 "run_frames requires a compiled fastpath graph; "
                 "construct the enumerator from a CompiledGraph"
@@ -653,32 +699,46 @@ class MSCE:
             k=self.params.k,
             selection=self.selection,
             reduction=reduction,
-            compiled=self.compiled is not None,
+            compiled=self.compile,
             top_r=top_r,
             backend=self.backend,
             model=self.model,
         ):
             try:
-                if self.compiled is not None:
+                compiled = self.compiled
+                if compiled is not None:
                     from repro.fastpath.kernels import component_masks, reduce_mask
                     from repro.fastpath.search import search_component_fast
 
                     if self.reducer is not None:
-                        survivor_mask = self.reducer(
-                            self.compiled, self.params, reduction
-                        )
+                        survivor_mask = self.reducer(compiled, self.params, reduction)
                     else:
                         survivor_mask = reduce_mask(
-                            self.compiled,
+                            compiled,
                             self.params,
                             method=reduction,
                             backend=self.backend,
                         )
+                    # Search the re-indexed survivors: every AND and
+                    # popcount of the search then spans the MCCore, not
+                    # the graph. Sound for the maxtest too, since every
+                    # (alpha, k)-clique lies inside the MCCore.
+                    search_graph = compiled
+                    if survivor_mask != compiled.full_mask:
+                        search_graph = compiled.extract(survivor_mask)
+                        search_graph._source = self.graph
                     with obs.span("enumerate"):
-                        for mask in component_masks(self.compiled, survivor_mask):
+                        for mask in component_masks(search_graph):
                             stats.components += 1
                             tripped = search_component_fast(
-                                self, mask, stats, found, size_heap, top_r, guard
+                                self,
+                                mask,
+                                stats,
+                                found,
+                                size_heap,
+                                top_r,
+                                guard,
+                                compiled=search_graph,
                             )
                             if tripped is not None:
                                 # Cooperative stop: keep everything emitted so

@@ -20,16 +20,35 @@ Two tests are provided:
   This is the default used by the enumerators so that Definition 2 is
   honoured exactly (and so the brute-force cross-validation tests can
   pass); ``maxtest="paper"`` selects the heuristic for ablations.
+
+Both tests exist twice. The graph-space versions above take node sets
+and are the reference. :func:`make_mask_maxtest` returns their ports
+over a :class:`~repro.fastpath.CompiledGraph`, which the compiled
+search calls on every leaf: the common neighbourhood is the AND of the
+member adjacency rows, the negative-budget filter is one
+:func:`~repro.fastpath.kernels.budget_violators` pass, and the
+extension search peels with the tier-0 ``icore_fast`` and branches in
+``repr`` order, like the graph version. The mask ports see only the
+compiled graph. That is exact for the exact test whenever every
+(alpha, k)-clique of the input lies inside the compiled graph — the
+MCCore the compiled search runs on has that property — but the paper's
+single-extension test reads every common neighbour of the input, so it
+matches the graph version only on a compilation of the whole graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Callable, Dict, List, Set
 
 from repro.algorithms.cliques import common_neighbors
 from repro.algorithms.kcore import icore
 from repro.core.cliques import is_alpha_k_clique
 from repro.core.params import AlphaK
+from repro.exceptions import ParameterError
+from repro.fastpath.backend import BACKEND_PYTHON
+from repro.fastpath.bitset import bit_count, iter_bits
+from repro.fastpath.compiled import CompiledGraph
+from repro.fastpath.kernels import budget_violators, icore_fast
 from repro.graphs.signed_graph import Node, SignedGraph
 
 
@@ -146,6 +165,82 @@ def make_maxtest(kind: str):
         return is_maximal
     if kind == "paper":
         return single_extension_test
-    from repro.exceptions import ParameterError
-
     raise ParameterError(f"unknown maxtest kind {kind!r}; expected 'exact' or 'paper'")
+
+
+def make_mask_maxtest(
+    kind: str, compiled: CompiledGraph, params: AlphaK
+) -> Callable[[int], bool]:
+    """Return the mask-space port of ``make_maxtest(kind)`` over *compiled*.
+
+    The predicate takes the member set as a bitmask over *compiled*'s
+    indices and answers exactly what the graph-space test answers on
+    the graph *compiled* was built from (see the module docstring for
+    when that graph may be a slice of the input).
+    """
+    if kind not in ("exact", "paper"):
+        make_maxtest(kind)  # raises the canonical error
+    adj_masks = compiled.masks("all")
+    neg_masks = compiled.masks("negative")
+    pos_masks = compiled.masks("positive")
+    repr_rank = compiled.repr_rank
+    full_mask = compiled.full_mask
+    budget = params.k
+    threshold = params.positive_threshold
+
+    def viable_extensions(members: int) -> int:
+        common = full_mask
+        for m in iter_bits(members):
+            common &= adj_masks[m]
+        return common & ~budget_violators(neg_masks, members, common, budget)
+
+    def is_clique(members: int) -> bool:
+        need = bit_count(members) - 1
+        for m in iter_bits(members):
+            if bit_count(adj_masks[m] & members) != need:
+                return False
+            if bit_count(neg_masks[m] & members) > budget:
+                return False
+            if bit_count(pos_masks[m] & members) < threshold:
+                return False
+        return True
+
+    def extension_search(current: int, candidates: int, base_size: int) -> bool:
+        # Port of _extension_search: same invariants, same pruning.
+        if bit_count(current) > base_size and is_clique(current):
+            return True
+        if not candidates:
+            return False
+        if threshold > 0:
+            flag, core = icore_fast(
+                compiled,
+                current,
+                threshold,
+                current | candidates,
+                sign="positive",
+                backend=BACKEND_PYTHON,
+            )
+            if not flag:
+                return False
+            candidates &= core
+        remaining = candidates
+        for v in sorted(iter_bits(candidates), key=repr_rank.__getitem__):
+            bit = 1 << v
+            new_members = current | bit
+            scope = remaining & adj_masks[v]
+            new_candidates = scope & ~budget_violators(neg_masks, new_members, scope, budget)
+            if extension_search(new_members, new_candidates, base_size):
+                return True
+            remaining &= ~bit
+        return False
+
+    def exact(members: int) -> bool:
+        viable = viable_extensions(members)
+        if not viable:
+            return True
+        return not extension_search(members, viable, bit_count(members))
+
+    def paper(members: int) -> bool:
+        return not viable_extensions(members)
+
+    return exact if kind == "exact" else paper

@@ -68,7 +68,13 @@ import time
 from collections import deque
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.core.bbe import MSCE, EnumerationResult, SearchStats, seed_topr_state
+from repro.core.bbe import (
+    MSCE,
+    EnumerationResult,
+    SearchStats,
+    compile_floor,
+    seed_topr_state,
+)
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.params import AlphaK
 from repro.core.scheduler import (
@@ -336,7 +342,13 @@ def enumerate_parallel(
         guard = make_guard(
             deadline_ts, max_memory_bytes, memory_budget_bytes=memory_budget_bytes
         )
-        compiled = graph if isinstance(graph, CompiledGraph) else compile_graph(graph)
+        # Same compile as MSCE's: nodes the reduction cannot keep are
+        # left out of it.
+        compiled = (
+            graph
+            if isinstance(graph, CompiledGraph)
+            else compile_graph(graph, min_positive_degree=compile_floor(reduction, params))
+        )
 
         # Reduce once, then carve the survivor subgraph straight out of the
         # CSR arrays — no per-component dict-of-sets subgraph rebuilds.

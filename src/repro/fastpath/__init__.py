@@ -45,8 +45,10 @@ This package provides the flat alternative:
   that degrades silently when numba is missing. All tiers return
   bit-identical cliques and stats; only the wall clock changes.
 
-Dispatch is transparent: :func:`compile_graph` once, then hand the
-compiled graph anywhere a ``SignedGraph`` is accepted —
+:class:`~repro.core.bbe.MSCE` runs on this path by default, compiling
+``SignedGraph`` input itself. To share one compilation across calls,
+:func:`compile_graph` once, then hand the compiled graph anywhere a
+``SignedGraph`` is accepted —
 :class:`~repro.core.bbe.MSCE`, :func:`~repro.core.mcnew.mccore_new`,
 :func:`~repro.core.mcbasic.mccore_basic`,
 :func:`~repro.algorithms.kcore.core_numbers`, ... Results are

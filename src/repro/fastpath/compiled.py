@@ -89,13 +89,16 @@ class CompiledGraph:
         adj: Sequence[int],
         signs: Sequence[int],
         source: Optional[SignedGraph] = None,
+        split: Optional[Tuple[Sequence[int], ...]] = None,
     ):
         self.nodes: List[Node] = list(nodes)
         self.n = len(self.nodes)
         self.xadj = array("q", xadj)
         self.adj = array("q", adj)
         self.signs = array("b", signs)
-        pxadj, padj, nxadj, nadj = _split_by_sign(self.n, self.xadj, self.adj, self.signs)
+        if split is None:
+            split = _split_by_sign(self.n, self.xadj, self.adj, self.signs)
+        pxadj, padj, nxadj, nadj = (array("q", part) for part in split)
         self.pxadj, self.padj = pxadj, padj
         self.nxadj, self.nadj = nxadj, nadj
         self._index: Optional[Dict[Node, int]] = None
@@ -281,14 +284,29 @@ class CompiledGraph:
         sub_xadj: List[int] = [0]
         sub_adj: List[int] = []
         sub_signs: List[int] = []
+        pxadj: List[int] = [0]
+        padj: List[int] = []
+        nxadj: List[int] = [0]
+        nadj: List[int] = []
         for old in keep:
             for t in range(xadj[old], xadj[old + 1]):
-                j = adj[t]
-                if (member_mask >> j) & 1:
-                    sub_adj.append(new_index[j])
-                    sub_signs.append(signs[t])
+                j = new_index[adj[t]]
+                if j >= 0:
+                    sign = signs[t]
+                    sub_adj.append(j)
+                    sub_signs.append(sign)
+                    (padj if sign == POSITIVE else nadj).append(j)
             sub_xadj.append(len(sub_adj))
-        return CompiledGraph(nodes, sub_xadj, sub_adj, sub_signs, source=None)
+            pxadj.append(len(padj))
+            nxadj.append(len(nadj))
+        return CompiledGraph(
+            nodes,
+            sub_xadj,
+            sub_adj,
+            sub_signs,
+            source=None,
+            split=(pxadj, padj, nxadj, nadj),
+        )
 
     def extract_nodes(self, members: Iterable[Node]) -> "CompiledGraph":
         """Node-set convenience wrapper over :meth:`extract`."""
@@ -368,11 +386,17 @@ class CompiledGraph:
         )
 
 
-def compile_graph(graph: SignedGraph) -> CompiledGraph:
+def compile_graph(graph: SignedGraph, min_positive_degree: int = 0) -> CompiledGraph:
     """Compile *graph* into a :class:`CompiledGraph` (the graph is untouched).
 
     Node indices follow the graph's iteration order; neighbour lists are
     sorted by index so the kernels can rely on ascending CSR rows.
+
+    With *min_positive_degree*, only nodes with at least that many
+    positive neighbours in *graph* are compiled (the induced subgraph).
+    The enumerator passes ``ceil(alpha * k)`` when its reduction is an
+    (alpha, k) core: no node below it can survive the reduction, and
+    every kept node's index order, and so every tie-break, is unchanged.
     """
     if isinstance(graph, CompiledGraph):
         return graph
@@ -380,19 +404,51 @@ def compile_graph(graph: SignedGraph) -> CompiledGraph:
 
     with obs.span("compile", nodes=graph.number_of_nodes()):
         nodes = list(graph.nodes())
+        if min_positive_degree > 0:
+            nodes = [
+                node
+                for node in nodes
+                if len(graph.positive_neighbors(node)) >= min_positive_degree
+            ]
         index = {node: i for i, node in enumerate(nodes)}
+        if len(nodes) < graph.number_of_nodes():
+            lookup = index.get
+
+            def indices(neighbours) -> List[int]:
+                return sorted(i for i in map(lookup, neighbours) if i is not None)
+
+        else:
+            lookup = index.__getitem__
+
+            def indices(neighbours) -> List[int]:
+                return sorted(map(lookup, neighbours))
+
         xadj: List[int] = [0]
         adj: List[int] = []
         signs: List[int] = []
+        pxadj: List[int] = [0]
+        padj: List[int] = []
+        nxadj: List[int] = [0]
+        nadj: List[int] = []
         for node in nodes:
-            positive = graph.positive_neighbors(node)
-            row = [(index[v], POSITIVE) for v in positive]
-            row.extend((index[v], NEGATIVE) for v in graph.negative_neighbors(node))
-            row.sort()
-            adj.extend(j for j, _s in row)
-            signs.extend(s for _j, s in row)
+            positive = indices(graph.positive_neighbors(node))
+            negative = indices(graph.negative_neighbors(node))
+            padj.extend(positive)
+            nadj.extend(negative)
+            pxadj.append(len(padj))
+            nxadj.append(len(nadj))
+            if negative:
+                row = sorted(positive + negative)
+                negative_set = set(negative)
+                signs.extend(NEGATIVE if j in negative_set else POSITIVE for j in row)
+            else:
+                row = positive
+                signs.extend([POSITIVE] * len(row))
+            adj.extend(row)
             xadj.append(len(adj))
-        compiled = CompiledGraph(nodes, xadj, adj, signs, source=graph)
+        compiled = CompiledGraph(
+            nodes, xadj, adj, signs, source=graph, split=(pxadj, padj, nxadj, nadj)
+        )
         compiled._index = index
         return compiled
 

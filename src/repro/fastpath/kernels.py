@@ -220,6 +220,44 @@ def icore_tracked_fast(
     return True, members, degrees
 
 
+def budget_violators(neg_masks: List[int], members: int, scope: int, budget: int) -> int:
+    """Nodes of *scope* that cannot join *members* within the negative budget.
+
+    Node ``v`` violates iff ``members | {v}`` breaks the negative-edge
+    constraint: ``v`` has more than *budget* negative neighbours in
+    *members*, or a negative neighbour in *members* that already has
+    *budget* of them. Both tests run over whole masks instead of one
+    candidate at a time:
+
+    * members already at the budget are OR-ed into one ``blocked``
+      mask of their negative rows;
+    * ``levels[j]`` is a bit-sliced saturating counter — the scope
+      nodes with at least ``j + 1`` negative neighbours among the
+      members seen so far — so ``levels[budget]`` is the over-budget
+      set after O(|members| * budget) big-int operations.
+
+    Negative adjacency is symmetric, so ``v`` is a negative neighbour of
+    member ``m`` iff bit ``v`` of ``neg_masks[m]`` is set.
+    """
+    levels = [0] * (budget + 1)
+    count = budget < bit_count(members)  # else no node can exceed it
+    blocked = 0
+    rest = members
+    while rest:  # iter_bits, inlined: this runs once per branch
+        low = rest & -rest
+        rest ^= low
+        row = neg_masks[low.bit_length() - 1]
+        if bit_count(row & members) >= budget:
+            blocked |= row
+        if count:
+            row &= scope
+            if row:
+                for j in range(budget, 0, -1):
+                    levels[j] |= levels[j - 1] & row
+                levels[0] |= row
+    return (levels[budget] | blocked) & scope
+
+
 def k_core_fast(
     compiled: CompiledGraph,
     k: int,

@@ -43,6 +43,11 @@ among later-ordered vertices, with all earlier branch vertices excluded.
 A maximal clique is therefore found in exactly one task — the one rooted
 at its earliest branch vertex — and merging needs no cross-task dedup.
 
+A frame search runs over one compiled graph, which need not be the
+enumerator's own: :class:`~repro.core.bbe.MSCE` hands it the
+re-indexed MCCore survivors. Leaves are maximality-tested in mask space
+over that graph, through the predicate the model's
+:meth:`~repro.models.base.SignedConstraint.make_maxtest` builds for it.
 Cliques are emitted through the enumerator's own ``_emit`` (after
 mapping indices back to nodes), so dedup, auditing, top-r bookkeeping
 and result caps behave identically; the cross-validation tests assert
@@ -91,6 +96,7 @@ class FrameSearch:
         "min_size",
         "ops",
         "select",
+        "maxtest",
     )
 
     def __init__(
@@ -102,11 +108,14 @@ class FrameSearch:
         top_r: Optional[int],
         guard: Optional[ResourceGuard],
         tick: Optional[Callable[[], None]] = None,
+        compiled=None,
     ):
-        if msce.compiled is None:
+        if compiled is None:
+            compiled = msce.compiled
+        if compiled is None:
             raise ParameterError(
                 "FrameSearch requires a compiled fastpath graph; "
-                "construct the enumerator from a CompiledGraph"
+                "construct the enumerator with compile=True"
             )
         self.msce = msce
         self.stats = stats
@@ -121,13 +130,17 @@ class FrameSearch:
         self.interrupted: Optional[str] = None
         #: Unexpanded ``(candidates, included)`` frames dropped on a trip.
         self.incomplete: List[Tuple[int, int]] = []
-        self.compiled = msce.compiled
+        #: The graph the frames index: the enumerator's compilation, or a
+        #: re-indexed slice of it (the MCCore survivors).
+        self.compiled = compiled
         #: Effective subspace size floor (user min_size folded with the
         #: model's own bound, see SignedConstraint.search_min_size).
         self.min_size = msce._search_min_size
         #: The model's mask-space frame operations.
         self.ops = msce.constraint.bind_masks(self)
-        self.select = _make_selector(msce, self.ops)
+        self.select = _make_selector(msce, self.ops, compiled)
+        #: The model's maximality test over masks of this graph.
+        self.maxtest = msce.constraint.make_maxtest(msce.maxtest_kind, compiled)
 
     # ------------------------------------------------------------------
     # Frame processing
@@ -166,9 +179,14 @@ class FrameSearch:
         if ops.feasible(candidates, degrees):
             stats.early_terminations += 1
             stats.maxtests += 1
-            members = self.compiled.nodes_from_mask(candidates)
-            if msce._maxtest(msce.graph, members, msce.params):
-                msce._emit(members, self.found, self.size_heap, top_r, stats)
+            if self.maxtest(candidates):
+                msce._emit(
+                    self.compiled.nodes_from_mask(candidates),
+                    self.found,
+                    self.size_heap,
+                    top_r,
+                    stats,
+                )
             return None
 
         free = candidates & ~included
@@ -319,15 +337,19 @@ def search_component_fast(
     top_r: Optional[int],
     guard: Optional[ResourceGuard],
     seed_mask: int = 0,
+    compiled=None,
 ) -> Optional[Tuple[str, int]]:
     """Run the BBE search over one component given as an index bitmask.
 
     Thin wrapper over :class:`FrameSearch` kept for the sequential
-    entry points in :mod:`repro.core.bbe`. Returns ``None`` on
+    entry points in :mod:`repro.core.bbe`; *compiled* is the graph the
+    masks index (default: the enumerator's). Returns ``None`` on
     exhaustion, or ``(reason, dropped_frames)`` when the *guard*
     tripped and the component's remaining subtrees were abandoned.
     """
-    searcher = FrameSearch(msce, stats, found, size_heap, top_r, guard)
+    searcher = FrameSearch(
+        msce, stats, found, size_heap, top_r, guard, compiled=compiled
+    )
     reason = searcher.run([(component_mask, seed_mask, None)])
     if reason is None:
         return None
@@ -391,22 +413,29 @@ def decompose_root(
     return tasks
 
 
-def _make_selector(msce: "MSCE", ops):
+def _make_selector(msce: "MSCE", ops, compiled):
     """Index-space ports of the branch-node selectors in bbe.py.
 
-    The greedy score comes from the model's
-    :meth:`~repro.models.base.FrameOps.branch_degree` (MSCE: tracked
-    positive degree inside ``R``; balanced: sign-blind degree).
-    Tie-breaking goes through the compiled ``repr``-rank permutation so
-    the chosen node is exactly the one the pure selector would pick.
-    With ``frame_rng`` the random strategy hashes the frame's free
-    candidates (by node ``repr``, so the draw is independent of the
-    compiled index space) instead of consuming a sequential RNG stream;
-    see :func:`repro.core.bbe.frame_draw`.
+    The greedy score is the model's tracked degree when the frame
+    threads a degree map (MSCE: positive degree inside ``R``), read
+    straight from the map, and otherwise
+    :meth:`~repro.models.base.FrameOps.branch_degree` (balanced:
+    sign-blind degree). Tie-breaking goes through the compiled
+    ``repr``-rank permutation so the chosen node is exactly the one the
+    pure selector would pick. With ``frame_rng`` the random strategy
+    hashes the frame's free candidates (by node ``repr``, so the draw is
+    independent of the compiled index space) instead of consuming a
+    sequential RNG stream; see :func:`repro.core.bbe.frame_draw`.
     """
-    repr_rank = msce.compiled.repr_rank
+    repr_rank = compiled.repr_rank
 
     def greedy(candidates: int, included: int, degrees: Optional[Dict[int, int]]) -> int:
+        if degrees is not None:
+            return min(
+                (d, repr_rank[i], i)
+                for i, d in degrees.items()
+                if not (included >> i) & 1
+            )[2]
         best = -1
         best_key: Optional[Tuple[int, int]] = None
         for i in iter_bits(candidates & ~included):
@@ -424,7 +453,7 @@ def _make_selector(msce: "MSCE", ops):
         if msce.frame_rng:
             from repro.core.bbe import frame_draw
 
-            nodes = msce.compiled.nodes
+            nodes = compiled.nodes
             return free[frame_draw(msce.seed, [repr(nodes[i]) for i in free])]
         return msce._rng.choice(free)
 

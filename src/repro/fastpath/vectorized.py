@@ -42,9 +42,11 @@ from repro.graphs.signed_graph import Node
 if TYPE_CHECKING:  # imported lazily at runtime to keep repro.core acyclic
     from repro.core.params import AlphaK
 
-#: Rows per popcount batch: bounds the (chunk, n_words) gather buffers
-#: to ~20 MB at n = 10k instead of materialising an (m, n_words) matrix.
-_CHUNK = 1 << 14
+#: Bytes per gather buffer of a popcount batch: the batch takes as many
+#: ``n_words`` rows as fit, instead of materialising an (m, n_words)
+#: matrix. Past a few thousand rows a larger batch buys no speed, only
+#: peak memory.
+_CHUNK_BYTES = 1 << 20
 
 
 def _csr(compiled: CompiledGraph, sign: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -81,11 +83,12 @@ def pair_popcounts(
     out = np.empty(pairs, dtype=np.int64)
     if pairs == 0:
         return out
-    span = min(_CHUNK, pairs)
+    chunk = max(1, _CHUNK_BYTES // (8 * max(1, left.shape[1])))
+    span = min(chunk, pairs)
     buf_left = np.empty((span, left.shape[1]), dtype=np.uint64)
     buf_right = np.empty_like(buf_left)
-    for start in range(0, pairs, _CHUNK):
-        stop = min(start + _CHUNK, pairs)
+    for start in range(0, pairs, chunk):
+        stop = min(start + chunk, pairs)
         size = stop - start
         np.take(left, rows[start:stop], axis=0, out=buf_left[:size])
         np.take(right, cols[start:stop], axis=0, out=buf_right[:size])

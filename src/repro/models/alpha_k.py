@@ -31,11 +31,12 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.algorithms.kcore import icore_tracked
 from repro.core.cliques import is_alpha_k_clique
+from repro.core.maxtest import make_mask_maxtest
 from repro.core.maxtest import make_maxtest as _make_alpha_k_maxtest
 from repro.fastpath.bitset import bit_count, iter_bits
-from repro.fastpath.kernels import icore_tracked_fast
+from repro.fastpath.kernels import budget_violators, icore_tracked_fast
 from repro.graphs.signed_graph import Node, SignedGraph
-from repro.models.base import FrameOps, SignedConstraint, register_model
+from repro.models.base import FrameOps, SignedConstraint, masks_via_graph, register_model
 
 
 @register_model
@@ -49,8 +50,14 @@ class AlphaKConstraint(SignedConstraint):
     def feasible(self, graph: SignedGraph, members: Iterable[Node]) -> bool:
         return is_alpha_k_clique(graph, set(members), self.params)
 
-    def make_maxtest(self, kind: str):
-        return _make_alpha_k_maxtest(kind)
+    def make_maxtest(self, kind: str, compiled=None):
+        if compiled is None:
+            return _make_alpha_k_maxtest(kind)
+        if kind == "paper" and compiled.n != compiled.source.number_of_nodes():
+            # The single-extension test reads every common neighbour of
+            # the input, so on a reduced slice it stays in graph space.
+            return masks_via_graph(_make_alpha_k_maxtest(kind), compiled, self.params)
+        return make_mask_maxtest(kind, compiled, self.params)
 
     def audit_check(self, graph: SignedGraph, clique) -> None:
         # Keep the historical audit: the structured verify raises a
@@ -167,26 +174,21 @@ class AlphaKMaskOps(FrameOps):
                 self.scratch,
             )
             return keep, clique_pruned, negative_pruned
-        keep = new_included
+        # The clique rule is an AND with the branch row, the negative
+        # rule one bit-sliced budget filter; each counter is the
+        # popcount of what its rule removed.
+        rest = candidates & ~new_included
         clique_pruned = 0
+        if msce.clique_pruning:
+            adjacent = rest & self.adj_masks[branch]
+            clique_pruned = bit_count(rest ^ adjacent)
+            rest = adjacent
         negative_pruned = 0
-        adjacency = self.adj_masks[branch]
-        negative_inside = {
-            i: bit_count(neg_masks[i] & new_included) for i in iter_bits(new_included)
-        }
-        for i in iter_bits(candidates & ~new_included):
-            if msce.clique_pruning and not (adjacency >> i) & 1:
-                clique_pruned += 1
-                continue
-            if msce.negative_pruning:
-                negatives = neg_masks[i] & new_included
-                if bit_count(negatives) > budget or any(
-                    negative_inside[member] + 1 > budget for member in iter_bits(negatives)
-                ):
-                    negative_pruned += 1
-                    continue
-            keep |= 1 << i
-        return keep, clique_pruned, negative_pruned
+        if msce.negative_pruning and rest:
+            violators = budget_violators(neg_masks, new_included, rest, budget)
+            negative_pruned = bit_count(violators)
+            rest ^= violators
+        return new_included | rest, clique_pruned, negative_pruned
 
     def exclude_degrees(
         self, branch: int, exclude_candidates: int, degrees: Optional[Dict[int, int]]
@@ -222,11 +224,8 @@ class AlphaKMaskOps(FrameOps):
         self, node: int, candidates: int, degrees: Optional[Dict[int, int]]
     ) -> int:
         # MSCE-G: minimum positive degree within the candidate set. The
-        # degree map is the one maintained by the tracked core pruning,
-        # so no degrees are recomputed here; it is only absent in
-        # ablation modes.
-        if degrees is not None:
-            return degrees[node]
+        # selector reads the tracked degree map itself, so this runs
+        # only in ablation modes, where no map is threaded.
         return bit_count(self.pos_masks[node] & candidates)
 
 

@@ -53,7 +53,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from repro.core.params import AlphaK
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.graphs.signed_graph import Node, SignedGraph
-from repro.models.base import FrameOps, SignedConstraint, register_model
+from repro.models.base import FrameOps, SignedConstraint, masks_via_graph, register_model
 
 
 def balanced_sides(
@@ -137,10 +137,13 @@ class BalancedConstraint(SignedConstraint):
             return False
         return min(len(sides[0]), len(sides[1])) >= self.tau
 
-    def make_maxtest(self, kind: str):
+    def make_maxtest(self, kind: str, compiled=None):
         # No heuristic variant: "paper" (MSCE's single-extension test)
-        # has no analogue here, so both kinds run the exact test.
-        return _balanced_is_maximal
+        # has no analogue here, so both kinds run the exact test, in
+        # graph space even on the compiled path.
+        if compiled is None:
+            return _balanced_is_maximal
+        return masks_via_graph(_balanced_is_maximal, compiled, self.params)
 
     def reduction_rule(self, method: str) -> str:
         return "none"

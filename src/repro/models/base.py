@@ -88,7 +88,10 @@ class FrameOps:
         child recompute from scratch.
     ``branch_degree(node, candidates, degrees)``
         The greedy selector's score for *node* (minimum wins; ties are
-        broken by node ``repr`` rank in the generic selectors).
+        broken by node ``repr`` rank in the generic selectors). A
+        threaded ``degrees`` map must be keyed by the frame's candidates
+        and hold exactly this score: the compiled selector reads the map
+        directly and calls ``branch_degree`` only when it is ``None``.
     """
 
     __slots__ = ()
@@ -145,12 +148,18 @@ class SignedConstraint:
         """
         return True
 
-    def make_maxtest(self, kind: str) -> Callable:
-        """Return the maximality predicate ``f(graph, members, params)``.
+    def make_maxtest(self, kind: str, compiled=None) -> Callable:
+        """Return the maximality predicate for *kind*.
 
         *kind* is the enumerator's ``maxtest`` knob (``"exact"`` /
         ``"paper"``); models without a heuristic variant may map both
-        kinds to the exact test.
+        kinds to the exact test. Without *compiled* the predicate is
+        ``f(graph, members, params)`` over node sets. With a
+        :class:`~repro.fastpath.CompiledGraph` it is ``f(mask)`` over
+        that graph's indices — the form the compiled search calls on
+        every leaf. It must answer as the graph-space test does on the
+        input graph; :func:`masks_via_graph` adapts a graph-space test
+        for models without a mask port.
         """
         raise NotImplementedError
 
@@ -199,6 +208,20 @@ class SignedConstraint:
     def bind_graph(self, msce) -> FrameOps:
         """Bind the graph-space (pure Python set) frame operations."""
         raise NotImplementedError
+
+
+def masks_via_graph(test: Callable, compiled, params: AlphaK) -> Callable[[int], bool]:
+    """Adapt a graph-space maxtest to a mask predicate over *compiled*.
+
+    Members are mapped back to nodes and tested against the compiled
+    graph's source, which the enumerators set to the input graph.
+    """
+    graph = compiled.source
+
+    def test_mask(members: int) -> bool:
+        return test(graph, compiled.nodes_from_mask(members), params)
+
+    return test_mask
 
 
 def register_model(cls: Type[SignedConstraint]) -> Type[SignedConstraint]:

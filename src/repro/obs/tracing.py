@@ -15,6 +15,13 @@ seconds spent, and how many recursions / prunes / retries happened
 inside it — which is exactly the data the paper's pruning ablations
 (and those of the balanced-clique work of Chen et al.) tabulate.
 
+The stack of open spans is context-local (one module-level
+:class:`contextvars.ContextVar` shared by every tracer). Each thread,
+and each asyncio task, nests its spans under its own open spans only,
+so engine computes running side by side on the ``repro.net`` thread
+pool build separate trees. Counter deltas still read the shared
+registry, so they include whatever other threads counted meanwhile.
+
 The disabled path is :class:`NullTracer`: ``span()`` hands back one
 shared re-entrant no-op context manager, so tracing call sites cost a
 method call and nothing else when observability is off.
@@ -22,7 +29,8 @@ method call and nothing else when observability is off.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from contextvars import ContextVar
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.clock import MONOTONIC
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -84,6 +92,15 @@ class _SpanContext:
         self._tracer._close(self._span)
 
 
+#: Spans open in the current context as ``(tracer, generation, span)``
+#: entries, innermost last. An immutable tuple: a context copied from
+#: another (an asyncio task, ``contextvars.copy_context``) starts under
+#: the spans open at the copy and cannot alter its parent's stack.
+_OPEN_SPANS: "ContextVar[Tuple[Tuple[Tracer, int, Span], ...]]" = ContextVar(
+    "repro_open_spans", default=()
+)
+
+
 class Tracer:
     """Builds the span tree for one process, one phase at a time.
 
@@ -116,25 +133,36 @@ class Tracer:
         self.roots: List[Span] = []
         #: Root spans discarded after :attr:`max_roots` was reached.
         self.dropped_roots = 0
-        self._stack: List[Span] = []
+        #: Bumped by :meth:`clear`; open spans of older generations are
+        #: ignored, so no span opened after a clear nests under them.
+        self._generation = 0
+
+    def _open_spans(self) -> Tuple[Span, ...]:
+        """This tracer's spans open in the current context, innermost last."""
+        return tuple(
+            span
+            for tracer, generation, span in _OPEN_SPANS.get()
+            if tracer is self and generation == self._generation
+        )
 
     def span(self, name: str, **attrs) -> _SpanContext:
         """Open a span named *name*; use as ``with tracer.span("reduce"):``.
 
-        The span becomes a child of the currently-open span, or a new
-        root. Counter deltas cover the tracer's bound registry.
+        The span becomes a child of the span this context has open, or a
+        new root. Counter deltas cover the tracer's bound registry.
         """
         span = Span(name, attrs, self.clock.now())
         span._before = {
             key: counter.value for key, counter in self.registry.counters.items()
         }
-        if self._stack:
-            self._stack[-1].children.append(span)
+        stack = self._open_spans()
+        if stack:
+            stack[-1].children.append(span)
         elif len(self.roots) < self.max_roots:
             self.roots.append(span)
         else:
             self.dropped_roots += 1
-        self._stack.append(span)
+        _OPEN_SPANS.set(_OPEN_SPANS.get() + ((self, self._generation, span),))
         return _SpanContext(self, span)
 
     def _close(self, span: Span) -> None:
@@ -145,13 +173,18 @@ class Tracer:
             delta = counter.value - before.get(key, 0)
             if delta:
                 span.counters[key] = delta
-        # Close any children left open by an exception, innermost first.
-        while self._stack and self._stack[-1] is not span:
-            dangling = self._stack.pop()
-            if dangling.ended is None:
-                dangling.ended = span.ended
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
+        entries = _OPEN_SPANS.get()
+        for depth in range(len(entries) - 1, -1, -1):
+            if entries[depth][2] is span:
+                kept = entries[:depth]
+                for entry in entries[depth + 1 :]:
+                    if entry[0] is not self:
+                        kept += (entry,)
+                    elif entry[2].ended is None:
+                        # A child left open by an exception.
+                        entry[2].ended = span.ended
+                _OPEN_SPANS.set(kept)
+                break
 
     def to_dict(self) -> Dict[str, object]:
         """The whole trace as a plain dict (see :mod:`repro.obs.export`)."""
@@ -163,11 +196,12 @@ class Tracer:
     def clear(self) -> None:
         """Drop every recorded span (used between test runs)."""
         self.roots.clear()
-        self._stack.clear()
+        self._generation += 1
+        _OPEN_SPANS.set(tuple(e for e in _OPEN_SPANS.get() if e[0] is not self))
         self.dropped_roots = 0
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(roots={len(self.roots)}, open={len(self._stack)})"
+        return f"{type(self).__name__}(roots={len(self.roots)}, open={len(self._open_spans())})"
 
 
 class _NullSpanContext:

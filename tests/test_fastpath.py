@@ -224,7 +224,7 @@ class TestSearchCrossValidation:
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_msce_identical_cliques_and_stats(self, graph, params):
         compiled = compile_graph(graph)
-        pure = MSCE(graph, params).enumerate_all()
+        pure = MSCE(graph, params, compile=False).enumerate_all()
         fast = MSCE(compiled, params).enumerate_all()
         assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
         # Identical counters prove the two paths walk the same tree.
@@ -235,7 +235,9 @@ class TestSearchCrossValidation:
     def test_other_selections_match(self, graph, selection):
         params = AlphaK(1.5, 1)
         compiled = compile_graph(graph)
-        pure = MSCE(graph, params, selection=selection, seed=5).enumerate_all()
+        pure = MSCE(
+            graph, params, selection=selection, seed=5, compile=False
+        ).enumerate_all()
         fast = MSCE(compiled, params, selection=selection, seed=5).enumerate_all()
         assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
         assert fast.stats.as_dict() == pure.stats.as_dict()
@@ -244,7 +246,7 @@ class TestSearchCrossValidation:
     def test_paper_maxtest_matches(self, graph):
         params = AlphaK(2, 1)
         compiled = compile_graph(graph)
-        pure = MSCE(graph, params, maxtest="paper").enumerate_all()
+        pure = MSCE(graph, params, maxtest="paper", compile=False).enumerate_all()
         fast = MSCE(compiled, params, maxtest="paper").enumerate_all()
         assert {c.nodes for c in fast.cliques} == {c.nodes for c in pure.cliques}
 
@@ -253,7 +255,7 @@ class TestSearchCrossValidation:
     def test_top_r_matches(self, graph, r):
         params = AlphaK(1.5, 1)
         compiled = compile_graph(graph)
-        pure = MSCE(graph, params).top_r(r)
+        pure = MSCE(graph, params, compile=False).top_r(r)
         fast = MSCE(compiled, params).top_r(r)
         assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
         assert fast.stats.as_dict() == pure.stats.as_dict()
@@ -263,7 +265,7 @@ class TestSearchCrossValidation:
         compiled = compile_graph(graph)
         searcher = MSCE(compiled, AlphaK(2, 1), compile=False)
         assert searcher.compiled is None
-        pure = MSCE(graph, AlphaK(2, 1)).enumerate_all()
+        pure = MSCE(graph, AlphaK(2, 1), compile=False).enumerate_all()
         assert {c.nodes for c in searcher.enumerate_all().cliques} == {
             c.nodes for c in pure.cliques
         }
@@ -273,7 +275,9 @@ class TestSearchCrossValidation:
         compiled = compile_graph(graph)
         params = AlphaK(3, 1)
         space = graph.node_set()
-        pure = MSCE(graph, params).enumerate_seeded(set(space), frozenset({1}))
+        pure = MSCE(graph, params, compile=False).enumerate_seeded(
+            set(space), frozenset({1})
+        )
         fast = MSCE(compiled, params).enumerate_seeded(set(space), frozenset({1}))
         assert {c.nodes for c in fast.cliques} == {c.nodes for c in pure.cliques}
 
@@ -370,7 +374,7 @@ def test_hypothesis_fast_search_identical(spec, param_spec):
     alpha, k = param_spec
     params = AlphaK(alpha, k)
     compiled = compile_graph(graph)
-    pure = MSCE(graph, params, audit=True).enumerate_all()
+    pure = MSCE(graph, params, audit=True, compile=False).enumerate_all()
     fast = MSCE(compiled, params, audit=True).enumerate_all()
     assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
     assert fast.stats.as_dict() == pure.stats.as_dict()

@@ -168,7 +168,9 @@ class TestBalancedOracleParity:
             expected = _nodes(
                 brute_force_constraint(graph, make_constraint("balanced", params))
             )
-            pure = MSCE(graph, params, model="balanced", audit=True).enumerate_all()
+            pure = MSCE(
+                graph, params, model="balanced", audit=True, compile=False
+            ).enumerate_all()
             fast = MSCE(
                 compile_graph(graph), params, model="balanced", audit=True
             ).enumerate_all()
@@ -453,7 +455,9 @@ def test_hypothesis_balanced_matches_oracle(spec, tau):
     params = AlphaK(1.0, tau)
     constraint = make_constraint("balanced", params)
     expected = _nodes(brute_force_constraint(graph, constraint))
-    pure = MSCE(graph, params, model="balanced", audit=True).enumerate_all()
+    pure = MSCE(
+        graph, params, model="balanced", audit=True, compile=False
+    ).enumerate_all()
     fast = MSCE(
         compile_graph(graph), params, model="balanced", audit=True
     ).enumerate_all()

@@ -19,6 +19,8 @@ Three layers of guarantees:
 
 import json
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -203,7 +205,65 @@ class TestTracing:
         root = tracer.roots[0]
         assert root.ended is not None
         assert root.children[0].ended is not None
-        assert tracer._stack == []
+        assert tracer._open_spans() == ()
+
+    def test_tracers_keep_separate_stacks_and_clear_drops_open_spans(self):
+        first, second = Tracer(clock=FakeClock()), Tracer(clock=FakeClock())
+        with first.span("a"):
+            with second.span("b"):
+                with first.span("a.child"):
+                    pass
+            first.clear()
+            with first.span("after-clear"):
+                pass
+        assert [root.name for root in first.roots] == ["after-clear"]
+        assert [root.name for root in second.roots] == ["b"]
+        assert second.roots[0].children == []
+        assert first._open_spans() == () and second._open_spans() == ()
+
+    def test_threads_build_separate_span_trees(self):
+        # Spans opened on different threads must not nest under each
+        # other, and closing one thread's span must not close another's.
+        threads_n = 6
+        tracer = Tracer()
+        opened = threading.Barrier(threads_n)
+        nested = threading.Barrier(threads_n)
+        errors = []
+
+        def work(index):
+            try:
+                with tracer.span(f"request{index}"):
+                    opened.wait(timeout=10)
+                    with tracer.span(f"compute{index}"):
+                        nested.wait(timeout=10)
+                    with tracer.span(f"serialise{index}"):
+                        pass
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(root.name for root in tracer.roots) == sorted(
+            f"request{i}" for i in range(threads_n)
+        )
+        for root in tracer.roots:
+            index = root.name[len("request"):]
+            assert [child.name for child in root.children] == [
+                f"compute{index}",
+                f"serialise{index}",
+            ]
+            assert root.ended is not None
+            assert all(child.ended is not None for child in root.children)
 
     def test_root_cap_counts_drops(self):
         tracer = Tracer(clock=FakeClock(), max_roots=2)
@@ -445,7 +505,7 @@ class TestCrashBitIdentity:
         graph = _fault_graph(seed=13)
         # Uninstrumented 1-process baseline: the default observer stays
         # disabled, SearchStats counts in its private registry only.
-        baseline = MSCE(graph, AlphaK(1.5, 1)).enumerate_all()
+        baseline = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all()
         expected = baseline.stats.as_dict()
 
         journal_path = tmp_path / "journal.jsonl"
@@ -502,7 +562,7 @@ class TestCrashBitIdentity:
 
     def test_aggregation_is_stable_across_worker_counts(self):
         graph = _fault_graph(seed=17)
-        expected = MSCE(graph, AlphaK(1.5, 1)).enumerate_all().stats.as_dict()
+        expected = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all().stats.as_dict()
         for workers in (2, ACCEPTANCE_WORKERS):
             with observing() as observer:
                 enumerate_parallel(graph, 1.5, 1, workers=workers, **SPLIT_KNOBS)

@@ -117,7 +117,7 @@ class TestParallelDeterminism:
 
     def test_greedy_identical_across_worker_counts_and_sequential(self):
         graph = _multi_component_graph(seed=13)
-        sequential = MSCE(graph, AlphaK(1.5, 1)).enumerate_all()
+        sequential = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all()
         expected = _fingerprint(sequential)
         for workers in (1, 2, 4):
             result = enumerate_parallel(
@@ -149,7 +149,7 @@ class TestParallelDeterminism:
 
     def test_heavy_resplitting_changes_nothing(self):
         graph = _multi_component_graph(seed=19, components=1)
-        sequential = MSCE(graph, AlphaK(1.5, 1)).enumerate_all()
+        sequential = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all()
         result = enumerate_parallel(
             graph, 1.5, 1, workers=2, split_component=16, task_budget=10
         )

@@ -100,6 +100,29 @@ class TestCrossValidation:
         scoped = query_search(graph, {seed}, 1.5, 1)
         assert scoped.stats.recursions <= full.stats.recursions
 
+    def test_stand_in_queries_are_globally_maximal(self):
+        # On a Table-I stand-in the query search must return exactly the
+        # full enumeration's cliques that hold the query, and the
+        # compiled search over a shared compilation must agree with the
+        # pure one in cliques and stats.
+        from repro.fastpath import compile_graph
+        from repro.generators.datasets import load_dataset
+
+        graph = load_dataset("slashdot").graph
+        compiled = compile_graph(graph)
+        full = MSCE(graph, AlphaK(4, 3), compile=False).enumerate_all().cliques
+        members = sorted({node for clique in full[:6] for node in clique.nodes})
+        rng = random.Random(94)
+        queries = [{node} for node in rng.sample(members, 4)]
+        queries.append(set(sorted(full[0].nodes)[:2]))
+        for query in queries:
+            expected = {c.nodes for c in full if query <= c.nodes}
+            result = query_search(graph, query, 4, 3)
+            assert {c.nodes for c in result.cliques} == expected, sorted(query)
+            fast = query_search(graph, query, 4, 3, search_graph=compiled)
+            assert [c.nodes for c in fast.cliques] == [c.nodes for c in result.cliques]
+            assert fast.stats.as_dict() == result.stats.as_dict()
+
     def test_results_contain_query_and_are_verified(self):
         rng = random.Random(93)
         graph = make_random_signed_graph(rng, n_range=(8, 12))

@@ -109,7 +109,7 @@ class TestParallelDifferential:
     def test_parallel_matches_sequential_seeded(self):
         graph = _battery_graph(seed=43)
         params = PARAMS["msce"]
-        sequential = MSCE(graph, params, model="msce").top_r(3)
+        sequential = MSCE(graph, params, model="msce", compile=False).top_r(3)
         for workers in (1, 2):
             seeded = enumerate_parallel(
                 graph,

@@ -165,7 +165,7 @@ class TestDifferentialOracle:
     def test_top_r_with_stats_matches_cutoff_search(self, random_graph):
         engine = SignedCliqueEngine(random_graph)
         result = engine.top_r_with_stats(2, 2, 3)
-        reference = MSCE(random_graph, AlphaK(2, 2)).top_r(3)
+        reference = MSCE(random_graph, AlphaK(2, 2), compile=False).top_r(3)
         assert_result_equal(result, reference, "top-r cutoff")
         replay = engine.top_r_with_stats(2, 2, 3)
         assert_result_equal(replay, reference, "top-r cache replay")
@@ -545,8 +545,8 @@ class TestWarmStartServing:
     def test_all_tiers_replay_the_seeded_compute(self, random_graph, tmp_path):
         cache = tmp_path / "cache"
         params = AlphaK(2, 2)
-        oracle = MSCE(random_graph, params).top_r(3, warm_start="portfolio")
-        unseeded_oracle = MSCE(random_graph, params).top_r(3)
+        oracle = MSCE(random_graph, params, compile=False).top_r(3, warm_start="portfolio")
+        unseeded_oracle = MSCE(random_graph, params, compile=False).top_r(3)
         assert oracle.cliques == unseeded_oracle.cliques
 
         engine = SignedCliqueEngine(random_graph, cache_dir=cache)

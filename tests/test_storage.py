@@ -362,7 +362,7 @@ class TestMmapTransport:
 
     def test_parallel_run_over_mmap_transport_is_bit_identical(self):
         graph = _search_graph(seed=11, n=150)
-        expected = _fingerprint(MSCE(graph, AlphaK(2, 2)).enumerate_all())
+        expected = _fingerprint(MSCE(graph, AlphaK(2, 2), compile=False).enumerate_all())
         result = enumerate_parallel(graph, 2, 2, workers=2, transport="mmap")
         assert _fingerprint(result) == expected
         assert result.parallel["transport"] == "mmap"
