@@ -52,8 +52,8 @@ and frames *will* misbehave on long production runs:
   (``time.monotonic`` scale, shared by parent and workers) and a
   ``max_memory_bytes`` ceiling stop the run cooperatively: workers
   return partial ``interrupted`` results for in-flight tasks, the
-  parent stops assigning, and :meth:`run` hands back the unfinished
-  frames instead of raising.
+  parent stops assigning, and :meth:`run_grouped` hands back the
+  unfinished frames instead of raising.
 * **Graceful degradation.** If the pool collapses entirely (spawn
   failures, repeated crashes past the respawn budget) the scheduler
   returns the unfinished frames — with their spawn credit, so the
@@ -82,7 +82,7 @@ import queue as queue_module
 import time
 import traceback
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import AlphaK
 from repro.exceptions import WorkerCrashError
@@ -119,18 +119,15 @@ TaskFrame = Tuple[int, int]
 #: A finished clique on the wire: (member nodes, positive, negative).
 CliqueRow = Tuple[frozenset, int, int]
 
-#: An unfinished frame handed back to the caller:
-#: ``(frame, spawns_credited)`` — the credit count lets an inline
-#: re-run skip the subtrees that were already shed as separate tasks.
-LeftoverFrame = Tuple[TaskFrame, int]
-
 #: A grouped task: ``(group index, frame)`` — the group selects which
 #: parameter setting (one entry of the scheduler's ``params`` sequence)
 #: the frame is searched under. Grid runs interleave frames of many
 #: (alpha, k) settings through one pool and one shared graph segment.
 GroupedTask = Tuple[int, TaskFrame]
 
-#: A grouped leftover: ``(group, frame, spawns_credited)``.
+#: An unfinished frame handed back to the caller:
+#: ``(group, frame, spawns_credited)`` — the credit count lets an inline
+#: re-run skip the subtrees that were already shed as separate tasks.
 GroupedLeftover = Tuple[int, TaskFrame, int]
 
 # Task lifecycle states (parent-side bookkeeping).
@@ -207,13 +204,12 @@ def _worker_main(slot, epoch, task_queue, result_queue, shared_meta, config) -> 
     a tuple of :class:`~repro.core.params.AlphaK` settings; each task
     names its group and the worker keeps one lazily-built
     :class:`~repro.core.bbe.MSCE` per group, all sharing the attached
-    graph (single-setting runs have exactly one group, so this is the
-    old behaviour). ``top_r`` (single-group runs only) turns on the
-    size-based subspace cutoff inside every task, and
-    ``incumbent_rows`` — :data:`CliqueRow` tuples of the parent's
-    warm-start incumbents — preload each task's size heap so the
-    cutoff binds from the task's first frame; both default to
-    ``None`` / empty for full enumeration. Each task is searched with
+    graph. ``top_r`` turns on the size-based subspace cutoff inside
+    every task, and ``incumbent_rows`` (single-group runs only) —
+    :data:`CliqueRow` tuples of the parent's warm-start incumbents —
+    preload each task's size heap so the cutoff binds from the task's
+    first frame; both default to ``None`` / empty for full
+    enumeration. Each task is searched with
     :meth:`~repro.core.bbe.MSCE.run_frames`; branches shed by the
     node budget go back as indexed ``spawn`` messages *before* the
     task's terminal message, keeping the parent's pending count
@@ -247,7 +243,7 @@ def _worker_main(slot, epoch, task_queue, result_queue, shared_meta, config) -> 
         incumbent_rows,
     ) = config
     # Warm-start incumbents are single-group by construction (the
-    # scheduler rejects top_r with multiple parameter groups), so the
+    # scheduler rejects them with multiple parameter groups), so the
     # rows rebuild against the sole setting.
     incumbents = [
         SignedClique(
@@ -382,12 +378,12 @@ class WorkStealingScheduler:
         Number of worker slots in the pool.
     params, selection, maxtest, seed:
         The enumerator configuration, forwarded verbatim to each
-        worker's :class:`~repro.core.bbe.MSCE`. ``params`` may be a
-        single :class:`~repro.core.params.AlphaK` or a sequence of them
-        (*parameter groups*); grouped tasks submitted through
-        :meth:`run_grouped` then name which setting each frame is
-        searched under, letting one pool serve a whole (alpha, k) grid
-        against one shared graph segment.
+        worker's :class:`~repro.core.bbe.MSCE`. ``params`` is a
+        sequence of :class:`~repro.core.params.AlphaK` settings
+        (*parameter groups*); tasks submitted through
+        :meth:`run_grouped` name which setting each frame is searched
+        under, letting one pool serve a whole (alpha, k) grid against
+        one shared graph segment.
     task_budget, max_offload:
         Re-splitting knobs: frames processed before shedding, and how
         many bottom-of-stack frames one shed may move. Both only change
@@ -425,23 +421,22 @@ class WorkStealingScheduler:
         worker, so one run always applies one consistent constraint.
     top_r:
         Enable the top-r subspace cutoff inside every worker task.
-        Requires exactly one parameter group (the cutoff is a property
-        of one search, not a grid). Per-task cutoffs are sound because
-        each task's heap holds only sizes of genuine maximal cliques
-        (its own emissions plus *incumbents*), so it under-estimates
-        the global r-th-largest size at every point.
+        Per-task cutoffs are sound because each task's heap holds only
+        sizes of genuine maximal cliques of its own group (its own
+        emissions plus *incumbents*), so it under-estimates that
+        group's r-th-largest size at every point.
     incumbents:
         Warm-start incumbent rows (:data:`CliqueRow` tuples of
         already-validated maximal cliques) shipped to every worker and
         preloaded into each task's size heap. Only meaningful with
-        ``top_r``; rejected otherwise.
+        ``top_r`` and a single parameter group; rejected otherwise.
     """
 
     def __init__(
         self,
         shared,
         workers: int,
-        params: Union[AlphaK, Sequence[AlphaK]],
+        params: Sequence[AlphaK],
         selection: str,
         maxtest: str,
         seed: int,
@@ -462,12 +457,9 @@ class WorkStealingScheduler:
     ):
         self.shared = shared
         self.workers = max(1, workers)
-        if isinstance(params, AlphaK):
-            self.param_groups: Tuple[AlphaK, ...] = (params,)
-        else:
-            self.param_groups = tuple(params)
-            if not self.param_groups:
-                raise ValueError("params must name at least one (alpha, k) setting")
+        self.param_groups: Tuple[AlphaK, ...] = tuple(params)
+        if not self.param_groups:
+            raise ValueError("params must name at least one (alpha, k) setting")
         from repro.fastpath.backend import resolve_backend
         from repro.models import resolve_model
 
@@ -476,13 +468,13 @@ class WorkStealingScheduler:
         self.backend = resolve_backend(backend)
         #: Resolved model name shipped alongside, for the same reason.
         self.model = resolve_model(model)
-        if top_r is not None and len(self.param_groups) != 1:
-            raise ValueError(
-                f"top_r requires exactly one parameter group, "
-                f"got {len(self.param_groups)}"
-            )
         if incumbents and top_r is None:
             raise ValueError("incumbents require top_r")
+        if incumbents and len(self.param_groups) != 1:
+            raise ValueError(
+                f"incumbents require exactly one parameter group, "
+                f"got {len(self.param_groups)}"
+            )
         self.config = (
             self.param_groups,
             selection,
@@ -505,21 +497,24 @@ class WorkStealingScheduler:
         self.strict = strict
         self.drain_timeout = drain_timeout
         self.progress = progress
-        #: Filled by :meth:`run`: scheduling + fault-tolerance counters.
+        #: Filled by :meth:`run_grouped`: scheduling + fault-tolerance
+        #: counters.
         self.report: Dict[str, int] = {}
-        #: Filled by :meth:`run`: ``(task_id, frame, last_error)`` per
-        #: quarantined frame.
+        #: Filled by :meth:`run_grouped`: ``(task_id, frame, last_error)``
+        #: per quarantined frame.
         self.quarantined: List[Tuple[int, TaskFrame, str]] = []
-        #: Aggregated worker metrics, merged snapshot by snapshot as
+        #: Per-group worker metrics, merged snapshot by snapshot as
         #: terminal messages are accepted (exactly-once under retry).
-        self.metrics = MetricsRegistry()
-        #: Per-group worker metrics (same exactly-once guarantee); every
-        #: registry here is also merged into :attr:`metrics`.
         self.group_metrics: Dict[int, MetricsRegistry] = {
             group: MetricsRegistry() for group in range(len(self.param_groups))
         }
+        #: Per-group subtrees workers abandoned inside interrupted tasks
+        #: (the deadline / memory guard tripped mid-task).
+        self.incomplete_by_group: Dict[int, int] = {
+            group: 0 for group in range(len(self.param_groups))
+        }
 
-        # Run-state (created in run()).
+        # Run-state (created in run_grouped()).
         self._ctx = None
         self._result_queue = None
         self._records: Dict[int, _Task] = {}
@@ -538,25 +533,25 @@ class WorkStealingScheduler:
         self._workers_lost = 0
         self._spawn_failures: List[str] = []
         self._corrupt_messages = 0
-        self._worker_incomplete = 0
         self._interrupted_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
-    def run(
+    def run_grouped(
         self,
-        tasks: List[TaskFrame],
+        tasks: List[GroupedTask],
         local_work: Optional[Callable[[], None]] = None,
-    ) -> Tuple[List[CliqueRow], Dict[str, Dict], List[LeftoverFrame]]:
-        """Execute *tasks* under the sole parameter group; legacy shape.
+    ) -> Tuple[Dict[int, List[CliqueRow]], Dict[int, Dict[str, Dict]], List[GroupedLeftover]]:
+        """Execute ``(group, frame)`` tasks; return per-group results.
 
-        The single-setting entry point (one (alpha, k) for the whole
-        run): a thin wrapper over :meth:`run_grouped` that assigns every
-        frame to group 0 and strips the group tags off the results.
+        Frames of every parameter group ride the same backlog, pool and
+        stealing policy, so a straggler component of one (alpha, k)
+        setting overlaps with the whole rest of the grid. Returns
+        ``(rows by group, metrics snapshot by group, leftovers)``.
 
-        The middle element is the aggregated worker registry snapshot
-        (see :meth:`repro.obs.metrics.MetricsRegistry.snapshot`): the
+        The metrics snapshots (see
+        :meth:`repro.obs.metrics.MetricsRegistry.snapshot`) hold the
         summed ``msce_*`` search counters plus per-task scheduling
         metrics (``worker_tasks``, the ``task_recursions`` histogram).
 
@@ -565,34 +560,11 @@ class WorkStealingScheduler:
         overlaps with the workers' first tasks. The returned clique
         rows are duplicate-free by construction (frames partition the
         search tree; a retried frame's rows are counted exactly once).
-        The third element lists frames that did **not** finish — empty
-        on a healthy exhaustive run, populated when a deadline /
-        memory guard tripped or the pool collapsed. Each leftover
-        carries its spawn credit so the caller can finish it inline
-        without duplicating already-credited subtrees.
-        """
-        rows_by_group, metrics_by_group, leftover = self.run_grouped(
-            [(0, (frame[0], frame[1])) for frame in tasks], local_work=local_work
-        )
-        return (
-            rows_by_group.get(0, []),
-            self.metrics.snapshot(),
-            [(frame, credited) for _, frame, credited in leftover],
-        )
-
-    def run_grouped(
-        self,
-        tasks: List[GroupedTask],
-        local_work: Optional[Callable[[], None]] = None,
-    ) -> Tuple[Dict[int, List[CliqueRow]], Dict[int, Dict[str, Dict]], List[GroupedLeftover]]:
-        """Execute ``(group, frame)`` tasks; return per-group results.
-
-        The grid entry point: frames of every parameter group ride the
-        same backlog, pool and stealing policy, so a straggler component
-        of one (alpha, k) setting overlaps with the whole rest of the
-        grid. Returns ``(rows by group, metrics snapshot by group,
-        grouped leftovers)``; within each group the same exactly-once /
-        bit-identical-merge guarantees hold as for :meth:`run`.
+        The leftovers list frames that did **not** finish — empty on a
+        healthy exhaustive run, populated when a deadline / memory
+        guard tripped or the pool collapsed. Each leftover carries its
+        spawn credit so the caller can finish it inline without
+        duplicating already-credited subtrees.
         """
         self._ctx = _make_context()
         self._result_queue = self._ctx.Queue()
@@ -641,10 +613,9 @@ class WorkStealingScheduler:
             "tasks_completed": self._completed,
             "frames_resplit": self._spawned,
             "shared_graph_bytes": self.shared.nbytes,
-            "shared_graph_transport": self.shared.transport,
             "interrupted": self._interrupted_reason is not None,
             "interrupted_reason": self._interrupted_reason,
-            "incomplete_frames": len(leftover) + self._worker_incomplete,
+            "incomplete_frames": len(leftover) + sum(self.incomplete_by_group.values()),
             "retries": self._retries,
             "respawns": self._respawns,
             "workers_lost": self._workers_lost,
@@ -760,9 +731,8 @@ class WorkStealingScheduler:
             self._completed += 1
             self._rows_by_group[record.group].extend(rows)
             self.group_metrics[record.group].merge_snapshot(metrics)
-            self.metrics.merge_snapshot(metrics)
             if kind == "interrupted":
-                self._worker_incomplete += message[6]
+                self.incomplete_by_group[record.group] += message[6]
                 if self._interrupted_reason is None:
                     self._interrupted_reason = message[7]
         elif kind == "task_error":

@@ -70,7 +70,7 @@ class StorageError(ReproError):
 class WorkerCrashError(ExecutionError):
     """The worker pool collapsed and strict mode forbids degradation.
 
-    Only raised by :meth:`repro.core.scheduler.WorkStealingScheduler.run`
+    Only raised by :meth:`repro.core.scheduler.WorkStealingScheduler.run_grouped`
     when constructed with ``strict=True``; the default behaviour is to
     hand unfinished frames back to the caller for inline completion.
     """

@@ -27,10 +27,8 @@ This package provides the flat alternative:
   resumable frames (:class:`~repro.fastpath.search.FrameSearch`) so the
   parallel enumerator can split, budget and offload subtrees;
 * :mod:`~repro.fastpath.shared` — one-shot zero-copy shipping of a
-  compiled graph to worker processes
-  (:class:`~repro.fastpath.shared.SharedCompiledGraph`), over a
-  shared-memory block or an mmapped on-disk artifact, selected by
-  :func:`~repro.fastpath.shared.resolve_transport`;
+  compiled graph to worker processes in one shared-memory block
+  (:class:`~repro.fastpath.shared.SharedCompiledGraph`);
 * :mod:`~repro.fastpath.storage` — the durable storage tier: a
   versioned little-endian artifact layout written by
   :meth:`CompiledGraph.save <repro.fastpath.compiled.CompiledGraph.save>`
@@ -65,11 +63,7 @@ from repro.fastpath.backend import (
 )
 from repro.fastpath.bitset import IntBitset, bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
-from repro.fastpath.shared import (
-    TRANSPORTS,
-    SharedCompiledGraph,
-    resolve_transport,
-)
+from repro.fastpath.shared import SharedCompiledGraph
 from repro.fastpath.storage import (
     FrameStore,
     GraphStore,
@@ -84,8 +78,6 @@ __all__ = [
     "as_compiled",
     "source_graph",
     "SharedCompiledGraph",
-    "TRANSPORTS",
-    "resolve_transport",
     "GraphStore",
     "FrameStore",
     "SpillFrontier",

@@ -4,39 +4,25 @@ The parallel enumerator used to pickle one compiled subgraph per task.
 That is wasteful twice over when many tasks search the *same* graph:
 the arrays are serialised per task, and every worker re-materialises a
 private copy per task. :class:`SharedCompiledGraph` instead publishes
-the graph **once** and ships only two integers (candidate and included
-bitmasks) per task, via one of two transports selected by
-:func:`resolve_transport` (mirroring the kernel-tier resolver in
-:mod:`repro.fastpath.backend`):
+the graph **once** and ships only the frame bitmasks per task: all six
+CSR arrays (combined / positive / negative ``xadj``+``adj``), the
+aligned edge signs, and the pickled node list are packed into one
+``multiprocessing.shared_memory`` block; each worker attaches and
+reconstructs a read-only :class:`CompiledGraph` whose array slots are
+``memoryview`` casts straight into the shared pages.
 
-* ``"shm"`` (default) — all six CSR arrays (combined / positive /
-  negative ``xadj``+``adj``), the aligned edge signs, and the pickled
-  node list packed into one ``multiprocessing.shared_memory`` block;
-  each worker attaches and reconstructs a read-only
-  :class:`CompiledGraph` whose array slots are ``memoryview`` casts
-  straight into the shared pages.
-* ``"mmap"`` — the same arrays written once to a crash-guarded temp
-  file in the versioned artifact layout of
-  :mod:`repro.fastpath.storage`; workers ``mmap`` the file read-only
-  and get the identical zero-copy view through file-backed pages the
-  OS shares between all attachers and can evict under memory pressure.
-  This is the transport for graphs that should not occupy ``/dev/shm``
-  (which is RAM) — the substrate of the out-of-core execution plan.
-
-Lifecycle (see also ``docs/ALGORITHMS.md``), identical across
-transports:
+Lifecycle (see also ``docs/ALGORITHMS.md``):
 
 * **create** — the parent calls :meth:`SharedCompiledGraph.create`,
-  which publishes the payload and returns a handle owning the segment
-  or file;
+  which publishes the payload and returns a handle owning the segment;
 * **attach** — workers call :meth:`SharedCompiledGraph.attach` with the
   handle's :attr:`meta` tuple (picklable, a few dozen bytes) and cache
   the resulting view for the life of the process;
 * **unlink** — only the creating parent calls :meth:`unlink` (in a
   ``finally``), after the workers have drained; workers merely drop
-  their views and :meth:`close`. POSIX keeps shm segments and mapped
-  files alive until the last mapping is gone, so a parent unlink never
-  yanks pages from a still-attached worker.
+  their views and :meth:`close`. POSIX keeps shm segments alive until
+  the last mapping is gone, so a parent unlink never yanks pages from
+  a still-attached worker.
 
 Node labels are arbitrary hashables, so the node list itself crosses
 the boundary as one pickle inside the payload — the only per-worker
@@ -47,50 +33,21 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import weakref
 from multiprocessing import shared_memory
 from typing import List, Optional, Tuple
 
-from repro.exceptions import ParameterError, SharedMemoryError, StorageError
+from repro.exceptions import SharedMemoryError
 from repro.fastpath.compiled import CompiledGraph
 from repro.fastpath import storage as storage_mod
 from repro.testing import faults
 
-#: Picklable description of a published graph: (transport, segment name
-#: or artifact path, node count, combined/positive/negative adjacency
-#: lengths, node-pickle length). Pre-transport 6-tuples (no leading
-#: transport field) are still accepted by :meth:`SharedCompiledGraph.attach`.
-SharedGraphMeta = Tuple[str, str, int, int, int, int, int]
-
-#: The two graph transports, in the order of the degradation ladder.
-TRANSPORT_SHM = "shm"
-TRANSPORT_MMAP = "mmap"
-TRANSPORTS: Tuple[str, ...] = (TRANSPORT_SHM, TRANSPORT_MMAP)
-
-#: Environment variable naming the default transport for the process.
-TRANSPORT_ENV = "REPRO_TRANSPORT"
+#: Picklable description of a published graph: (segment name, node
+#: count, combined/positive/negative adjacency lengths, node-pickle
+#: length).
+SharedGraphMeta = Tuple[str, int, int, int, int, int]
 
 _ALIGN = 8
-
-
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """Resolve a transport request (explicit > ``REPRO_TRANSPORT`` > shm).
-
-    Mirrors :func:`repro.fastpath.backend.resolve_backend`: unknown
-    names raise :class:`~repro.exceptions.ParameterError`; both
-    transports are always available (mmap needs only a writable temp
-    directory), so there is no degradation ladder here — allocation
-    failures surface as :class:`~repro.exceptions.SharedMemoryError`
-    at :meth:`SharedCompiledGraph.create` time for either transport.
-    """
-    if transport is None:
-        transport = os.environ.get(TRANSPORT_ENV, "").strip() or TRANSPORT_SHM
-    if transport not in TRANSPORTS:
-        raise ParameterError(
-            f"unknown graph transport {transport!r}; expected one of {list(TRANSPORTS)}"
-        )
-    return transport
 
 
 def _aligned(offset: int) -> int:
@@ -103,9 +60,7 @@ def _layout(n: int, m_all: int, m_pos: int, m_neg: int, nodes_len: int) -> Tuple
 
     Segment order: xadj, pxadj, nxadj (each ``n + 1`` int64), adj, padj,
     nadj (int64), signs (int8, aligned with adj), nodes pickle. Every
-    segment starts 8-aligned so ``memoryview.cast("q")`` is safe. The
-    mmap transport uses the same order (behind a fixed header) via
-    :func:`repro.fastpath.storage.data_layout`.
+    segment starts 8-aligned so ``memoryview.cast("q")`` is safe.
     """
     lengths = [
         (n + 1) * 8,  # xadj
@@ -126,23 +81,13 @@ def _layout(n: int, m_all: int, m_pos: int, m_neg: int, nodes_len: int) -> Tuple
     return segments, offset
 
 
-def _normalize_meta(meta) -> SharedGraphMeta:
-    """Accept both meta generations: prepend ``"shm"`` to old 6-tuples."""
-    meta = tuple(meta)
-    if len(meta) == 6:
-        return (TRANSPORT_SHM,) + meta  # pre-transport layout
-    if len(meta) != 7 or meta[0] not in TRANSPORTS:
-        raise SharedMemoryError(f"malformed shared-graph meta {meta!r}")
-    return meta
-
-
 class SharedCompiledGraph:
     """A :class:`CompiledGraph` published once for many processes.
 
-    Build with :meth:`create` (parent, owns the segment or artifact
-    file) or :meth:`attach` (worker, borrows it). :attr:`graph` returns
-    the reconstructed zero-copy view; :attr:`nbytes` is the payload size
-    — what the benchmark reports as the once-per-run payload that
+    Build with :meth:`create` (parent, owns the segment) or
+    :meth:`attach` (worker, borrows it). :attr:`graph` returns the
+    reconstructed zero-copy view; :attr:`nbytes` is the payload size —
+    what the benchmark reports as the once-per-run payload that
     replaces per-task subgraph pickles.
     """
 
@@ -150,82 +95,40 @@ class SharedCompiledGraph:
         self,
         meta: SharedGraphMeta,
         owner: bool,
-        shm: Optional[shared_memory.SharedMemory] = None,
+        shm: shared_memory.SharedMemory,
     ):
         self.meta = meta
-        self.transport = meta[0]
         self._shm = shm
         self._owner = owner
         self._graph: Optional[CompiledGraph] = None
-        self._nbytes: Optional[int] = shm.size if shm is not None else None
-        #: Crash guard (owner only): release the segment / artifact file
-        #: at garbage collection or interpreter exit if the owner never
-        #: reached its explicit ``unlink()`` — e.g. an unhandled
-        #: exception between ``create()`` and the ``finally`` in
-        #: ``enumerate_parallel``. Pid-checked, so forked workers that
-        #: inherit the finalizer registry never fire it.
+        #: Crash guard (owner only): release the segment at garbage
+        #: collection or interpreter exit if the owner never reached its
+        #: explicit ``unlink()`` — e.g. an unhandled exception between
+        #: ``create()`` and the ``finally`` in ``enumerate_grid``.
+        #: Pid-checked, so forked workers that inherit the finalizer
+        #: registry never fire it.
         self._finalizer: Optional[weakref.finalize] = None
         if owner:
-            if shm is not None:
-                self._finalizer = weakref.finalize(
-                    self, _emergency_unlink, shm, os.getpid()
-                )
-            else:
-                self._finalizer = weakref.finalize(
-                    self, storage_mod._remove_file, meta[1], os.getpid()
-                )
+            self._finalizer = weakref.finalize(
+                self, _emergency_unlink, shm, os.getpid()
+            )
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls,
-        compiled: CompiledGraph,
-        transport: Optional[str] = None,
-        dir: Optional[str] = None,
-    ) -> "SharedCompiledGraph":
-        """Publish *compiled* once via the resolved *transport*.
+    def create(cls, compiled: CompiledGraph) -> "SharedCompiledGraph":
+        """Publish *compiled* once in a fresh shared-memory block.
 
-        ``"shm"`` copies the arrays into a fresh shared-memory block;
-        ``"mmap"`` writes a graph artifact to a crash-guarded temp file
-        (under *dir*, default system tempdir). Either failure mode —
-        tiny ``/dev/shm``, unwritable tempdir — raises
+        A tiny or missing ``/dev/shm`` raises
         :class:`~repro.exceptions.SharedMemoryError`, which the parallel
         enumerator's degradation ladder turns into an inline run.
         """
-        transport = resolve_transport(transport)
         nodes_blob = pickle.dumps(compiled.nodes, protocol=pickle.HIGHEST_PROTOCOL)
         n = compiled.n
         m_all = len(compiled.adj)
         m_pos = len(compiled.padj)
         m_neg = len(compiled.nadj)
-        if transport == TRANSPORT_MMAP:
-            try:
-                faults.check_shm_create()
-                fd, path = tempfile.mkstemp(
-                    prefix=storage_mod.MMAP_PREFIX, suffix=".graph", dir=dir
-                )
-                os.close(fd)
-            except (OSError, faults.InjectedFault) as exc:
-                raise SharedMemoryError(
-                    f"could not allocate an mmap graph artifact: {exc}"
-                ) from exc
-            try:
-                # No packed matrices in the transport artifact: workers
-                # rebuild them lazily, exactly as they do under shm.
-                storage_mod.save_compiled(compiled, path, packed="none")
-            except (OSError, StorageError) as exc:
-                storage_mod._remove_file(path, os.getpid())
-                raise SharedMemoryError(
-                    f"could not write the mmap graph artifact: {exc}"
-                ) from exc
-            meta: SharedGraphMeta = (
-                TRANSPORT_MMAP, path, n, m_all, m_pos, m_neg, len(nodes_blob),
-            )
-            handle = cls(meta, owner=True)
-            handle._nbytes = os.path.getsize(path)
-            return handle
         segments, total = _layout(n, m_all, m_pos, m_neg, len(nodes_blob))
         try:
             faults.check_shm_create()
@@ -250,17 +153,13 @@ class SharedCompiledGraph:
                 buf[offset : offset + length] = (
                     payload if isinstance(payload, bytes) else payload.tobytes()
                 )
-        meta = (TRANSPORT_SHM, shm.name, n, m_all, m_pos, m_neg, len(nodes_blob))
+        meta = (shm.name, n, m_all, m_pos, m_neg, len(nodes_blob))
         return cls(meta, owner=True, shm=shm)
 
     @classmethod
-    def attach(cls, meta) -> "SharedCompiledGraph":
-        """Open an existing segment / artifact by its :attr:`meta` (worker side)."""
-        meta = _normalize_meta(meta)
-        if meta[0] == TRANSPORT_MMAP:
-            return cls(meta, owner=False)
-        shm = shared_memory.SharedMemory(name=meta[1])
-        return cls(meta, owner=False, shm=shm)
+    def attach(cls, meta: SharedGraphMeta) -> "SharedCompiledGraph":
+        """Open an existing segment by its :attr:`meta` (worker side)."""
+        return cls(meta, owner=False, shm=shared_memory.SharedMemory(name=meta[0]))
 
     # ------------------------------------------------------------------
     # The zero-copy view
@@ -270,16 +169,12 @@ class SharedCompiledGraph:
         """The :class:`CompiledGraph` view into the payload (built once).
 
         The six CSR arrays and the sign array are ``memoryview`` casts
-        into the shared pages (shm block or file mapping) — indexing
-        them reads shared memory directly. Only the node list (a pickle
-        of arbitrary objects) and the lazily-built masks / orders live
-        in process-local memory.
+        into the shared pages — indexing them reads shared memory
+        directly. Only the node list (a pickle of arbitrary objects) and
+        the lazily-built masks / orders live in process-local memory.
         """
         if self._graph is None:
-            if self.transport == TRANSPORT_MMAP:
-                self._graph = storage_mod.mmap_compiled(self.meta[1])
-                return self._graph
-            _transport, _name, n, m_all, m_pos, m_neg, nodes_len = self.meta
+            _name, n, m_all, m_pos, m_neg, nodes_len = self.meta
             segments, _total = _layout(n, m_all, m_pos, m_neg, nodes_len)
             buf = self._shm.buf
 
@@ -312,19 +207,13 @@ class SharedCompiledGraph:
 
     @property
     def name(self) -> str:
-        """The shared-memory segment name or artifact file path."""
-        return self.meta[1]
+        """The shared-memory segment name."""
+        return self.meta[0]
 
     @property
     def nbytes(self) -> int:
         """Size of the published payload in bytes."""
-        if self._nbytes is None:
-            self._nbytes = (
-                self._shm.size
-                if self._shm is not None
-                else os.path.getsize(self.meta[1])
-            )
-        return self._nbytes
+        return self._shm.size
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -339,39 +228,27 @@ class SharedCompiledGraph:
             graph = self._graph
             self._graph = None
             storage_mod.release_views(graph)
-            store = graph._storage
-            if store is not None:
-                graph._storage = None
-                store.close()
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:  # pragma: no cover - exports still alive elsewhere
-                pass
+        try:
+            self._shm.close()
+        except BufferError:  # pragma: no cover - exports still alive elsewhere
+            pass
 
     def unlink(self) -> None:
-        """Destroy the segment / artifact (owner only; after workers drained)."""
+        """Destroy the segment (owner only; after workers drained)."""
         if not self._owner:
             return
         if self._finalizer is not None:
             # Explicit unlink supersedes the crash guard.
             self._finalizer.detach()
             self._finalizer = None
-        if self._shm is not None:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        else:
-            try:
-                os.unlink(self.meta[1])
-            except OSError:  # pragma: no cover - already gone
-                pass
+        try:
+            self._shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - already gone
+            pass
 
     def __repr__(self) -> str:
         return (
-            f"SharedCompiledGraph(transport={self.transport!r}, "
-            f"name={self.name!r}, n={self.meta[2]}, "
+            f"SharedCompiledGraph(name={self.name!r}, n={self.meta[1]}, "
             f"bytes={self.nbytes}, owner={self._owner})"
         )
 

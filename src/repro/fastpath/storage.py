@@ -35,12 +35,11 @@ when the stack drains. Spilling changes *where frames wait, never which
 frames run*, so cliques and stats stay bit-identical to the unbudgeted
 in-memory run (the same argument as the scheduler's offload path).
 
-Every temp artifact (spill files, mmap-transport graph files) carries a
-``weakref.finalize`` crash guard mirroring the ``/dev/shm`` leak
-guarantees of :mod:`repro.fastpath.shared`: files are removed even when
-the owner never reaches its explicit ``close()``, and the guard is
-pid-checked so forked children cannot yank a file from under the
-still-running parent.
+Every spill file carries a ``weakref.finalize`` crash guard mirroring
+the ``/dev/shm`` leak guarantees of :mod:`repro.fastpath.shared`: files
+are removed even when the owner never reaches its explicit ``close()``,
+and the guard is pid-checked so forked children cannot yank a file from
+under the still-running parent.
 """
 
 from __future__ import annotations
@@ -318,8 +317,7 @@ class GraphStore:
     built by :func:`mmap_compiled` keeps a reference in its ``_storage``
     slot, so the mapping lives exactly as long as any view into it. A
     ``weakref.finalize`` closes the mapping at collection; the file on
-    disk is never deleted here — artifacts are durable, only the
-    mmap-*transport* temp files (owned by ``SharedCompiledGraph``) are.
+    disk is never deleted here — artifacts are durable.
     """
 
     __slots__ = ("path", "header", "nbytes", "_file", "_mmap", "_finalizer",

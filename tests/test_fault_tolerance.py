@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import MSCE, AlphaK, enumerate_parallel
+from repro.core import MSCE, AlphaK, enumerate_grid, enumerate_parallel
 from repro.exceptions import SharedMemoryError, WorkerCrashError
 from repro.fastpath import compile_graph
 from repro.fastpath import storage
@@ -66,9 +66,9 @@ def _fingerprint(result):
 def _no_leaks():
     """Every test must leave /dev/shm, the tempdir and the process table clean.
 
-    The tempdir check covers the storage tier's crash-guarded artifacts
-    (``repro-mmap-*`` transport files, ``repro-spill-*`` frame stores) —
-    the on-disk mirror of the /dev/shm guarantee.
+    The tempdir check covers the storage tier's temp artifacts
+    (``repro-mmap-*`` in-progress saves, ``repro-spill-*`` frame
+    stores) — the on-disk mirror of the /dev/shm guarantee.
     """
     tmp_dir = Path(tempfile.gettempdir())
     before = set(os.listdir(SHM_DIR)) if SHM_DIR.exists() else set()
@@ -220,7 +220,7 @@ class TestGracefulDegradation:
         with injected(FaultPlan(fail_shm_create=True)):
             with pytest.raises(
                 SharedMemoryError,
-                match="shared-memory segment|mmap graph artifact",
+                match="shared-memory segment",
             ):
                 enumerate_parallel(
                     graph, 1.5, 1, workers=WORKERS, strict=True, **SPLIT_KNOBS
@@ -256,6 +256,8 @@ class TestArgumentValidation:
     def test_rejects_bad_arguments_naming_them(self, paper_graph, kwargs, name):
         with pytest.raises(ValueError, match=name):
             enumerate_parallel(paper_graph, 3, 1, **kwargs)
+        with pytest.raises(ValueError, match=name):
+            enumerate_grid(paper_graph, [AlphaK(3, 1), AlphaK(2, 1)], **kwargs)
 
 
 class TestSharedMemoryCrashGuard:
@@ -265,7 +267,7 @@ class TestSharedMemoryCrashGuard:
         compiled = compile_graph(
             make_random_signed_graph(random.Random(5), n_range=(8, 12))
         )
-        shared = SharedCompiledGraph.create(compiled, transport="shm")
+        shared = SharedCompiledGraph.create(compiled)
         name = shared.name
         # Simulate the crash: the handle is dropped without close/unlink.
         del shared
@@ -275,19 +277,6 @@ class TestSharedMemoryCrashGuard:
 
 
 class TestStorageCrashGuard:
-    def test_leaked_mmap_transport_owner_removes_file_on_collection(self):
-        """The mmap-transport twin of the shm guard: a dropped owner
-        handle must reclaim the on-disk graph artifact."""
-        compiled = compile_graph(
-            make_random_signed_graph(random.Random(5), n_range=(8, 12))
-        )
-        shared = SharedCompiledGraph.create(compiled, transport="mmap")
-        path = shared.name
-        assert os.path.exists(path)
-        del shared
-        gc.collect()
-        assert not os.path.exists(path)
-
     def test_leaked_frame_store_removes_spill_file_on_collection(self):
         store = storage.FrameStore()
         store.push_batch([(0b1011, 0b1), (0b100, 0b10)])
@@ -297,10 +286,9 @@ class TestStorageCrashGuard:
         gc.collect()
         assert not os.path.exists(path)
 
-    def test_interrupted_budgeted_mmap_run_leaves_no_artifacts(self):
-        """Ctrl-C mid-run with spilling active and the mmap transport:
-        the autouse fixture asserts no repro-mmap-*/repro-spill-* files
-        survive."""
+    def test_interrupted_budgeted_run_leaves_no_artifacts(self):
+        """Ctrl-C mid-run with spilling active: the autouse fixture
+        asserts no repro-spill-* files (and no shm segment) survive."""
         graph = _fault_graph(seed=13)
         with injected(FaultPlan(interrupt_parent_after=1)):
             with pytest.raises(KeyboardInterrupt):
@@ -309,19 +297,6 @@ class TestStorageCrashGuard:
                     1.5,
                     1,
                     workers=WORKERS,
-                    transport="mmap",
                     memory_budget_bytes=1,
                     **SPLIT_KNOBS,
                 )
-
-    def test_mmap_transport_starvation_falls_back_inline(self):
-        """fail_shm_create starves the mmap transport too (same injection
-        point); the run degrades inline with identical results."""
-        graph = _fault_graph(seed=13)
-        expected = _fingerprint(MSCE(graph, AlphaK(1.5, 1)).enumerate_all())
-        with injected(FaultPlan(fail_shm_create=True)):
-            result = enumerate_parallel(
-                graph, 1.5, 1, workers=WORKERS, transport="mmap", **SPLIT_KNOBS
-            )
-        assert _fingerprint(result) == expected
-        assert result.parallel["degraded"].startswith("shared memory unavailable")

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MSCE, AlphaK, enumerate_parallel
+from repro.core import MSCE, AlphaK, enumerate_grid, enumerate_parallel
 from repro.core.api import top_r_signed_cliques
 from repro.exceptions import ParameterError
 from repro.fastpath import compile_graph
@@ -265,6 +265,13 @@ class TestValidation:
     def test_parallel_warm_start_requires_top_r(self, graph):
         with pytest.raises(ParameterError):
             enumerate_parallel(graph, 2, 1, workers=1, warm_start="portfolio")
+        with pytest.raises(ParameterError, match="top_r"):
+            enumerate_grid(graph, [AlphaK(2, 1)], warm_start="portfolio")
+        # Incumbents belong to one point, so a grid cannot share them.
+        with pytest.raises(ParameterError, match="single"):
+            enumerate_grid(
+                graph, [AlphaK(2, 1), AlphaK(3, 1)], top_r=2, warm_start="portfolio"
+            )
 
     def test_wrong_model_incumbent_rejected(self, graph):
         # A maximal MSCE clique need not be balanced; validation runs

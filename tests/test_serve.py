@@ -12,13 +12,14 @@ concurrent clients.
 import json
 import random
 import threading
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.core import MSCE, AlphaK
+from repro.core import MSCE, AlphaK, enumerate_grid
 from repro.core.api import (
     enumerate_signed_cliques,
     enumerate_with_stats,
@@ -28,6 +29,7 @@ from repro.core.api import (
 from repro.core.query import query_search
 from repro.exceptions import GraphError, ParameterError
 from repro.generators import CommunitySpec, gnp_signed, planted_partition_graph
+from repro.generators.datasets import load_dataset
 from repro.graphs import SignedGraph
 from repro.io import write_signed_edgelist
 from repro.io.cache import entry_key, graph_fingerprint
@@ -37,6 +39,23 @@ from repro.serve import GridResult, MemoryLRU, SignedCliqueEngine, approximate_s
 from tests.conftest import PAPER_EDGES
 
 GRID = [(2.0, 1), (2.0, 2), (2.5, 2), (3.0, 1), (3.0, 2)]
+
+#: Slashdot stand-in points whose ceil(alpha * k) differ (12, 10, 11,
+#: 18): the grid searches each inside the union of their MCCores, and
+#: the last point's MCCore is empty.
+UNION_POINTS = [AlphaK(4, 3), AlphaK(5, 2), AlphaK(11, 1), AlphaK(6, 3)]
+
+
+@lru_cache(maxsize=None)
+def _slashdot():
+    return load_dataset("slashdot").graph
+
+
+@lru_cache(maxsize=None)
+def _pure(params, maxtest="exact", top_r=None):
+    """The pure-search reference answer for one slashdot point."""
+    searcher = MSCE(_slashdot(), params, maxtest=maxtest, compile=False)
+    return searcher.enumerate_all() if top_r is None else searcher.top_r(top_r)
 
 
 @pytest.fixture
@@ -238,6 +257,23 @@ class TestRunGrid:
             assert_result_equal(result, reference, f"grid{workers} {params}")
         assert grid.report["workers"] == workers
         assert grid.report["computed"] == len(grid)
+
+    @pytest.mark.parametrize("maxtest", ["exact", "paper"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_union_extraction_matches_pure_per_point(self, workers, maxtest):
+        grid = enumerate_grid(_slashdot(), UNION_POINTS, workers=workers, maxtest=maxtest)
+        assert list(grid) == UNION_POINTS
+        for params, result in grid.items():
+            reference = _pure(params, maxtest)
+            assert_result_equal(result, reference, f"union{workers} {maxtest} {params}")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_top_r_matches_pure_per_point(self, workers):
+        grid = enumerate_grid(_slashdot(), UNION_POINTS, workers=workers, top_r=10)
+        for params, result in grid.items():
+            # Under top-r only the cliques are pinned: each task prunes
+            # against its own size heap, so counters follow the split.
+            assert result.cliques == _pure(params, top_r=10).cliques, params
 
     def test_grid_result_lookup_api(self, paper_graph):
         engine = SignedCliqueEngine(paper_graph)

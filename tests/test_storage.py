@@ -1,4 +1,4 @@
-"""Tests for the storage tier: graph artifacts, spilling, transports.
+"""Tests for the storage tier: graph artifacts and spilling.
 
 The contracts under test, in the order the module builds them up:
 
@@ -8,8 +8,6 @@ The contracts under test, in the order the module builds them up:
   stamped fingerprints;
 * searches over a mmapped graph equal searches over the in-memory
   compilation on every available kernel backend;
-* the mmap transport of ``SharedCompiledGraph`` is interchangeable with
-  the shared-memory transport (including for multi-process runs);
 * the spill oracle: a run under an absurdly small memory budget spills
   pending frames to disk yet reproduces the unbudgeted run's cliques
   *and* stats bit-for-bit, leaving no files behind.
@@ -18,23 +16,16 @@ The contracts under test, in the order the module builds them up:
 import gc
 import os
 import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MSCE, AlphaK, enumerate_parallel
-from repro.exceptions import ParameterError, SharedMemoryError, StorageError
+from repro.exceptions import ParameterError, StorageError
 from repro.fastpath import storage
 from repro.fastpath.backend import HAS_NUMPY, available_backends
 from repro.fastpath.compiled import CompiledGraph, compile_graph
-from repro.fastpath.shared import (
-    TRANSPORT_ENV,
-    TRANSPORTS,
-    SharedCompiledGraph,
-    resolve_transport,
-)
 from repro.generators import gnp_signed
 from repro.graphs import SignedGraph
 from repro.io.cache import graph_fingerprint
@@ -283,99 +274,6 @@ class TestSaveMmapRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Transports
-# ----------------------------------------------------------------------
-class TestTransportResolver:
-    def test_default_is_shm(self, monkeypatch):
-        monkeypatch.delenv(TRANSPORT_ENV, raising=False)
-        assert resolve_transport() == "shm"
-
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(TRANSPORT_ENV, "mmap")
-        assert resolve_transport() == "mmap"
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(TRANSPORT_ENV, "mmap")
-        assert resolve_transport("shm") == "shm"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ParameterError, match="transport"):
-            resolve_transport("carrier-pigeon")
-
-    def test_unknown_env_transport_rejected(self, monkeypatch):
-        monkeypatch.setenv(TRANSPORT_ENV, "bogus")
-        with pytest.raises(ParameterError, match="transport"):
-            resolve_transport()
-
-    def test_transports_tuple(self):
-        assert TRANSPORTS == ("shm", "mmap")
-
-
-class TestMmapTransport:
-    def test_create_attach_round_trip(self):
-        compiled = compile_graph(_search_graph())
-        shared = SharedCompiledGraph.create(compiled, transport="mmap")
-        try:
-            assert shared.transport == "mmap"
-            assert os.path.exists(shared.name)
-            attached = SharedCompiledGraph.attach(shared.meta)
-            graph = attached.graph
-            try:
-                assert graph.nodes == compiled.nodes
-                for slot in ARRAY_SLOTS:
-                    assert list(getattr(graph, slot)) == list(
-                        getattr(compiled, slot)
-                    ), slot
-            finally:
-                attached.close()
-        finally:
-            shared.unlink()
-        assert not os.path.exists(shared.name)
-
-    def test_legacy_shm_meta_still_attaches(self):
-        compiled = compile_graph(_search_graph(n=20))
-        shared = SharedCompiledGraph.create(compiled, transport="shm")
-        try:
-            legacy_meta = tuple(shared.meta[1:])  # pre-transport 6-tuple
-            attached = SharedCompiledGraph.attach(legacy_meta)
-            graph = attached.graph
-            try:
-                assert graph.nodes == compiled.nodes
-            finally:
-                attached.close()
-        finally:
-            shared.unlink()
-
-    def test_malformed_meta_rejected(self):
-        with pytest.raises(SharedMemoryError, match="meta"):
-            SharedCompiledGraph.attach(("mmap", "/nope"))
-
-    def test_spill_dir_hosts_transport_file(self, tmp_path):
-        compiled = compile_graph(_search_graph(n=20))
-        shared = SharedCompiledGraph.create(
-            compiled, transport="mmap", dir=str(tmp_path)
-        )
-        try:
-            assert Path(shared.name).parent == tmp_path
-        finally:
-            shared.unlink()
-
-    def test_parallel_run_over_mmap_transport_is_bit_identical(self):
-        graph = _search_graph(seed=11, n=150)
-        expected = _fingerprint(MSCE(graph, AlphaK(2, 2), compile=False).enumerate_all())
-        result = enumerate_parallel(graph, 2, 2, workers=2, transport="mmap")
-        assert _fingerprint(result) == expected
-        assert result.parallel["transport"] == "mmap"
-        assert result.parallel["shared_graph_transport"] == "mmap"
-
-    def test_transport_env_reaches_parallel_report(self, monkeypatch):
-        monkeypatch.setenv(TRANSPORT_ENV, "mmap")
-        graph = _search_graph(seed=3, n=40)
-        result = enumerate_parallel(graph, 2, 2, workers=2)
-        assert result.parallel["transport"] == "mmap"
-
-
-# ----------------------------------------------------------------------
 # Frame store / spill frontier
 # ----------------------------------------------------------------------
 class TestFrameStore:
@@ -480,12 +378,16 @@ class TestSpillFrontier:
 # The spill oracle
 # ----------------------------------------------------------------------
 class TestSpillOracle:
-    def test_budgeted_run_spills_and_matches_unbudgeted(self):
+    def test_budgeted_run_spills_and_matches_unbudgeted(self, monkeypatch):
         """Acceptance: a graph whose frontier dwarfs the budget completes
         under a 1-byte soft budget with bit-identical cliques and stats,
         spilling pending frames to disk along the way."""
         graph = _many_component_graph()
-        expected = enumerate_parallel(graph, 1.5, 1, workers=1)
+        with monkeypatch.context() as env:
+            # The reference must be unbudgeted even when the suite runs
+            # under REPRO_MEMORY_BUDGET.
+            env.delenv("REPRO_MEMORY_BUDGET", raising=False)
+            expected = enumerate_parallel(graph, 1.5, 1, workers=1)
         budgeted = enumerate_parallel(
             graph, 1.5, 1, workers=1, memory_budget_bytes=1
         )
@@ -536,6 +438,6 @@ class TestSpillOracle:
         graph = _many_component_graph(components=30)
         expected = enumerate_parallel(graph, 1.5, 1, workers=1)
         budgeted = enumerate_parallel(
-            graph, 1.5, 1, workers=2, memory_budget_bytes=1, transport="mmap"
+            graph, 1.5, 1, workers=2, memory_budget_bytes=1
         )
         assert _fingerprint(budgeted) == _fingerprint(expected)
