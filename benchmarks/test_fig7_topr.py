@@ -6,12 +6,10 @@ with r. We assert the dominance over full enumeration via both time and
 (noise-free) recursion counts, and record the r-sweep series.
 """
 
-import time
-
 from benchmarks.conftest import record_exhibits
 from repro.core import MSCE, AlphaK
 from repro.experiments import fig7_topr_time
-from repro.experiments.harness import DEFAULT_R, Exhibit, Series, time_limit_seconds
+from repro.experiments.harness import DEFAULT_R, time_limit_seconds
 from repro.experiments.registry import get_dataset
 
 
@@ -38,75 +36,6 @@ def test_topr_cheaper_than_full_enumeration(benchmark):
     # Top-r results are exactly the size-prefix of the full ranking.
     prefix = full.cliques[: len(top.cliques)]
     assert [c.size for c in top.cliques] == [c.size for c in prefix]
-
-
-def test_topr_seeded_vs_unseeded_race(benchmark):
-    """Extension: warm-started top-r vs the cold cutoff search.
-
-    The gate is the seeding soundness contract, measured on a real
-    dataset: the seeded search returns the *identical* clique list
-    while exploring no more of the search tree (``recursions`` counts
-    subspaces, noise-free). Timing rows are recorded for the trend
-    artifact but not gated — the portfolio's own budget is part of the
-    seeded wall-clock.
-    """
-    graph = get_dataset("slashdot").graph
-    params = AlphaK(4, 3)
-    limit = time_limit_seconds()
-
-    def race():
-        rows = []
-        for r in (1, DEFAULT_R):
-            started = time.perf_counter()
-            unseeded = MSCE(graph, params, time_limit=limit).top_r(r)
-            unseeded_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            seeded = MSCE(graph, params, time_limit=limit).top_r(
-                r, warm_start="portfolio"
-            )
-            seeded_seconds = time.perf_counter() - started
-            rows.append((r, unseeded, unseeded_seconds, seeded, seeded_seconds))
-        return rows
-
-    rows = benchmark.pedantic(race, rounds=1, iterations=1)
-
-    recursions = Series("unseeded_recursions")
-    seeded_recursions = Series("seeded_recursions")
-    seconds = Series("unseeded_seconds")
-    seeded_seconds_series = Series("seeded_seconds")
-    incumbents = Series("incumbents")
-    for r, unseeded, unseeded_seconds, seeded, seeded_seconds in rows:
-        # The gate: identical answers, never a larger explored tree.
-        assert [(c.nodes, c.positive_edges, c.negative_edges) for c in seeded.cliques] \
-            == [(c.nodes, c.positive_edges, c.negative_edges) for c in unseeded.cliques]
-        assert seeded.stats.recursions <= unseeded.stats.recursions
-        recursions.add(r, unseeded.stats.recursions)
-        seeded_recursions.add(r, seeded.stats.recursions)
-        seconds.add(r, round(unseeded_seconds, 3))
-        seeded_seconds_series.add(r, round(seeded_seconds, 3))
-        incumbents.add(r, seeded.parallel["seeded"]["incumbents"])
-
-    record_exhibits(
-        "topr_seeded",
-        Exhibit(
-            title="Extension: warm-started vs cold top-r (slashdot, 4, 3)",
-            series=[
-                recursions,
-                seeded_recursions,
-                seconds,
-                seeded_seconds_series,
-                incumbents,
-            ],
-            notes=[
-                "identical clique lists at every r; recursions gate "
-                "seeded <= unseeded (subspaces explored, noise-free)"
-            ],
-        ),
-        extra={
-            "strategy": "portfolio",
-            "best_size": rows[-1][3].parallel["seeded"]["best_size"],
-        },
-    )
 
 
 def test_topr_speed_default_point(benchmark):

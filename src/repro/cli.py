@@ -52,10 +52,10 @@ from typing import List, Optional
 
 from repro.core import MSCE, AlphaK, find_mccore, signed_cliques_containing
 from repro.exceptions import ReproError
+from repro.fastpath.backend import BACKENDS
 from repro.fastpath.compiled import source_graph
 from repro.generators import DATASET_BUILDERS, load_dataset
 from repro.graphs import graph_stats
-from repro.heuristics import WARM_START_STRATEGIES
 from repro.io import read_signed_edgelist, write_signed_edgelist
 from repro.metrics import (
     balanced_partition,
@@ -72,6 +72,15 @@ def _add_alpha_k(parser: argparse.ArgumentParser) -> None:
 
 def _add_graph_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("graph", help="path to a signed edge-list file (src dst sign)")
+
+
+def _add_backend(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--backend",
+        default=None,
+        choices=BACKENDS,
+        help="kernel tier (default: REPRO_BACKEND or auto-detect)",
+    )
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
@@ -165,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("-r", type=int, default=30, help="how many cliques (default 30)")
     _add_model(top)
     top.add_argument("--time-limit", type=float, default=None, help="seconds cap")
-    top.add_argument(
-        "--warm-start",
-        choices=WARM_START_STRATEGIES,
-        default=None,
-        help="seed the top-r cutoff with heuristic incumbents (same answer, earlier pruning)",
-    )
     top.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     conductance = sub.add_parser("conductance", help="signed conductance of the top-r cliques")
@@ -240,12 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="in-memory cache approximate byte bound (default unbounded)",
     )
-    serve_grid.add_argument(
-        "--backend",
-        default=None,
-        choices=["python", "vectorized", "native"],
-        help="kernel tier (default: REPRO_BACKEND or auto-detect)",
-    )
+    _add_backend(serve_grid)
     _add_model(serve_grid)
     serve_grid.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -294,12 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-mem-bytes", type=int, default=None, help="per-tenant memory-cache bytes"
     )
-    serve.add_argument(
-        "--backend",
-        default=None,
-        choices=["python", "vectorized", "native"],
-        help="kernel tier (default: REPRO_BACKEND or auto-detect)",
-    )
+    _add_backend(serve)
     serve.add_argument(
         "--no-coalesce",
         action="store_true",
@@ -482,7 +475,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         params = AlphaK(args.alpha, args.k)
         result = MSCE(
             graph, params, time_limit=args.time_limit, model=args.model
-        ).top_r(args.r, warm_start=args.warm_start)
+        ).top_r(args.r)
         _print_cliques(result.cliques, args.json)
         if result.timed_out:
             print("warning: time limit hit; results are partial", file=sys.stderr)

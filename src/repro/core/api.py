@@ -116,20 +116,12 @@ def top_r_signed_cliques(
     reducer: Optional[Callable] = None,
     backend: Optional[str] = None,
     model: Optional[str] = None,
-    warm_start=None,
 ) -> List[SignedClique]:
     """Return the ``r`` largest maximal (alpha, k)-cliques.
 
     Uses the paper's size-based search-space cutoff (Section IV,
     "Finding the top-r results"), which usually explores far less of the
     search tree than full enumeration.
-
-    ``warm_start`` seeds the cutoff before the search begins — a
-    strategy name from :data:`repro.heuristics.WARM_START_STRATEGIES`
-    (e.g. ``"portfolio"``) runs the seeding heuristics, or pass your
-    own iterable of cliques (strictly validated). The answer is
-    identical either way; seeding only prunes earlier. See
-    :meth:`repro.core.bbe.MSCE.top_r`.
     """
     params = AlphaK(alpha=alpha, k=k)
     searcher = MSCE(
@@ -144,7 +136,7 @@ def top_r_signed_cliques(
         backend=backend,
         model=model,
     )
-    return searcher.top_r(r, warm_start=warm_start).cliques
+    return searcher.top_r(r).cliques
 
 
 def find_mccore(graph: SignedGraph, alpha: float, k: int, method: str = "mcnew") -> Set[Node]:

@@ -44,17 +44,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.params import AlphaK
@@ -196,29 +186,6 @@ class EnumerationResult:
 
 class _StopSearch(Exception):
     """Internal control-flow signal: a run cap was reached."""
-
-
-def seed_topr_state(
-    found: Dict[FrozenSet[Node], "SignedClique"],
-    size_heap: List[int],
-    incumbents: Iterable["SignedClique"],
-    top_r: int,
-) -> None:
-    """Preload validated warm-start incumbents into a top-r search state.
-
-    Soundness: every incumbent must be a *distinct genuine maximal
-    clique* of the active model (callers validate through
-    :mod:`repro.heuristics`). The heap then holds sizes of real
-    answers, so its minimum never exceeds the true r-th largest clique
-    size and the subspace cutoff stays conservative — a seeded search
-    returns exactly the unseeded clique set. Preloading ``found`` makes
-    re-discovery a dedup no-op instead of a double count.
-    """
-    for clique in incumbents:
-        found[clique.nodes] = clique
-        heappush(size_heap, clique.size)
-        if len(size_heap) > top_r:
-            heappop(size_heap)
 
 
 def frame_draw(seed: int, free_reprs: Sequence[str]) -> int:
@@ -398,9 +365,6 @@ class MSCE:
         #: stays with ``min_size`` and the constraint's reportable().
         self._search_min_size = self.constraint.search_min_size(self.min_size)
         self._rng = random.Random(seed)
-        #: Keys preloaded by a top-r warm start: legitimately re-found
-        #: by the search, so the audit duplicate check must skip them.
-        self._seeded_keys: FrozenSet[FrozenSet[Node]] = frozenset()
         self._maxtest = self.constraint.make_maxtest(maxtest)
         self._graph_ops = self.constraint.bind_graph(self)
         self._select = self._make_selector(selection)
@@ -433,46 +397,15 @@ class MSCE:
         """Enumerate every maximal (alpha, k)-clique of the graph."""
         return self._run(top_r=None)
 
-    def top_r(self, r: int, warm_start=None) -> EnumerationResult:
+    def top_r(self, r: int) -> EnumerationResult:
         """Find the ``r`` largest maximal (alpha, k)-cliques.
 
         Uses the paper's size-based subspace cutoff, so this is usually
         much faster than full enumeration followed by sorting.
-
-        *warm_start* seeds the size heap with incumbent cliques before
-        the search starts, tightening the cutoff from the first frame:
-        a strategy name from
-        :data:`repro.heuristics.WARM_START_STRATEGIES` runs the seeding
-        portfolio (:func:`repro.heuristics.warm_start_cliques`), while
-        an iterable of cliques (``SignedClique`` or node collections)
-        is validated strictly — every incumbent must be a distinct
-        maximal clique of the active model, else
-        :class:`~repro.exceptions.ParameterError` is raised. Seeding
-        never changes the answer: the returned cliques are identical to
-        an unseeded run's (and ``result.parallel["seeded"]`` reports
-        what the portfolio contributed).
         """
         if r <= 0:
             raise ParameterError(f"r must be positive, got {r}")
-        warm = None
-        if warm_start is not None:
-            if self.max_results is not None:
-                raise ParameterError(
-                    "warm_start cannot be combined with max_results: preloaded "
-                    "incumbents would shift the truncation point"
-                )
-            from repro.heuristics import prepare_warm_start
-
-            warm = prepare_warm_start(
-                self.graph,
-                self.params,
-                r,
-                warm_start,
-                model=self.model,
-                reduction=self.constraint.reduction_rule(self.reduction),
-                min_size=self.min_size,
-            )
-        return self._run(top_r=r, warm=warm)
+        return self._run(top_r=r)
 
     def enumerate_seeded(
         self, space: Set[Node], included: FrozenSet[Node] = frozenset()
@@ -554,7 +487,6 @@ class MSCE:
         max_memory_bytes: Optional[int] = None,
         tick: Optional[Callable[[], None]] = None,
         top_r: Optional[int] = None,
-        incumbents: Optional[Iterable[SignedClique]] = None,
     ) -> EnumerationResult:
         """Search an explicit list of ``(candidates, included)`` mask frames.
 
@@ -581,16 +513,7 @@ class MSCE:
         ``incomplete_frames`` counting the abandoned subtrees. *tick*
         is a per-frame hook reserved for fault injection.
 
-        *top_r* enables the size-based subspace cutoff inside this call,
-        with *incumbents* (already-validated maximal cliques — the
-        parallel enumerator ships the warm start's) preloading the size
-        heap so the cutoff is tight from the first frame. Per-task
-        seeding is sound because each incumbent is a genuine answer: the
-        local heap under-estimates the global r-th size, pruning only
-        subspaces that cannot change the top-r set, and re-found
-        incumbents dedup against the preloaded ``found`` rather than
-        double-count. Results include the incumbents; the parent's
-        dict-merge collapses the duplication across tasks.
+        *top_r* enables the size-based subspace cutoff inside this call.
         """
         from repro.fastpath.search import FrameSearch
 
@@ -604,10 +527,6 @@ class MSCE:
         stats.model = self.model
         found: Dict[FrozenSet[Node], SignedClique] = {}
         size_heap: List[int] = []
-        if incumbents is not None and top_r is not None:
-            rows = list(incumbents)
-            seed_topr_state(found, size_heap, rows, top_r)
-            self._seeded_keys = frozenset(c.nodes for c in rows)
         started = time.perf_counter()
         guard = make_guard(deadline, max_memory_bytes)
         searcher = FrameSearch(self, stats, found, size_heap, top_r, guard, tick=tick)
@@ -673,15 +592,12 @@ class MSCE:
         deadline = started + self.time_limit if self.time_limit is not None else None
         return make_guard(deadline, self.max_memory_bytes, clock=time.perf_counter)
 
-    def _run(self, top_r: Optional[int], warm=None) -> EnumerationResult:
+    def _run(self, top_r: Optional[int]) -> EnumerationResult:
         stats = SearchStats()
         stats.backend = self.backend
         stats.model = self.model
         found: Dict[FrozenSet[Node], SignedClique] = {}
         size_heap: List[int] = []  # min-heap of the top-r sizes
-        if warm is not None and top_r is not None:
-            seed_topr_state(found, size_heap, warm.cliques, top_r)
-            self._seeded_keys = frozenset(c.nodes for c in warm.cliques)
         started = time.perf_counter()
         guard = self._guard(started)
         timed_out = False
@@ -781,7 +697,6 @@ class MSCE:
             elapsed_seconds=elapsed,
             timed_out=timed_out,
             truncated=truncated,
-            parallel={"seeded": warm.report} if warm is not None else None,
             interrupted=interrupted_reason is not None,
             interrupted_reason=interrupted_reason,
             incomplete_frames=incomplete,
@@ -888,7 +803,7 @@ class MSCE:
             # answer, but pruning it earlier would have broken maximality.
             return
         if key in found:
-            if self.audit and key not in self._seeded_keys:
+            if self.audit:
                 raise AssertionError(f"duplicate maximal clique emitted: {sorted(map(repr, key))}")
             return
         clique = SignedClique.from_nodes(self.graph, key, self.params)

@@ -76,13 +76,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.core.bbe import (
-    MSCE,
-    EnumerationResult,
-    SearchStats,
-    compile_floor,
-    seed_topr_state,
-)
+from repro.core.bbe import MSCE, EnumerationResult, SearchStats, compile_floor
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.params import AlphaK
 from repro.core.scheduler import (
@@ -101,7 +95,6 @@ from repro.fastpath.search import FrameSearch, decompose_root
 from repro.fastpath.shared import SharedCompiledGraph
 from repro.fastpath.storage import SpillFrontier
 from repro.graphs.signed_graph import Node, SignedGraph
-from repro.heuristics import prepare_warm_start
 from repro.limits import make_guard, resolve_memory_budget
 from repro.models import make_constraint, resolve_model
 from repro.obs import runtime as obs
@@ -185,7 +178,6 @@ def enumerate_parallel(
     memory_budget_bytes: Optional[int] = None,
     spill_dir: Optional[str] = None,
     top_r: Optional[int] = None,
-    warm_start=None,
 ) -> EnumerationResult:
     """Enumerate all maximal (alpha, k)-cliques using *workers* processes.
 
@@ -224,7 +216,6 @@ def enumerate_parallel(
         memory_budget_bytes=memory_budget_bytes,
         spill_dir=spill_dir,
         top_r=top_r,
-        warm_start=warm_start,
     )[params]
 
 
@@ -277,7 +268,6 @@ def enumerate_grid(
     memory_budget_bytes: Optional[int] = None,
     spill_dir: Optional[str] = None,
     top_r: Optional[int] = None,
-    warm_start=None,
 ) -> Dict[AlphaK, EnumerationResult]:
     """Enumerate every (alpha, k) point of *points* against one graph.
 
@@ -396,18 +386,6 @@ def enumerate_grid(
         ``MSCE.top_r`` answer at any worker count; search *counters*
         under top-r depend on the worker count (each task prunes
         against its own heap), unlike full enumeration.
-    warm_start:
-        Seed the size heaps with incumbent cliques before any frame
-        runs (requires ``top_r`` and a single point): a strategy name
-        from :data:`repro.heuristics.WARM_START_STRATEGIES` runs the
-        seeding portfolio against the source graph, an iterable of
-        cliques is validated strictly (every incumbent must be a
-        distinct maximal clique of the active model, else
-        :class:`~repro.exceptions.ParameterError`). Incumbent rows
-        ship to workers through the scheduler config so the seeded
-        bound prunes from frame one; the portfolio's report lands in
-        ``result.parallel["seeded"]``. Answers are unchanged — seeded
-        and unseeded runs return the identical clique set.
 
     Raises
     ------
@@ -427,18 +405,12 @@ def enumerate_grid(
         raise ValueError(f"max_respawns must be a non-negative integer or None, got {max_respawns!r}")
     if top_r is not None and top_r <= 0:
         raise ParameterError(f"top_r must be positive, got {top_r}")
-    if warm_start is not None and top_r is None:
-        raise ParameterError("warm_start requires top_r")
     param_list = list(dict.fromkeys(points))
     if not param_list:
         return {}
-    if warm_start is not None and len(param_list) != 1:
-        raise ParameterError(
-            f"warm_start requires a single (alpha, k) point, got {len(param_list)}"
-        )
 
     # Resolve once up front: workers inherit the concrete tier name, so
-    # a native->vectorized degradation in the parent applies everywhere.
+    # a vectorized->python degradation in the parent applies everywhere.
     backend = resolve_backend(backend)
     model = resolve_model(model)
     # The parent reduces before any MSCE exists, so map the requested
@@ -505,8 +477,6 @@ def enumerate_grid(
         tasks: List[Tuple[int, Tuple[int, int]]] = []
         presplit_cap = presplit if presplit is not None else max(4 * workers, 4)
         split_components = 0
-        warm = None
-        incumbent_rows: Tuple[Tuple[FrozenSet[Node], int, int], ...] = ()
         for index, (params, survivor_mask) in enumerate(zip(param_list, survivors)):
             group = _GridGroup(
                 params,
@@ -523,25 +493,6 @@ def enumerate_grid(
                 ),
             )
             groups.append(group)
-            if warm_start is not None:
-                # Seeding happens before any frame exists, so the
-                # decompose spine walk, the inline searches and every
-                # worker task all prune against the seeded bound from
-                # their first frame. Incumbents are validated maximal
-                # cliques of the model, which keeps seeding answer-neutral.
-                warm = prepare_warm_start(
-                    group.searcher.graph,
-                    params,
-                    top_r,
-                    warm_start,
-                    model=model,
-                    reduction=reduction,
-                )
-                seed_topr_state(group.found, group.size_heap, warm.cliques, top_r)
-                group.searcher._seeded_keys = frozenset(c.nodes for c in warm.cliques)
-                incumbent_rows = tuple(
-                    (c.nodes, c.positive_edges, c.negative_edges) for c in warm.cliques
-                )
             for mask in component_masks(extracted, survivor_mask):
                 group.stats.components += 1
                 size = bit_count(mask)
@@ -714,7 +665,6 @@ def enumerate_grid(
                         backend=backend,
                         model=model,
                         top_r=top_r,
-                        incumbents=incumbent_rows,
                     )
                     rows_by_group, metrics_by_group, leftover = scheduler.run_grouped(
                         tasks, local_work=lambda: run_inline(inline_frames)
@@ -781,8 +731,6 @@ def enumerate_grid(
                     interrupted_reason=group.reason,
                     incomplete_frames=group.incomplete,
                 )
-                if warm is not None:
-                    parallel["seeded"] = warm.report
                 results[group.params] = EnumerationResult(
                     cliques=cliques,
                     stats=group.stats,

@@ -199,17 +199,13 @@ def _worker_main(slot, epoch, task_queue, result_queue, shared_meta, config) -> 
     """Worker loop: attach the shared graph once, then drain frames.
 
     *config* is ``(param_groups, selection, maxtest, seed, task_budget,
-    max_offload, deadline, max_memory_bytes, backend, model, top_r,
-    incumbent_rows)`` where ``param_groups`` is
+    max_offload, deadline, max_memory_bytes, backend, model, top_r)``
+    where ``param_groups`` is
     a tuple of :class:`~repro.core.params.AlphaK` settings; each task
     names its group and the worker keeps one lazily-built
     :class:`~repro.core.bbe.MSCE` per group, all sharing the attached
     graph. ``top_r`` turns on the size-based subspace cutoff inside
-    every task, and ``incumbent_rows`` (single-group runs only) —
-    :data:`CliqueRow` tuples of the parent's warm-start incumbents —
-    preload each task's size heap so the cutoff binds from the task's
-    first frame; both default to ``None`` / empty for full
-    enumeration. Each task is searched with
+    every task (``None`` for full enumeration). Each task is searched with
     :meth:`~repro.core.bbe.MSCE.run_frames`; branches shed by the
     node budget go back as indexed ``spawn`` messages *before* the
     task's terminal message, keeping the parent's pending count
@@ -225,7 +221,6 @@ def _worker_main(slot, epoch, task_queue, result_queue, shared_meta, config) -> 
     worker-level failure (e.g. the shared graph cannot be attached).
     """
     from repro.core.bbe import MSCE
-    from repro.core.cliques import SignedClique
     from repro.fastpath.shared import SharedCompiledGraph
 
     (
@@ -240,20 +235,7 @@ def _worker_main(slot, epoch, task_queue, result_queue, shared_meta, config) -> 
         backend,
         model,
         top_r,
-        incumbent_rows,
     ) = config
-    # Warm-start incumbents are single-group by construction (the
-    # scheduler rejects them with multiple parameter groups), so the
-    # rows rebuild against the sole setting.
-    incumbents = [
-        SignedClique(
-            nodes=nodes,
-            params=param_groups[0],
-            positive_edges=positive,
-            negative_edges=negative,
-        )
-        for nodes, positive, negative in incumbent_rows
-    ]
     tick = faults.worker_tick(slot, epoch, result_queue)
     view = None
     searchers: Dict[int, MSCE] = {}
@@ -265,7 +247,7 @@ def _worker_main(slot, epoch, task_queue, result_queue, shared_meta, config) -> 
         compiled = view.graph
         # The parent ships the *resolved* backend and model names, so
         # every worker runs the same kernel tier and constraint no
-        # matter what its own environment says (a worker missing numba
+        # matter what its own environment says (a worker missing numpy
         # still degrades safely).
         searchers[0] = MSCE(
             compiled,
@@ -322,7 +304,6 @@ def _worker_main(slot, epoch, task_queue, result_queue, shared_meta, config) -> 
                     max_memory_bytes=max_memory_bytes,
                     tick=tick,
                     top_r=top_r,
-                    incumbents=incumbents if top_r is not None else None,
                 )
                 rows: List[CliqueRow] = [
                     (clique.nodes, clique.positive_edges, clique.negative_edges)
@@ -423,13 +404,8 @@ class WorkStealingScheduler:
         Enable the top-r subspace cutoff inside every worker task.
         Per-task cutoffs are sound because each task's heap holds only
         sizes of genuine maximal cliques of its own group (its own
-        emissions plus *incumbents*), so it under-estimates that
-        group's r-th-largest size at every point.
-    incumbents:
-        Warm-start incumbent rows (:data:`CliqueRow` tuples of
-        already-validated maximal cliques) shipped to every worker and
-        preloaded into each task's size heap. Only meaningful with
-        ``top_r`` and a single parameter group; rejected otherwise.
+        emissions), so it under-estimates that group's r-th-largest
+        size at every point.
     """
 
     def __init__(
@@ -453,7 +429,6 @@ class WorkStealingScheduler:
         backend: Optional[str] = None,
         model: Optional[str] = None,
         top_r: Optional[int] = None,
-        incumbents: Sequence[CliqueRow] = (),
     ):
         self.shared = shared
         self.workers = max(1, workers)
@@ -468,13 +443,6 @@ class WorkStealingScheduler:
         self.backend = resolve_backend(backend)
         #: Resolved model name shipped alongside, for the same reason.
         self.model = resolve_model(model)
-        if incumbents and top_r is None:
-            raise ValueError("incumbents require top_r")
-        if incumbents and len(self.param_groups) != 1:
-            raise ValueError(
-                f"incumbents require exactly one parameter group, "
-                f"got {len(self.param_groups)}"
-            )
         self.config = (
             self.param_groups,
             selection,
@@ -487,7 +455,6 @@ class WorkStealingScheduler:
             self.backend,
             self.model,
             top_r,
-            tuple(incumbents),
         )
         self.deadline = deadline
         self.max_memory_bytes = max_memory_bytes

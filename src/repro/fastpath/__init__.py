@@ -38,10 +38,10 @@ This package provides the flat alternative:
 * :mod:`~repro.fastpath.backend` — the kernel-tier resolver
   (:func:`~repro.fastpath.backend.resolve_backend`): ``python`` is the
   pure-Python oracle, ``vectorized`` the numpy packed-uint64 port
-  (:mod:`~repro.fastpath.packed` / :mod:`~repro.fastpath.vectorized`),
-  ``native`` the optional numba tier (:mod:`~repro.fastpath.native`)
-  that degrades silently when numba is missing. All tiers return
-  bit-identical cliques and stats; only the wall clock changes.
+  (:mod:`~repro.fastpath.packed` / :mod:`~repro.fastpath.vectorized`)
+  that degrades silently to ``python`` when numpy is missing. Both
+  tiers return bit-identical cliques and stats; only the wall clock
+  changes.
 
 :class:`~repro.core.bbe.MSCE` runs on this path by default, compiling
 ``SignedGraph`` input itself. To share one compilation across calls,

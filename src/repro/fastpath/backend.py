@@ -1,6 +1,6 @@
-"""Kernel-tier selection for the fastpath: python / vectorized / native.
+"""Kernel-tier selection for the fastpath: python / vectorized.
 
-The fastpath kernels come in three tiers sharing one contract
+The fastpath kernels come in two tiers sharing one contract
 (bit-identical results, see ``tests/test_fastpath.py``):
 
 * ``"python"`` — the original pure-Python kernels over CSR lists and
@@ -9,12 +9,6 @@ The fastpath kernels come in three tiers sharing one contract
 * ``"vectorized"`` — numpy ports over packed ``uint64`` bitset arrays
   (:mod:`repro.fastpath.vectorized` / :mod:`repro.fastpath.packed`).
   Requires numpy; silently degrades to ``"python"`` without it.
-* ``"native"`` — an optional numba backend
-  (:mod:`repro.fastpath.native`) for the two loops that resist
-  vectorization: the sequential bucket-queue core peel and the BBE
-  inner branch step. Everything else runs the vectorized kernels.
-  Silently degrades to ``"vectorized"`` when numba is absent or its
-  self-check fails.
 
 Selection flows through one resolver, :func:`resolve_backend`:
 an explicit ``backend=`` argument (the ``compile=``-style kwarg on
@@ -34,12 +28,11 @@ from typing import Optional, Tuple
 
 from repro.exceptions import ParameterError
 
-#: The three tier names, in ascending order of expected speed.
+#: The two tier names, in ascending order of expected speed.
 BACKEND_PYTHON = "python"
 BACKEND_VECTORIZED = "vectorized"
-BACKEND_NATIVE = "native"
 
-BACKENDS: Tuple[str, ...] = (BACKEND_PYTHON, BACKEND_VECTORIZED, BACKEND_NATIVE)
+BACKENDS: Tuple[str, ...] = (BACKEND_PYTHON, BACKEND_VECTORIZED)
 
 #: Environment variable naming the default backend for the process.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -52,19 +45,6 @@ except ImportError:  # pragma: no cover - the CI image ships numpy
     HAS_NUMPY = False
 
 
-def _probe_numba() -> bool:
-    """Import-guard numba; a broken install counts as absent."""
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except Exception:  # pragma: no cover - exercised on the no-numba CI leg
-        return False
-
-
-HAS_NUMBA = _probe_numba()
-
-
 def default_backend() -> str:
     """The process default: vectorized when numpy is importable."""
     return BACKEND_VECTORIZED if HAS_NUMPY else BACKEND_PYTHON
@@ -75,8 +55,6 @@ def available_backends() -> Tuple[str, ...]:
     tiers = [BACKEND_PYTHON]
     if HAS_NUMPY:
         tiers.append(BACKEND_VECTORIZED)
-        if HAS_NUMBA:
-            tiers.append(BACKEND_NATIVE)
     return tuple(tiers)
 
 
@@ -85,10 +63,9 @@ def resolve_backend(backend: Optional[str] = None) -> str:
 
     Precedence: explicit *backend* argument > ``REPRO_BACKEND`` env >
     :func:`default_backend`. Unknown names raise
-    :class:`~repro.exceptions.ParameterError`; a tier whose optional
-    dependency is missing degrades silently down the ladder
-    (``native`` -> ``vectorized`` -> ``python``), so requesting
-    ``"native"`` is always safe.
+    :class:`~repro.exceptions.ParameterError`; ``"vectorized"`` degrades
+    silently to ``"python"`` when numpy is missing, so requesting it is
+    always safe.
     """
     if backend is None:
         backend = os.environ.get(BACKEND_ENV, "").strip() or default_backend()
@@ -96,14 +73,6 @@ def resolve_backend(backend: Optional[str] = None) -> str:
         raise ParameterError(
             f"unknown kernel backend {backend!r}; expected one of {list(BACKENDS)}"
         )
-    if backend == BACKEND_NATIVE:
-        if not (HAS_NUMPY and HAS_NUMBA):
-            backend = BACKEND_VECTORIZED
-        else:
-            from repro.fastpath import native
-
-            if not native.self_check():  # pragma: no cover - defensive
-                backend = BACKEND_VECTORIZED
     if backend == BACKEND_VECTORIZED and not HAS_NUMPY:
         backend = BACKEND_PYTHON
     return backend

@@ -19,12 +19,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import ParameterError
-from repro.fastpath.backend import (
-    BACKEND_NATIVE,
-    BACKEND_PYTHON,
-    BACKEND_VECTORIZED,
-    resolve_backend,
-)
+from repro.fastpath.backend import BACKEND_PYTHON, BACKEND_VECTORIZED, resolve_backend
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph
 from repro.graphs.signed_graph import Node
@@ -103,12 +98,7 @@ def core_numbers_fast(
 
         return vectorized.core_numbers(compiled, sign)
     xadj, adj = compiled.csr(sign)
-    if resolved == BACKEND_NATIVE:
-        from repro.fastpath import native
-
-        core, _order = native.core_numbers_csr(compiled.n, xadj, adj)
-    else:
-        core, _order = core_numbers_csr(compiled.n, xadj, adj)
+    core, _order = core_numbers_csr(compiled.n, xadj, adj)
     nodes = compiled.nodes
     return {nodes[i]: core[i] for i in range(compiled.n)}
 
@@ -132,7 +122,7 @@ def icore_fast(
     a fixed node the call fails with ``(False, 0)``. Returns the maximal
     tau-core of the *sign*-class subgraph induced by *within_mask* (the
     whole graph when ``None``) otherwise. The maximal tau-core is
-    unique, so the wave-peeled vectorized/native tiers return the
+    unique, so the wave-peeled vectorized tier returns the
     identical ``(flag, mask)``.
     """
     resolved = resolve_backend(backend)

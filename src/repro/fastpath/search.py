@@ -390,10 +390,9 @@ def decompose_root(
     runs. Returns ``(candidates, included)`` mask pairs.
 
     With *top_r*, the spine walk itself prunes against the caller's
-    (possibly warm-started) *size_heap*: a spine frame cut by the size
-    bound roots only subtrees whose cliques are all smaller than the
-    current cutoff, so ending the walk there drops no top-r answer —
-    seeded decompositions produce a prefix of the unseeded task list.
+    *size_heap*: a spine frame cut by the size bound roots only
+    subtrees whose cliques are all smaller than the current cutoff, so
+    ending the walk there drops no top-r answer.
     """
     searcher = FrameSearch(msce, stats, found, size_heap, top_r, None)
     tasks: List[Tuple[int, int]] = []

@@ -20,7 +20,7 @@ violator is removed in one numpy step and degrees are recomputed with a
 
 Core *numbers* are likewise unique per node, but the wave peel's order
 is not a valid bucket-queue tie-break, so degeneracy *orders* (used by
-:meth:`CompiledGraph.oriented`) always come from tier-0/native
+:meth:`CompiledGraph.oriented`) always come from the tier-0
 ``core_numbers_csr`` — orientation stays backend-stable.
 
 This module requires numpy and must only be imported behind

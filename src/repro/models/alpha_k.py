@@ -14,8 +14,7 @@ The three pruning rules (paper Section IV) map onto the framework as:
   (:func:`repro.fastpath.kernels.icore_tracked_fast` on the compiled
   path, :func:`repro.algorithms.kcore.icore_tracked` on the pure path);
 * ``update_budgets`` — clique-constraint and negative-edge-constraint
-  pruning of the include branch (the native kernel tier's
-  ``branch_keep`` on the compiled path when the backend is native);
+  pruning of the include branch;
 * ``feasible`` — the inline Definition-1 check driving early
   termination, using the tracked positive-degree shortcut when the
   degree map is threaded.
@@ -82,10 +81,6 @@ class AlphaKMaskOps(FrameOps):
         "pos_masks",
         "neg_masks",
         "adj_masks",
-        "native",
-        "packed_neg",
-        "packed_adj",
-        "scratch",
     )
 
     def __init__(self, search):
@@ -98,21 +93,6 @@ class AlphaKMaskOps(FrameOps):
         self.pos_masks = compiled.masks("positive")
         self.neg_masks = compiled.masks("negative")
         self.adj_masks = compiled.masks("all")
-        #: Native tier: run the include-branch candidate filter through
-        #: the jitted kernel (bit-identical keep set and counter deltas;
-        #: see :mod:`repro.fastpath.native`). The enumerator's resolved
-        #: backend is already downgraded when numba is unusable.
-        self.native = getattr(msce, "backend", None) == "native"
-        if self.native:
-            import numpy as _np
-
-            self.packed_neg = compiled.packed("negative")
-            self.packed_adj = compiled.packed("all")
-            self.scratch = _np.zeros(self.packed_adj.shape[1] << 6, dtype=_np.int64)
-        else:
-            self.packed_neg = None
-            self.packed_adj = None
-            self.scratch = None
 
     def prune_bound(
         self, candidates: int, included: int, degrees: Optional[Dict[int, int]]
@@ -159,21 +139,6 @@ class AlphaKMaskOps(FrameOps):
         msce = self.msce
         budget = self.neg_budget
         neg_masks = self.neg_masks
-        if self.native:
-            from repro.fastpath import native, packed as packed_mod
-
-            n = self.compiled.n
-            keep, clique_pruned, negative_pruned = native.branch_keep(
-                self.packed_neg,
-                self.packed_adj[branch],
-                packed_mod.pack_mask(candidates, n),
-                packed_mod.pack_mask(new_included, n),
-                budget,
-                msce.clique_pruning,
-                msce.negative_pruning,
-                self.scratch,
-            )
-            return keep, clique_pruned, negative_pruned
         # The clique rule is an AND with the branch row, the negative
         # rule one bit-sliced budget filter; each counter is the
         # popcount of what its rule removed.

@@ -512,7 +512,6 @@ class CliqueServer:
         except ReproError as error:
             raise HttpError(400, "bad_params", str(error))
         r = None
-        warm_start = None
         if mode == "top":
             try:
                 r = int(request.param("r", "10"))
@@ -520,17 +519,6 @@ class CliqueServer:
                 raise HttpError(400, "bad_params", "r must be an integer")
             if r < 1:
                 raise HttpError(400, "bad_params", "r must be >= 1")
-            warm_start = request.param("warm_start")
-            if warm_start is not None:
-                from repro.heuristics import WARM_START_STRATEGIES
-
-                if warm_start not in WARM_START_STRATEGIES:
-                    raise HttpError(
-                        400,
-                        "bad_params",
-                        f"unknown warm_start {warm_start!r} "
-                        f"({' / '.join(WARM_START_STRATEGIES)})",
-                    )
         guard = self._deadline_guard(request)
         fingerprint = tenant.fingerprint
         engine = tenant.engine
@@ -549,7 +537,7 @@ class CliqueServer:
                     )
                     return computed_on, grid[(alpha, k)]
         else:
-            def compute(r=r, warm_start=warm_start):
+            def compute(r=r):
                 with engine.pinned():
                     computed_on = engine.fingerprint
                     return computed_on, engine.top_r_with_stats(
@@ -558,19 +546,14 @@ class CliqueServer:
                         r,
                         time_limit=guard.remaining_time(),
                         model=model,
-                        warm_start=warm_start,
                     )
 
-        # warm_start is deliberately NOT in the flight key: seeded and
-        # unseeded requests return the identical answer, so they may
-        # coalesce onto one compute.
         key = (tenant.name, fingerprint, mode, alpha, k, r, model)
         flight_result, coalesced = await self._run_flight(tenant, key, guard, compute)
         computed_on, result = flight_result
         return self._result_payload(
             tenant, fingerprint, computed_on, result,
-            {"alpha": alpha, "k": k, "mode": mode, "r": r, "model": model,
-             "warm_start": warm_start},
+            {"alpha": alpha, "k": k, "mode": mode, "r": r, "model": model},
             coalesced, started,
         )
 

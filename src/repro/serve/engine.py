@@ -588,16 +588,8 @@ class SignedCliqueEngine:
         started: float,
         time_limit: Optional[float] = None,
         model: Optional[str] = None,
-        warm_start=None,
     ) -> EnumerationResult:
-        """Stats-tier lookup-or-compute for one top-r cutoff search.
-
-        ``warm_start`` only shapes how a cache miss is computed — the
-        answer (and therefore the cache entry) is identical with or
-        without it, so it is deliberately NOT part of the entry key:
-        a seeded request may be served by an unseeded entry and vice
-        versa.
-        """
+        """Stats-tier lookup-or-compute for one top-r cutoff search."""
         model = model or self._model
         kind = f"top{r}"
         hit = self._lookup(params, kind, need_stats=True, model=model)
@@ -617,7 +609,7 @@ class SignedCliqueEngine:
             reducer=self._reducer if model == "msce" else None,
             backend=self._backend,
             model=model,
-        ).top_r(r, warm_start=warm_start)
+        ).top_r(r)
         self._bump("computes")
         if not (result.timed_out or result.truncated or result.interrupted):
             self._store(params, kind, result.cliques, result.stats, model=model)
@@ -629,7 +621,6 @@ class SignedCliqueEngine:
         k: int,
         r: int,
         model: Optional[str] = None,
-        warm_start=None,
     ) -> List[SignedClique]:
         """The ``r`` largest maximal (alpha, k)-cliques.
 
@@ -637,9 +628,7 @@ class SignedCliqueEngine:
         top-r cutoff never changes which cliques sort first — both
         paths order with :func:`~repro.core.cliques.sort_cliques`);
         otherwise serves the dedicated ``top<r>`` entry or runs the
-        paper's cutoff search. ``warm_start`` (see
-        :meth:`repro.core.bbe.MSCE.top_r`) affects only how a cache
-        miss is computed, never which entry serves the request.
+        paper's cutoff search.
         """
         params = AlphaK(alpha, k)
         model = self._resolve_model(model)
@@ -658,11 +647,7 @@ class SignedCliqueEngine:
                 if full is not None:
                     self._bump("derived_hits")
                     return list(full[0][: max(r, 0)])
-                return list(
-                    self._topr_result(
-                        params, r, started, model=model, warm_start=warm_start
-                    ).cliques
-                )
+                return list(self._topr_result(params, r, started, model=model).cliques)
 
     def top_r_with_stats(
         self,
@@ -671,15 +656,12 @@ class SignedCliqueEngine:
         r: int,
         time_limit: Optional[float] = None,
         model: Optional[str] = None,
-        warm_start=None,
     ) -> EnumerationResult:
         """Top-r with the cutoff search's own bit-identical stats.
 
         ``time_limit`` caps a cache miss's compute, as in
         :meth:`enumerate_with_stats`; ``model`` overrides the engine's
-        default constraint for this request. ``warm_start`` seeds a
-        cache miss's cutoff search (the stored entry is identical
-        either way, so the cache key ignores it).
+        default constraint for this request.
         """
         params = AlphaK(alpha, k)
         model = self._resolve_model(model)
@@ -700,7 +682,6 @@ class SignedCliqueEngine:
                     started,
                     time_limit=time_limit,
                     model=model,
-                    warm_start=warm_start,
                 )
 
     def query_with_stats(

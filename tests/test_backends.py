@@ -3,7 +3,7 @@
 The kernel-tier resolver (:mod:`repro.fastpath.backend`) is the single
 funnel every entry point goes through, so its precedence rules
 (kwarg > ``REPRO_BACKEND`` env > default) and its silent degradation
-ladder (native -> vectorized -> python) are pinned here. The oracle
+ladder (vectorized -> python) are pinned here. The oracle
 classes then re-run the existing parallel and serve differential
 contracts under every tier: same cliques, same ``SearchStats``,
 regardless of which backend — or how many workers — produced them.
@@ -31,7 +31,7 @@ from tests.conftest import make_random_signed_graph
 
 class TestResolver:
     def test_backend_names_are_the_ladder(self):
-        assert BACKENDS == ("python", "vectorized", "native")
+        assert BACKENDS == ("python", "vectorized")
 
     def test_default_prefers_vectorized_with_numpy(self):
         expected = "vectorized" if backend_mod.HAS_NUMPY else "python"
@@ -56,16 +56,17 @@ class TestResolver:
         with pytest.raises(ParameterError):
             resolve_backend(None)
 
-    def test_native_degrades_without_numba(self, monkeypatch):
-        monkeypatch.setattr(backend_mod, "HAS_NUMBA", False)
-        expected = "vectorized" if backend_mod.HAS_NUMPY else "python"
-        assert resolve_backend("native") == expected
+    def test_retired_native_name_is_unknown(self, monkeypatch):
+        with pytest.raises(ParameterError, match="unknown kernel backend"):
+            resolve_backend("native")
+        monkeypatch.setenv("REPRO_BACKEND", "native")
+        with pytest.raises(ParameterError, match="unknown kernel backend"):
+            resolve_backend(None)
 
     def test_everything_degrades_without_numpy(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "HAS_NUMPY", False)
         assert default_backend() == "python"
         assert resolve_backend("vectorized") == "python"
-        assert resolve_backend("native") == "python"
         assert available_backends() == ("python",)
 
     def test_available_backends_ladder(self):
@@ -75,14 +76,6 @@ class TestResolver:
         # Requesting any *named* tier always resolves to an available one.
         for name in BACKENDS:
             assert resolve_backend(name) in tiers
-
-    def test_native_self_check_gates_the_tier(self, monkeypatch):
-        if not (backend_mod.HAS_NUMPY and backend_mod.HAS_NUMBA):
-            pytest.skip("native tier not importable here")
-        from repro.fastpath import native
-
-        monkeypatch.setattr(native, "self_check", lambda: False)
-        assert resolve_backend("native") == "vectorized"
 
 
 def _multi_component_graph(seed: int, components: int = 3) -> SignedGraph:

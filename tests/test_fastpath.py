@@ -289,13 +289,13 @@ class TestSearchCrossValidation:
 
 
 class TestBackendSweep:
-    """3-way kernel-tier differential: python / vectorized / native.
+    """2-way kernel-tier differential: python / vectorized.
 
     Every tier must return bit-identical outputs — kernel by kernel, and
     end-to-end through MSCE including the ``SearchStats`` counters.
-    ``native`` degrades silently (to ``vectorized`` without numba, all
-    the way to ``python`` without numpy), so the sweep is meaningful on
-    every CI leg: a degraded tier simply re-checks the tier it landed on.
+    ``vectorized`` degrades silently to ``python`` without numpy, so the
+    sweep is meaningful everywhere: a degraded tier simply re-checks the
+    tier it landed on.
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -375,22 +375,6 @@ class TestServerBasics:
             assert described["graphs"] == ["paper"]
             assert described["counters"]["responses"] >= 5
 
-    def test_warm_start_param_round_trip(self, paper_graph):
-        with ServerHarness({"paper": paper_graph}, config=ServerConfig(port=0)) as h:
-            seeded = h.get(
-                "/v1/graphs/paper/cliques?alpha=3&k=1&mode=top&r=2&warm_start=portfolio"
-            ).json()
-            plain = h.get("/v1/graphs/paper/cliques?alpha=3&k=1&mode=top&r=2").json()
-            assert seeded["params"]["warm_start"] == "portfolio"
-            assert plain["params"]["warm_start"] is None
-            # Seeding never changes the answer served over the wire.
-            assert _payload_cliques(seeded) == _payload_cliques(plain)
-            bad = h.get(
-                "/v1/graphs/paper/cliques?alpha=3&k=1&mode=top&r=2&warm_start=zap"
-            )
-            assert bad.status == 400
-            assert bad.json()["error"]["code"] == "bad_params"
-
     def test_structured_errors_keep_the_connection_cheap(self, paper_graph):
         with ServerHarness({"g": paper_graph}, config=ServerConfig(port=0)) as h:
             assert h.get("/nope").json()["error"]["code"] == "not_found"

@@ -12,6 +12,7 @@ set of maximal cliques across tasks.
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,12 +42,14 @@ def _multi_component_graph(seed: int, components: int = 3) -> SignedGraph:
     return graph
 
 
+def _rows(result):
+    """The clique rows (nodes, +edges, -edges) in result order."""
+    return [(c.nodes, c.positive_edges, c.negative_edges) for c in result.cliques]
+
+
 def _fingerprint(result):
     """Everything that must be bit-identical across schedules."""
-    return (
-        [(c.nodes, c.positive_edges, c.negative_edges) for c in result.cliques],
-        result.stats.as_dict(),
-    )
+    return (_rows(result), result.stats.as_dict())
 
 
 class TestParallelEnumeration:
@@ -257,6 +260,51 @@ class TestRunFrames:
         assert len(nodes_seen) == len(sequential.cliques)  # no duplicates
         for key in ("recursions", "maxtests", "early_terminations"):
             assert counters[key] == getattr(sequential.stats, key)
+
+
+def _battery_graph(seed: int = 29, blobs: int = 3) -> SignedGraph:
+    """Disjoint small random blobs; with tiny split thresholds every
+    blob ships as worker tasks or is root-branch decomposed."""
+    rng = random.Random(seed)
+    graph = SignedGraph()
+    offset = 0
+    for _ in range(blobs):
+        blob = make_random_signed_graph(
+            rng,
+            n_range=(10, 14),
+            edge_probability_range=(0.4, 0.7),
+            negative_probability_range=(0.1, 0.4),
+        )
+        for u, v, sign in blob.edges():
+            graph.add_edge(u + offset, v + offset, sign)
+        offset += 100
+    return graph
+
+
+#: Per-model parameters: MSCE reads (alpha, k); the balanced model
+#: reads k as the minimum side size.
+TOP_R_PARAMS = {"msce": AlphaK(2, 1), "balanced": AlphaK(1, 1)}
+
+
+@pytest.mark.parametrize("workers", (1, 2, 4))
+@pytest.mark.parametrize("model", ("msce", "balanced"))
+@pytest.mark.parametrize("r", (1, 3))
+def test_parallel_top_r_matches_pure_search(workers, model, r):
+    """Per-task cutoffs over shipped frames return the pure top-r rows."""
+    graph = _battery_graph()
+    params = TOP_R_PARAMS[model]
+    expected = MSCE(graph, params, model=model, compile=False).top_r(r)
+    result = enumerate_parallel(
+        graph,
+        params.alpha,
+        params.k,
+        workers=workers,
+        top_r=r,
+        small_component=2,
+        split_component=8,
+        model=model,
+    )
+    assert _rows(result) == _rows(expected)
 
 
 # -- hypothesis: root-branch decomposition partitions the cliques ------------

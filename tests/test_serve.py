@@ -556,65 +556,32 @@ class TestEntryKeys:
         assert key in engine.memory
         assert (tmp_path / "c" / f"{key}.json").exists()
 
-    def test_warm_start_does_not_change_the_entry_key(self, paper_graph, tmp_path):
-        """Seeded and unseeded top-r computes share one cache identity.
 
-        The warm start only shapes *how* a miss is computed — the
-        answer is identical either way — so the entry key must not
-        mention it: a seeded compute's entry serves later unseeded
-        requests and vice versa.
-        """
-        engine = SignedCliqueEngine(paper_graph, cache_dir=tmp_path / "c")
-        engine.top_r_with_stats(2, 1, 2, warm_start="portfolio")
-        key = entry_key(graph_fingerprint(paper_graph), AlphaK(2, 1), "top2")
-        assert key in engine.memory
-        assert (tmp_path / "c" / f"{key}.json").exists()
-        # The unseeded request hits that same entry — no second compute.
-        engine.top_r_with_stats(2, 1, 2)
-        assert engine.counters["computes"] == 1
-        assert engine.counters["memory_hits"] == 1
+class TestTopRServing:
+    """Compute == memory hit == disk hit == one-shot pure oracle."""
 
-
-class TestWarmStartServing:
-    """Memory hit == disk hit == seeded recompute == one-shot oracle."""
-
-    def test_all_tiers_replay_the_seeded_compute(self, random_graph, tmp_path):
+    def test_all_tiers_replay_the_compute(self, random_graph, tmp_path):
         cache = tmp_path / "cache"
         params = AlphaK(2, 2)
-        oracle = MSCE(random_graph, params, compile=False).top_r(3, warm_start="portfolio")
-        unseeded_oracle = MSCE(random_graph, params, compile=False).top_r(3)
-        assert oracle.cliques == unseeded_oracle.cliques
+        oracle = MSCE(random_graph, params, compile=False).top_r(3)
 
         engine = SignedCliqueEngine(random_graph, cache_dir=cache)
-        seeded = engine.top_r_with_stats(2, 2, 3, warm_start="portfolio")
-        assert_result_equal(seeded, oracle, "seeded recompute")
+        computed = engine.top_r_with_stats(2, 2, 3)
+        assert_result_equal(computed, oracle, "compute")
         assert engine.counters["computes"] == 1
 
-        # Memory hit: an *unseeded* request replays the seeded entry.
-        warm = engine.top_r_with_stats(2, 2, 3)
-        assert_result_equal(warm, oracle, "memory hit")
+        memory = engine.top_r_with_stats(2, 2, 3)
+        assert_result_equal(memory, oracle, "memory hit")
         assert engine.counters["computes"] == 1
         assert engine.counters["memory_hits"] == 1
 
-        # Disk hit: a fresh engine on the same cache dir, asking with a
-        # *different* strategy, still replays the stored entry.
+        # Disk hit: a fresh engine on the same cache dir replays the
+        # stored entry without computing.
         fresh = SignedCliqueEngine(random_graph, cache_dir=cache)
-        disk = fresh.top_r_with_stats(2, 2, 3, warm_start="spectral")
+        disk = fresh.top_r_with_stats(2, 2, 3)
         assert_result_equal(disk, oracle, "disk hit")
         assert fresh.counters["computes"] == 0
         assert fresh.counters["disk_hits"] == 1
-
-    def test_cliques_tier_warm_start(self, random_graph):
-        engine = SignedCliqueEngine(random_graph)
-        seeded = engine.top_r(2, 2, 3, warm_start="degree")
-        assert seeded == top_r_signed_cliques(random_graph, 2, 2, 3)
-
-    def test_invalid_strategy_propagates(self, paper_graph):
-        engine = SignedCliqueEngine(paper_graph)
-        with pytest.raises(ParameterError):
-            engine.top_r_with_stats(2, 1, 2, warm_start="zap")
-        # The engine survives the rejected request.
-        assert engine.top_r(2, 1, 1, warm_start="portfolio")
 
 
 class TestServeGridCli:
