@@ -42,16 +42,18 @@ from __future__ import annotations
 import random
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.params import AlphaK
-from repro.core.reduction import reduction_components
 from repro.exceptions import ParameterError
 from repro.fastpath.backend import resolve_backend
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
+from repro.fastpath.search import SELECTIONS, FrameSearch, search_component_fast
 from repro.graphs.signed_graph import Node, SignedGraph
 from repro.limits import ResourceGuard, make_guard
 from repro.models import make_constraint, resolve_model
@@ -203,6 +205,24 @@ def frame_draw(seed: int, free_reprs: Sequence[str]) -> int:
     return zlib.crc32(payload, seed & 0xFFFFFFFF) % len(free_reprs)
 
 
+def seeded_slice(graph: SignedGraph, space: Set[Node], floor: int) -> List[Node]:
+    """The nodes a seeded search over *space* compiles: ``space ∪ W``.
+
+    ``W`` holds the nodes outside *space* with at least *floor*
+    neighbours in it. When every leaf the search can test has at least
+    *floor* members, any node that could witness a leaf's
+    non-maximality is adjacent to the whole leaf, so it lies in the
+    slice, and a maxtest over the slice answers as one over the whole
+    graph. The cost is the volume of *space*, not the size of *graph*.
+    """
+    nodes = [node for node in space if graph.has_node(node)]
+    counts = Counter(chain.from_iterable(map(graph.neighbor_keys, nodes)))
+    nodes.extend(
+        node for node, count in counts.items() if count >= floor and node not in space
+    )
+    return nodes
+
+
 def compile_floor(reduction: str, params: AlphaK) -> int:
     """The positive degree every node kept by *reduction* has.
 
@@ -250,11 +270,6 @@ class MSCE:
         ``REPRO_MODEL`` environment variable > ``"msce"``.
     core_pruning:
         Disable only for the pruning-rule ablation benchmark.
-    compile:
-        When ``False``, run the pure-Python search over node sets even
-        when *graph* is a :class:`~repro.fastpath.CompiledGraph`. That
-        path is the reference the differential tests hold the compiled
-        search to (identical cliques and :class:`SearchStats`).
     seed:
         RNG seed for the random selection strategy.
     frame_rng:
@@ -300,21 +315,23 @@ class MSCE:
         time_limit: Optional[float] = None,
         max_results: Optional[int] = None,
         min_size: Optional[int] = None,
-        compile: bool = True,
         frame_rng: bool = False,
         max_memory_bytes: Optional[int] = None,
         reducer: Optional[Callable[[object, AlphaK, str], int]] = None,
         backend: Optional[str] = None,
         model: Optional[str] = None,
     ):
-        #: Whether searches run on the compiled fastpath (see `compiled`).
-        self.compile = compile
         #: The CompiledGraph handed in (``None`` for SignedGraph input).
-        self._given = as_compiled(graph) if compile else None
+        self._given = as_compiled(graph)
         #: The compilation of SignedGraph input, made on first use.
         self._compilation: Optional[CompiledGraph] = None
         self.graph = source_graph(graph)
         self.params = params
+        if selection not in SELECTIONS:
+            raise ParameterError(
+                f"unknown selection strategy {selection!r}; "
+                f"expected one of {sorted(SELECTIONS)}"
+            )
         self.selection = selection
         self.reduction = reduction
         self.maxtest_kind = maxtest
@@ -348,8 +365,6 @@ class MSCE:
         #: ``ceil(alpha * k)`` ceiling share one coring pass; the result
         #: must be bit-identical to what ``reduce_mask`` would return.
         self.reducer = reducer
-        if reducer is not None and not compile:
-            raise ParameterError("reducer requires the compiled fastpath")
         #: Resolved kernel tier for every fastpath kernel this enumerator
         #: invokes (see :func:`repro.fastpath.backend.resolve_backend`).
         #: Resolved once here so a run can never mix tiers mid-flight,
@@ -365,23 +380,23 @@ class MSCE:
         #: stays with ``min_size`` and the constraint's reportable().
         self._search_min_size = self.constraint.search_min_size(self.min_size)
         self._rng = random.Random(seed)
-        self._maxtest = self.constraint.make_maxtest(maxtest)
-        self._graph_ops = self.constraint.bind_graph(self)
-        self._select = self._make_selector(selection)
+        # Resolve the maxtest kind now, so an unknown name fails here.
+        self.constraint.make_maxtest(maxtest)
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
     @property
-    def compiled(self) -> Optional[CompiledGraph]:
+    def compiled(self) -> CompiledGraph:
         """The compiled graph the reduction and search run on.
 
         The :class:`~repro.fastpath.CompiledGraph` handed in, else a
         compilation of the ``SignedGraph`` input made on first access
         with the positive-degree floor of :func:`compile_floor`.
-        ``None`` when ``compile=False``.
+        (Seeded searches compile a slice instead, see
+        :meth:`enumerate_seeded`.)
         """
-        if self._given is not None or not self.compile:
+        if self._given is not None:
             return self._given
         if self._compilation is None:
             reduction = self.constraint.reduction_rule(self.reduction)
@@ -420,9 +435,11 @@ class MSCE:
         the MCCore) and for every candidate being adjacent to all of
         *included*; maximality testing remains global, so the results
         are maximal in the whole graph, not merely within *space*.
-        The search runs on the compiled fastpath only when a
-        :class:`~repro.fastpath.CompiledGraph` was handed in; a
-        ``SignedGraph`` is searched on the pure path, not compiled.
+        The search runs over the :class:`~repro.fastpath.CompiledGraph`
+        handed in; a ``SignedGraph`` is not compiled whole but only on
+        the slice :func:`seeded_slice` cuts around *space*, with the
+        model's :meth:`~repro.models.base.SignedConstraint.min_leaf_size`
+        as the floor.
         """
         stats = SearchStats()
         stats.backend = self.backend
@@ -436,28 +453,26 @@ class MSCE:
         incomplete = 0
         try:
             stats.components = 1
-            # Compiling a SignedGraph here would cost O(m) per call.
             compiled = self._given
-            if compiled is not None:
-                from repro.fastpath.search import search_component_fast
-
-                tripped = search_component_fast(
-                    self,
-                    compiled.mask_from_nodes(space),
-                    stats,
-                    found,
-                    size_heap,
-                    None,
-                    guard,
-                    seed_mask=compiled.mask_from_nodes(included),
-                    compiled=compiled,
+            if compiled is None:
+                space = set(space)
+                floor = self.constraint.min_leaf_size()
+                compiled = compile_graph(
+                    self.graph, nodes=seeded_slice(self.graph, space, floor)
                 )
-                if tripped is not None:
-                    interrupted_reason, incomplete = tripped
-            else:
-                self._search_component(
-                    set(space), stats, found, size_heap, None, guard, seed=frozenset(included)
-                )
+            tripped = search_component_fast(
+                self,
+                compiled.mask_from_nodes(space),
+                stats,
+                found,
+                size_heap,
+                None,
+                guard,
+                seed_mask=compiled.mask_from_nodes(included),
+                compiled=compiled,
+            )
+            if tripped is not None:
+                interrupted_reason, incomplete = tripped
         except _StopSearch as stop:
             reason = stop.args[0] if stop.args else ""
             if reason in ("timeout", "deadline", "memory"):
@@ -515,8 +530,6 @@ class MSCE:
 
         *top_r* enables the size-based subspace cutoff inside this call.
         """
-        from repro.fastpath.search import FrameSearch
-
         if self._given is None:
             raise ParameterError(
                 "run_frames requires a compiled fastpath graph; "
@@ -551,42 +564,6 @@ class MSCE:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _make_selector(self, selection: str):
-        ops = self._graph_ops
-
-        def greedy(candidates, included, degrees):
-            # Minimum model degree within the candidate set (MSCE-G:
-            # tracked positive degree; balanced: sign-blind degree),
-            # ties broken by repr for determinism.
-            free = candidates - included
-            best_degree = None
-            ties = []
-            for node in free:
-                degree = ops.branch_degree(node, candidates, degrees)
-                if best_degree is None or degree < best_degree:
-                    best_degree = degree
-                    ties = [node]
-                elif degree == best_degree:
-                    ties.append(node)
-            return ties[0] if len(ties) == 1 else min(ties, key=repr)
-
-        def first(candidates, included, degrees):
-            return min(candidates - included, key=repr)
-
-        def randomized(candidates, included, degrees):
-            free = sorted(candidates - included, key=repr)
-            if self.frame_rng:
-                return free[frame_draw(self.seed, [repr(node) for node in free])]
-            return self._rng.choice(free)
-
-        selectors = {"greedy": greedy, "random": randomized, "first": first}
-        try:
-            return selectors[selection]
-        except KeyError:
-            raise ParameterError(
-                f"unknown selection strategy {selection!r}; expected one of {sorted(selectors)}"
-            ) from None
-
     def _guard(self, started: float) -> Optional[ResourceGuard]:
         """Build the run's resource guard (``None`` when unlimited)."""
         deadline = started + self.time_limit if self.time_limit is not None else None
@@ -615,64 +592,49 @@ class MSCE:
             k=self.params.k,
             selection=self.selection,
             reduction=reduction,
-            compiled=self.compile,
             top_r=top_r,
             backend=self.backend,
             model=self.model,
         ):
             try:
-                compiled = self.compiled
-                if compiled is not None:
-                    from repro.fastpath.kernels import component_masks, reduce_mask
-                    from repro.fastpath.search import search_component_fast
+                # Imported per call, so a wrapper installed on the kernels
+                # module (the benchmark's tracer) sees every reduction.
+                from repro.fastpath.kernels import component_masks, reduce_mask
 
-                    if self.reducer is not None:
-                        survivor_mask = self.reducer(compiled, self.params, reduction)
-                    else:
-                        survivor_mask = reduce_mask(
-                            compiled,
-                            self.params,
-                            method=reduction,
-                            backend=self.backend,
-                        )
-                    # Search the re-indexed survivors: every AND and
-                    # popcount of the search then spans the MCCore, not
-                    # the graph. Sound for the maxtest too, since every
-                    # (alpha, k)-clique lies inside the MCCore.
-                    search_graph = compiled
-                    if survivor_mask != compiled.full_mask:
-                        search_graph = compiled.extract(survivor_mask)
-                        search_graph._source = self.graph
-                    with obs.span("enumerate"):
-                        for mask in component_masks(search_graph):
-                            stats.components += 1
-                            tripped = search_component_fast(
-                                self,
-                                mask,
-                                stats,
-                                found,
-                                size_heap,
-                                top_r,
-                                guard,
-                                compiled=search_graph,
-                            )
-                            if tripped is not None:
-                                # Cooperative stop: keep everything emitted so
-                                # far, skip the remaining components.
-                                interrupted_reason, dropped = tripped
-                                incomplete += dropped
-                                break
+                compiled = self.compiled
+                if self.reducer is not None:
+                    survivor_mask = self.reducer(compiled, self.params, reduction)
                 else:
-                    # The reduction generator runs lazily, so its
-                    # "reduce" span nests under "enumerate" here.
-                    with obs.span("enumerate"):
-                        for component in reduction_components(
-                            self.graph, self.params, method=reduction
-                        ):
-                            stats.components += 1
-                            self._search_component(
-                                component, stats, found, size_heap, top_r, guard
-                            )
+                    survivor_mask = reduce_mask(
+                        compiled, self.params, method=reduction, backend=self.backend
+                    )
+                # Search the re-indexed survivors: every AND and popcount
+                # of the search then spans the MCCore, not the graph.
+                # Sound for the maxtest too, since every (alpha, k)-clique
+                # lies inside the MCCore.
+                search_graph = compiled
+                if survivor_mask != compiled.full_mask:
+                    search_graph = compiled.extract(survivor_mask)
+                    search_graph._source = self.graph
+                with obs.span("enumerate"):
+                    for mask in component_masks(search_graph):
+                        stats.components += 1
+                        tripped = search_component_fast(
+                            self,
+                            mask,
+                            stats,
+                            found,
+                            size_heap,
+                            top_r,
+                            guard,
+                            compiled=search_graph,
+                        )
+                        if tripped is not None:
+                            # Cooperative stop: keep everything emitted so
+                            # far, skip the remaining components.
+                            interrupted_reason, dropped = tripped
+                            incomplete += dropped
+                            break
             except _StopSearch as stop:
                 reason = stop.args[0] if stop.args else ""
                 if reason in ("timeout", "deadline", "memory"):
@@ -701,90 +663,6 @@ class MSCE:
             interrupted_reason=interrupted_reason,
             incomplete_frames=incomplete,
         )
-
-    def _search_component(
-        self,
-        component: Set[Node],
-        stats: SearchStats,
-        found: Dict[FrozenSet[Node], SignedClique],
-        size_heap: List[int],
-        top_r: Optional[int],
-        guard: Optional[ResourceGuard],
-        seed: FrozenSet[Node] = frozenset(),
-    ) -> None:
-        graph = self.graph
-        params = self.params
-        ops = self._graph_ops
-        min_size = self._search_min_size
-
-        # Each frame carries (candidates, included, degrees) where
-        # `degrees` is the model's threaded per-frame state (MSCE: the
-        # within-candidates positive degree map used by both the core
-        # pruning and the greedy selector, threaded with decremental
-        # updates so the core pruning costs O(changes) per recursion
-        # instead of O(|R|); models without tracked state thread None).
-        # Include branch is pushed last so it is explored first (DFS),
-        # matching the paper's recursion order and helping top-r find
-        # large cliques quickly.
-        Frame = Tuple[Set[Node], FrozenSet[Node], Optional[Dict[Node, int]]]
-        stack: List[Frame] = [(set(component), seed, None)]
-
-        while stack:
-            if guard is not None:
-                reason = guard.check()
-                if reason is not None:
-                    # The pure path keeps the historical control flow:
-                    # the exception is mapped back to a partial result
-                    # (timed_out / interrupted) by the caller.
-                    raise _StopSearch(reason)
-            candidates, included, degrees = stack.pop()
-            stats.recursions += 1
-
-            flag, candidates, degrees = ops.prune_bound(candidates, included, degrees)
-            if not flag:
-                stats.core_prunes += 1
-                continue
-
-            if min_size is not None and len(candidates) < min_size:
-                stats.topr_prunes += 1
-                continue
-            if top_r is not None and len(size_heap) >= top_r and len(candidates) < size_heap[0]:
-                stats.topr_prunes += 1
-                continue
-
-            if ops.feasible(candidates, degrees):
-                stats.early_terminations += 1
-                stats.maxtests += 1
-                if self._maxtest(graph, candidates, params):
-                    self._emit(candidates, found, size_heap, top_r, stats)
-                continue
-
-            free = candidates - included
-            if not free:
-                # Unreachable while the model's invariants hold (R == I
-                # implies the feasibility check fired); defensive for
-                # ablation modes.
-                continue
-            branch_node = self._select(candidates, included, degrees)
-            new_included = included | {branch_node}
-
-            keep, clique_pruned, negative_pruned = ops.update_budgets(
-                candidates, included, new_included, branch_node
-            )
-            stats.clique_pruned_candidates += clique_pruned
-            stats.negative_pruned_candidates += negative_pruned
-
-            # Exclude branch: candidates lose one node.
-            exclude_candidates = set(candidates)
-            exclude_candidates.discard(branch_node)
-            exclude_degrees = ops.exclude_degrees(
-                branch_node, exclude_candidates, degrees
-            )
-            stack.append((exclude_candidates, included, exclude_degrees))
-
-            # Include branch: candidates shrink to `keep`.
-            include_degrees = ops.include_degrees(candidates, keep, degrees)
-            stack.append((keep, new_included, include_degrees))
 
     def _emit(
         self,

@@ -21,19 +21,22 @@ Two tests are provided:
   honoured exactly (and so the brute-force cross-validation tests can
   pass); ``maxtest="paper"`` selects the heuristic for ablations.
 
-Both tests exist twice. The graph-space versions above take node sets
-and are the reference. :func:`make_mask_maxtest` returns their ports
-over a :class:`~repro.fastpath.CompiledGraph`, which the compiled
-search calls on every leaf: the common neighbourhood is the AND of the
-member adjacency rows, the negative-budget filter is one
+Both tests exist twice. The versions above take node sets and are the
+reference (the brute-force oracle calls them).
+:func:`make_mask_maxtest` returns their ports over a
+:class:`~repro.fastpath.CompiledGraph`, which the search calls on every
+leaf: the common neighbourhood is the AND of the member adjacency rows,
+the negative-budget filter is one
 :func:`~repro.fastpath.kernels.budget_violators` pass, and the
 extension search peels with the tier-0 ``icore_fast`` and branches in
-``repr`` order, like the graph version. The mask ports see only the
+``repr`` order, like the node-set version. The mask ports see only the
 compiled graph. That is exact for the exact test whenever every
-(alpha, k)-clique of the input lies inside the compiled graph — the
-MCCore the compiled search runs on has that property — but the paper's
+(alpha, k)-clique that strictly contains a tested clique lies inside
+the compiled graph — the MCCore the search runs on has that property,
+and so does a seeded search's slice
+(:func:`repro.core.bbe.seeded_slice`) — but the paper's
 single-extension test reads every common neighbour of the input, so it
-matches the graph version only on a compilation of the whole graph.
+matches the node-set version only on a compilation of the whole graph.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ def make_mask_maxtest(
     """Return the mask-space port of ``make_maxtest(kind)`` over *compiled*.
 
     The predicate takes the member set as a bitmask over *compiled*'s
-    indices and answers exactly what the graph-space test answers on
+    indices and answers exactly what the node-set test answers on
     the graph *compiled* was built from (see the module docstring for
     when that graph may be a slice of the input).
     """

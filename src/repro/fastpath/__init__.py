@@ -22,10 +22,10 @@ This package provides the flat alternative:
   kernels: bucket-queue core decomposition, ICore with fixed nodes,
   MCNew / MCBasic, orientation-based triangle counting and connected
   components;
-* :mod:`~repro.fastpath.search` — the bitset port of MSCE's
-  branch-and-bound component search, refactored around explicit
-  resumable frames (:class:`~repro.fastpath.search.FrameSearch`) so the
-  parallel enumerator can split, budget and offload subtrees;
+* :mod:`~repro.fastpath.search` — MSCE's branch-and-bound component
+  search, the repo's one search loop, built around explicit resumable
+  frames (:class:`~repro.fastpath.search.FrameSearch`) so the parallel
+  enumerator can split, budget and offload subtrees;
 * :mod:`~repro.fastpath.shared` — one-shot zero-copy shipping of a
   compiled graph to worker processes in one shared-memory block
   (:class:`~repro.fastpath.shared.SharedCompiledGraph`);
@@ -49,10 +49,11 @@ This package provides the flat alternative:
 ``SignedGraph`` is accepted —
 :class:`~repro.core.bbe.MSCE`, :func:`~repro.core.mcnew.mccore_new`,
 :func:`~repro.core.mcbasic.mccore_basic`,
-:func:`~repro.algorithms.kcore.core_numbers`, ... Results are
-bit-identical to the pure-Python path (the cross-validation suite in
-``tests/test_fastpath.py`` enforces this); pass ``compile=False`` to
-those entry points to force the pure path for ablations.
+:func:`~repro.algorithms.kcore.core_numbers`, ... The kernels' results
+are bit-identical to the pure-Python kernels (the cross-validation
+suite in ``tests/test_fastpath.py`` enforces this); pass
+``compile=False`` to the kernel entry points (not to ``MSCE``, whose
+search runs only here) to force the pure kernels for ablations.
 """
 
 from repro.fastpath.backend import (

@@ -386,7 +386,11 @@ class CompiledGraph:
         )
 
 
-def compile_graph(graph: SignedGraph, min_positive_degree: int = 0) -> CompiledGraph:
+def compile_graph(
+    graph: SignedGraph,
+    min_positive_degree: int = 0,
+    nodes: Optional[Sequence[Node]] = None,
+) -> CompiledGraph:
     """Compile *graph* into a :class:`CompiledGraph` (the graph is untouched).
 
     Node indices follow the graph's iteration order; neighbour lists are
@@ -397,13 +401,17 @@ def compile_graph(graph: SignedGraph, min_positive_degree: int = 0) -> CompiledG
     The enumerator passes ``ceil(alpha * k)`` when its reduction is an
     (alpha, k) core: no node below it can survive the reduction, and
     every kept node's index order, and so every tie-break, is unchanged.
+
+    With *nodes*, only those nodes (all in *graph*) are compiled, indexed
+    in the order given: the induced subgraph, built in time proportional
+    to their volume, with *graph* as its :attr:`~CompiledGraph.source`.
     """
     if isinstance(graph, CompiledGraph):
         return graph
     from repro.obs import runtime as obs
 
     with obs.span("compile", nodes=graph.number_of_nodes()):
-        nodes = list(graph.nodes())
+        nodes = list(graph.nodes()) if nodes is None else list(nodes)
         if min_positive_degree > 0:
             nodes = [
                 node

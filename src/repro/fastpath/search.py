@@ -1,17 +1,15 @@
-"""Bitset port of the generic branch-and-bound component search.
+"""The branch-and-bound component search of MSCE (Algorithm 4), over bitsets.
 
-:class:`FrameSearch` mirrors
-:meth:`repro.core.bbe.MSCE._search_component` frame for frame: the same
-pruning rules in the same order, the same threaded per-frame state, and
-byte-identical branch selection (ties broken through the compiled
-``repr``-rank permutation, the random strategy drawing from the same
-sorted candidate list so the RNG stream matches). The only difference is
-the data layout — candidate sets and included sets are integer bitmasks
-over compiled node indices, so the model's pruning rules intersect with
-one C-level AND per candidate instead of a hashed set intersection.
+:class:`FrameSearch` is the repo's one search loop. Candidate sets and
+included sets are integer bitmasks over compiled node indices, so the
+model's pruning rules intersect with one C-level AND per candidate
+instead of a hashed set intersection. Branch selection breaks ties
+through the compiled ``repr``-rank permutation, so the search tree does
+not depend on how the nodes were indexed: a slice, a re-indexed MCCore
+and a full compilation of the same nodes walk the same tree.
 
 The *rules* themselves are pluggable: the enumerator's
-:class:`~repro.models.base.SignedConstraint` supplies a mask-space
+:class:`~repro.models.base.SignedConstraint` supplies a
 :class:`~repro.models.base.FrameOps` binding (prune bound, early
 termination feasibility, include-branch budget update, per-frame state
 threading), so the skeleton here is model-neutral — MSCE's (alpha, k)
@@ -49,16 +47,14 @@ re-indexed MCCore survivors. Leaves are maximality-tested in mask space
 over that graph, through the predicate the model's
 :meth:`~repro.models.base.SignedConstraint.make_maxtest` builds for it.
 Cliques are emitted through the enumerator's own ``_emit`` (after
-mapping indices back to nodes), so dedup, auditing, top-r bookkeeping
-and result caps behave identically; the cross-validation tests assert
-the full result sets match the pure path exactly.
+mapping indices back to nodes), which owns dedup, auditing, top-r
+bookkeeping and result caps.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.exceptions import ParameterError
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.limits import ResourceGuard
 
@@ -70,6 +66,9 @@ Frame = Tuple[int, int, Optional[Dict[int, int]]]
 
 #: How many bottom-of-stack frames one budget overrun may offload.
 MAX_OFFLOAD = 16
+
+#: The branch-node selection strategies (see :func:`_make_selector`).
+SELECTIONS = ("greedy", "random", "first")
 
 
 class FrameSearch:
@@ -112,11 +111,6 @@ class FrameSearch:
     ):
         if compiled is None:
             compiled = msce.compiled
-        if compiled is None:
-            raise ParameterError(
-                "FrameSearch requires a compiled fastpath graph; "
-                "construct the enumerator with compile=True"
-            )
         self.msce = msce
         self.stats = stats
         self.found = found
@@ -262,8 +256,7 @@ class FrameSearch:
         stays emitted and counted, so callers return a partial result
         instead of discarding completed subtrees. Returns ``None`` when
         the frames ran to exhaustion. Result caps still raise the
-        enumerator's internal ``_StopSearch``, exactly like the pure
-        search.
+        enumerator's internal ``_StopSearch``.
         """
         guard = self.guard
         tick = self.tick
@@ -413,15 +406,17 @@ def decompose_root(
 
 
 def _make_selector(msce: "MSCE", ops, compiled):
-    """Index-space ports of the branch-node selectors in bbe.py.
+    """The branch-node selector named by ``msce.selection``.
 
-    The greedy score is the model's tracked degree when the frame
+    ``"greedy"`` picks the free candidate of minimum model degree,
+    ``"first"`` the smallest by node ``repr``, ``"random"`` a uniform
+    draw. The greedy score is the model's tracked degree when the frame
     threads a degree map (MSCE: positive degree inside ``R``), read
     straight from the map, and otherwise
     :meth:`~repro.models.base.FrameOps.branch_degree` (balanced:
     sign-blind degree). Tie-breaking goes through the compiled
-    ``repr``-rank permutation so the chosen node is exactly the one the
-    pure selector would pick. With ``frame_rng`` the random strategy
+    ``repr``-rank permutation, so the chosen node does not depend on
+    the index space. With ``frame_rng`` the random strategy
     hashes the frame's free candidates (by node ``repr``, so the draw is
     independent of the compiled index space) instead of consuming a
     sequential RNG stream; see :func:`repro.core.bbe.frame_draw`.
@@ -457,10 +452,4 @@ def _make_selector(msce: "MSCE", ops, compiled):
         return msce._rng.choice(free)
 
     selectors = {"greedy": greedy, "random": randomized, "first": first}
-    try:
-        return selectors[msce.selection]
-    except KeyError:
-        raise ParameterError(
-            f"unknown selection strategy {msce.selection!r}; "
-            f"expected one of {sorted(selectors)}"
-        ) from None
+    return selectors[msce.selection]

@@ -1,18 +1,13 @@
 """The paper's (alpha, k)-clique model as a :class:`SignedConstraint`.
 
-This module is the MSCE logic that used to be hard-wired into
-:class:`repro.fastpath.search.FrameSearch` and
-:meth:`repro.core.bbe.MSCE._search_component`, extracted verbatim: the
-same pruning rules in the same order with the same arithmetic, so the
-refactor is bit-identical — cliques *and* :class:`~repro.core.bbe.SearchStats`
-match the pre-framework enumerator across every backend and worker
-count (the differential suites enforce this).
+This module holds the MSCE rules the generic
+:class:`repro.fastpath.search.FrameSearch` calls, over bitmasks of
+compiled node indices.
 
 The three pruning rules (paper Section IV) map onto the framework as:
 
 * ``prune_bound`` — ceil(alpha*k)-core pruning via the tracked ICore
-  (:func:`repro.fastpath.kernels.icore_tracked_fast` on the compiled
-  path, :func:`repro.algorithms.kcore.icore_tracked` on the pure path);
+  (:func:`repro.fastpath.kernels.icore_tracked_fast`);
 * ``update_budgets`` — clique-constraint and negative-edge-constraint
   pruning of the include branch;
 * ``feasible`` — the inline Definition-1 check driving early
@@ -26,9 +21,8 @@ per member, at most ``k`` negative neighbours tolerated per member.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.algorithms.kcore import icore_tracked
 from repro.core.cliques import is_alpha_k_clique
 from repro.core.maxtest import make_mask_maxtest
 from repro.core.maxtest import make_maxtest as _make_alpha_k_maxtest
@@ -54,7 +48,7 @@ class AlphaKConstraint(SignedConstraint):
             return _make_alpha_k_maxtest(kind)
         if kind == "paper" and compiled.n != compiled.source.number_of_nodes():
             # The single-extension test reads every common neighbour of
-            # the input, so on a reduced slice it stays in graph space.
+            # the input, so on a slice it runs over the input's node sets.
             return masks_via_graph(_make_alpha_k_maxtest(kind), compiled, self.params)
         return make_mask_maxtest(kind, compiled, self.params)
 
@@ -63,11 +57,12 @@ class AlphaKConstraint(SignedConstraint):
         # GraphError naming the violated constraint and witness node.
         clique.verify(graph)
 
+    def min_leaf_size(self) -> int:
+        # Every member of a leaf has ceil(alpha*k) positive neighbours in it.
+        return self.params.positive_threshold + 1
+
     def bind_masks(self, search) -> "AlphaKMaskOps":
         return AlphaKMaskOps(search)
-
-    def bind_graph(self, msce) -> "AlphaKGraphOps":
-        return AlphaKGraphOps(msce)
 
 
 class AlphaKMaskOps(FrameOps):
@@ -104,7 +99,12 @@ class AlphaKMaskOps(FrameOps):
         )
 
     def feasible(self, members: int, degrees: Optional[Dict[int, int]]) -> bool:
-        # Mirror of the pure inline Definition-1 check (see AlphaKGraphOps).
+        # Inline Definition-1 check, run once per frame. With the tracked
+        # positive-degree map (exact within-`members` counts kept by the
+        # core pruning), a member is adjacent to all others iff its
+        # positive degree p and internal negative count n satisfy
+        # p + n == |members| - 1, and the constraints demand
+        # p >= threshold, n <= k: integer tests plus one popcount.
         if not members:
             return False
         neg_masks = self.neg_masks
@@ -169,8 +169,8 @@ class AlphaKMaskOps(FrameOps):
     def include_degrees(
         self, candidates: int, keep: int, degrees: Optional[Dict[int, int]]
     ) -> Optional[Dict[int, int]]:
-        # Same decremental-vs-recompute policy as the pure search
-        # (recompute when more than a third was pruned).
+        # Update the degree map decrementally when few nodes were
+        # pruned; recompute in the child when more than a third was.
         if degrees is None:
             return None
         pos_masks = self.pos_masks
@@ -192,136 +192,3 @@ class AlphaKMaskOps(FrameOps):
         # selector reads the tracked degree map itself, so this runs
         # only in ablation modes, where no map is threaded.
         return bit_count(self.pos_masks[node] & candidates)
-
-
-class AlphaKGraphOps(FrameOps):
-    """MSCE frame operations over node sets (the pure-Python path)."""
-
-    __slots__ = ("msce", "graph", "threshold", "neg_budget")
-
-    def __init__(self, msce):
-        self.msce = msce
-        self.graph = msce.graph
-        self.threshold = msce.params.positive_threshold
-        self.neg_budget = msce.params.k
-
-    def prune_bound(
-        self,
-        candidates: Set[Node],
-        included,
-        degrees: Optional[Dict[Node, int]],
-    ) -> Tuple[bool, Set[Node], Optional[Dict[Node, int]]]:
-        if not self.msce.core_pruning:
-            return True, candidates, degrees
-        return icore_tracked(
-            self.graph, included, self.threshold, candidates, degrees, sign="positive"
-        )
-
-    def feasible(
-        self, members: Set[Node], degrees: Optional[Dict[Node, int]]
-    ) -> bool:
-        # Inline Definition-1 check, run once per recursion. With the
-        # tracked positive-degree map (exact within-`members` counts
-        # maintained by the core pruning), node validity reduces to
-        # integer tests plus ONE negative intersection: a member is
-        # adjacent to all others iff its positive degree p and its
-        # internal negative count n satisfy p + n == |members| - 1,
-        # and the constraints demand p >= threshold, n <= k.
-        graph = self.graph
-        threshold = self.threshold
-        budget = self.neg_budget
-        if not members:
-            return False
-        need = len(members) - 1
-        if degrees is not None:
-            for node in members:
-                positive = degrees[node]
-                if positive < threshold:
-                    return False
-                expected_negative = need - positive
-                if expected_negative < 0 or expected_negative > budget:
-                    return False
-                if len(graph.negative_neighbors(node) & members) != expected_negative:
-                    return False
-            return True
-        for node in members:
-            if len(graph.neighbor_keys(node) & members) < need:
-                return False
-            if len(graph.negative_neighbors(node) & members) > budget:
-                return False
-            if threshold and len(graph.positive_neighbors(node) & members) < threshold:
-                return False
-        return True
-
-    def update_budgets(
-        self, candidates: Set[Node], included, new_included, branch: Node
-    ) -> Tuple[Set[Node], int, int]:
-        msce = self.msce
-        graph = self.graph
-        budget = self.neg_budget
-        keep: Set[Node] = set(new_included)
-        clique_pruned = 0
-        negative_pruned = 0
-        adjacency = graph.neighbor_keys(branch)
-        negative_inside = {
-            node: len(graph.negative_neighbors(node) & new_included)
-            for node in new_included
-        }
-        for node in candidates:
-            if node in new_included:
-                continue
-            if msce.clique_pruning and node not in adjacency:
-                clique_pruned += 1
-                continue
-            if msce.negative_pruning:
-                negatives = graph.negative_neighbors(node) & new_included
-                if len(negatives) > budget or any(
-                    negative_inside[member] + 1 > budget for member in negatives
-                ):
-                    negative_pruned += 1
-                    continue
-            keep.add(node)
-        return keep, clique_pruned, negative_pruned
-
-    def exclude_degrees(
-        self,
-        branch: Node,
-        exclude_candidates: Set[Node],
-        degrees: Optional[Dict[Node, int]],
-    ) -> Optional[Dict[Node, int]]:
-        if degrees is None:
-            return None
-        exclude_degrees: Dict[Node, int] = dict(degrees)
-        exclude_degrees.pop(branch, None)
-        for neighbor in self.graph.positive_neighbors(branch) & exclude_candidates:
-            exclude_degrees[neighbor] -= 1
-        return exclude_degrees
-
-    def include_degrees(
-        self,
-        candidates: Set[Node],
-        keep: Set[Node],
-        degrees: Optional[Dict[Node, int]],
-    ) -> Optional[Dict[Node, int]]:
-        # Update the degree map decrementally when few nodes were
-        # pruned; otherwise let the child recompute from scratch.
-        if degrees is None:
-            return None
-        graph = self.graph
-        removed = candidates - keep
-        if 3 * len(removed) > len(keep):
-            return None
-        include_degrees: Dict[Node, int] = dict(degrees)
-        for node in removed:
-            include_degrees.pop(node, None)
-        for node in removed:
-            for neighbor in graph.positive_neighbors(node) & keep:
-                include_degrees[neighbor] -= 1
-        return include_degrees
-
-    def branch_degree(
-        self, node: Node, candidates: Set[Node], degrees: Optional[Dict[Node, int]]
-    ) -> int:
-        if degrees is not None:
-            return degrees[node]
-        return len(self.graph.positive_neighbors(node) & candidates)

@@ -48,7 +48,7 @@ because a balanced clique is connected.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
 from repro.core.params import AlphaK
 from repro.fastpath.bitset import bit_count, iter_bits
@@ -139,8 +139,8 @@ class BalancedConstraint(SignedConstraint):
 
     def make_maxtest(self, kind: str, compiled=None):
         # No heuristic variant: "paper" (MSCE's single-extension test)
-        # has no analogue here, so both kinds run the exact test, in
-        # graph space even on the compiled path.
+        # has no analogue here, so both kinds run the exact test, over
+        # node sets of the whole input graph.
         if compiled is None:
             return _balanced_is_maximal
         return masks_via_graph(_balanced_is_maximal, compiled, self.params)
@@ -156,9 +156,6 @@ class BalancedConstraint(SignedConstraint):
 
     def bind_masks(self, search) -> "BalancedMaskOps":
         return BalancedMaskOps(search)
-
-    def bind_graph(self, msce) -> "BalancedGraphOps":
-        return BalancedGraphOps(msce)
 
 
 class BalancedMaskOps(FrameOps):
@@ -230,56 +227,3 @@ class BalancedMaskOps(FrameOps):
         # Greedy peels the candidate of minimum sign-blind degree
         # inside R — a degeneracy-style order on the underlying clique.
         return bit_count(self.adj_masks[node] & candidates)
-
-
-class BalancedGraphOps(FrameOps):
-    """Balanced-clique frame operations over node sets (pure path)."""
-
-    __slots__ = ("graph",)
-
-    def __init__(self, msce):
-        self.graph = msce.graph
-
-    def prune_bound(self, candidates, included, degrees):
-        return True, candidates, None
-
-    def feasible(self, members: Set[Node], degrees) -> bool:
-        return balanced_sides(self.graph, members) is not None
-
-    def update_budgets(
-        self, candidates: Set[Node], included, new_included, branch: Node
-    ) -> Tuple[Set[Node], int, int]:
-        graph = self.graph
-        keep: Set[Node] = set(new_included)
-        clique_pruned = 0
-        negative_pruned = 0
-        pos_v = graph.positive_neighbors(branch)
-        neg_v = graph.negative_neighbors(branch)
-        if included:
-            anchor = min(included, key=repr)
-            pos_a = graph.positive_neighbors(anchor)
-            branch_same = branch in pos_a
-        else:
-            pos_a = None
-            branch_same = True
-        for node in candidates:
-            if node in new_included:
-                continue
-            positive = node in pos_v
-            if not positive and node not in neg_v:
-                clique_pruned += 1
-                continue
-            if pos_a is not None and positive != ((node in pos_a) == branch_same):
-                negative_pruned += 1
-                continue
-            keep.add(node)
-        return keep, clique_pruned, negative_pruned
-
-    def exclude_degrees(self, branch, exclude_candidates, degrees) -> None:
-        return None
-
-    def include_degrees(self, candidates, keep, degrees) -> None:
-        return None
-
-    def branch_degree(self, node: Node, candidates: Set[Node], degrees) -> int:
-        return len(self.graph.neighbor_keys(node) & candidates)

@@ -13,20 +13,19 @@ What actually differs between models is a small set of rules:
 * **reduction rule** — which pre-search graph reduction is sound?
 * **maximality test** — is a found clique maximal in the whole graph?
 
-:class:`SignedConstraint` packages those rules. The generic searches
-(:class:`repro.fastpath.search.FrameSearch` on the compiled bitset path,
-:meth:`repro.core.bbe.MSCE._search_component` on the pure path) call
-through it, so one new module — a :class:`SignedConstraint` subclass
-registered with :func:`register_model` — inherits the CompiledGraph CSR,
-the work-stealing scheduler, fault tolerance, ``repro.obs``, the serve
-cache and the HTTP layer for free.
+:class:`SignedConstraint` packages those rules. The one generic search,
+:class:`repro.fastpath.search.FrameSearch`, calls through it, so one new
+module — a :class:`SignedConstraint` subclass registered with
+:func:`register_model` — inherits the CompiledGraph CSR, the
+work-stealing scheduler, fault tolerance, ``repro.obs``, the serve cache
+and the HTTP layer for free.
 
-Because the search runs in two data layouts, a constraint binds its
-rules twice: :meth:`SignedConstraint.bind_masks` returns the frame
-operations over integer bitmasks (compiled node indices) and
-:meth:`SignedConstraint.bind_graph` the same operations over node sets.
-Both bindings must implement the :class:`FrameOps` contract and must
-agree exactly — the cross-space differential tests enforce it.
+The search runs over integer bitmasks of compiled node indices, so a
+constraint binds its frame rules once, in that layout:
+:meth:`SignedConstraint.bind_masks` returns the :class:`FrameOps`.
+The graph-level predicates (:meth:`SignedConstraint.feasible`, the
+node-set form of :meth:`SignedConstraint.make_maxtest`) stay over node
+sets: they are what the brute-force oracle and the audit check against.
 
 Model selection flows through one resolver, :func:`resolve_model`,
 mirroring :func:`repro.fastpath.backend.resolve_backend`: an explicit
@@ -56,14 +55,14 @@ MODELS: Dict[str, Type["SignedConstraint"]] = {}
 
 
 class FrameOps:
-    """Per-run frame operations of one constraint in one data layout.
+    """Per-run frame operations of one constraint.
 
     A binding holds everything the hot loop needs (masks, budgets,
     flags) resolved once, then processes frames through these methods.
-    ``candidates`` / ``included`` / ``members`` are bitmasks over
-    compiled node indices in the mask-space binding and node sets in
-    the graph-space binding; ``degrees`` is the model's per-frame
-    threaded state (``None`` when the model threads nothing).
+    ``candidates`` / ``included`` / ``members`` are bitmasks over the
+    compiled node indices of the graph the search runs on; ``degrees``
+    is the model's per-frame threaded state (``None`` when the model
+    threads nothing).
 
     The contract every binding must honour:
 
@@ -90,8 +89,8 @@ class FrameOps:
         The greedy selector's score for *node* (minimum wins; ties are
         broken by node ``repr`` rank in the generic selectors). A
         threaded ``degrees`` map must be keyed by the frame's candidates
-        and hold exactly this score: the compiled selector reads the map
-        directly and calls ``branch_degree`` only when it is ``None``.
+        and hold exactly this score: the selector reads the map directly
+        and calls ``branch_degree`` only when it is ``None``.
     """
 
     __slots__ = ()
@@ -102,8 +101,8 @@ class SignedConstraint:
 
     Subclasses set :attr:`name`, implement the graph-level predicates
     (:meth:`feasible`, :meth:`make_maxtest`) and return their
-    :class:`FrameOps` bindings from :meth:`bind_masks` /
-    :meth:`bind_graph`. Everything else has model-neutral defaults.
+    :class:`FrameOps` binding from :meth:`bind_masks`. Everything else
+    has model-neutral defaults.
 
     Parameters are the repo-wide :class:`~repro.core.params.AlphaK`
     pair; each model documents its own interpretation (MSCE reads both,
@@ -154,12 +153,14 @@ class SignedConstraint:
         *kind* is the enumerator's ``maxtest`` knob (``"exact"`` /
         ``"paper"``); models without a heuristic variant may map both
         kinds to the exact test. Without *compiled* the predicate is
-        ``f(graph, members, params)`` over node sets. With a
-        :class:`~repro.fastpath.CompiledGraph` it is ``f(mask)`` over
-        that graph's indices — the form the compiled search calls on
-        every leaf. It must answer as the graph-space test does on the
-        input graph; :func:`masks_via_graph` adapts a graph-space test
-        for models without a mask port.
+        ``f(graph, members, params)`` over node sets (the oracle's form).
+        With a :class:`~repro.fastpath.CompiledGraph` it is ``f(mask)``
+        over that graph's indices — the form the search calls on every
+        leaf. It must answer as the node-set test does on the input
+        graph, also when *compiled* is a slice of it (the MCCore, or a
+        seeded search's slice, see :meth:`min_leaf_size`);
+        :func:`masks_via_graph` adapts a node-set test for models
+        without a mask port.
         """
         raise NotImplementedError
 
@@ -193,11 +194,22 @@ class SignedConstraint:
         """
         return min_size
 
+    def min_leaf_size(self) -> int:
+        """A lower bound on the size of every leaf the search maxtests.
+
+        A seeded search on ``SignedGraph`` input compiles only its space
+        plus the outside nodes with at least this many neighbours in it
+        (:func:`repro.core.bbe.seeded_slice`): every node that could
+        extend a leaf is adjacent to all of it. The default, ``1``, keeps
+        the whole closed neighbourhood of the space.
+        """
+        return 1
+
     # ------------------------------------------------------------------
-    # Frame-operation bindings
+    # Frame-operation binding
     # ------------------------------------------------------------------
     def bind_masks(self, search) -> FrameOps:
-        """Bind the mask-space (compiled bitset) frame operations.
+        """Bind the frame operations over compiled-index bitmasks.
 
         *search* is the :class:`repro.fastpath.search.FrameSearch`
         driving the run; the binding may read its compiled graph and
@@ -205,16 +217,13 @@ class SignedConstraint:
         """
         raise NotImplementedError
 
-    def bind_graph(self, msce) -> FrameOps:
-        """Bind the graph-space (pure Python set) frame operations."""
-        raise NotImplementedError
-
 
 def masks_via_graph(test: Callable, compiled, params: AlphaK) -> Callable[[int], bool]:
-    """Adapt a graph-space maxtest to a mask predicate over *compiled*.
+    """Adapt a node-set maxtest to a mask predicate over *compiled*.
 
     Members are mapped back to nodes and tested against the compiled
-    graph's source, which the enumerators set to the input graph.
+    graph's source, which the enumerators set to the input graph, so the
+    test sees the whole graph even when *compiled* is a slice of it.
     """
     graph = compiled.source
 

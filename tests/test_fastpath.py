@@ -1,13 +1,15 @@
-"""Cross-validation of the fastpath CSR/bitset kernels against the pure path.
+"""Cross-validation of the fastpath CSR/bitset kernels and search.
 
 The fastpath subsystem (``repro.fastpath``) re-implements the hot
-kernels — core decomposition, ICore, ego-triangle counting, MCCore
-peeling and the MSCE branch-and-bound — on compact CSR arrays and
-big-int bitmasks. Correctness is argued by *bit-identical* agreement
-with the pure-Python reference path on the generator suite (random,
-planted-community, LFR-like) and on arbitrary hypothesis graphs,
-including identical :class:`repro.core.bbe.SearchStats` counters, which
-proves the two paths explore the same search tree node for node.
+kernels — core decomposition, ICore, ego-triangle counting and MCCore
+peeling — on compact CSR arrays and big-int bitmasks. Correctness is
+argued by *bit-identical* agreement with the pure-Python kernels on the
+generator suite (random, planted-community, LFR-like) and on arbitrary
+hypothesis graphs. The MSCE branch-and-bound runs only on the fastpath;
+its cliques are held to the brute-force and Bron–Kerbosch oracles of
+:mod:`repro.core.naive`, and identical
+:class:`repro.core.bbe.SearchStats` across index spaces show the tree
+does not depend on how the nodes were compiled.
 """
 
 import itertools
@@ -21,6 +23,9 @@ from hypothesis import strategies as st
 from repro.algorithms.kcore import core_numbers, icore
 from repro.algorithms.triangles import all_ego_triangle_degrees, triangle_count
 from repro.core import MSCE, AlphaK, mccore_basic, mccore_new
+from repro.core.cliques import sort_cliques
+from repro.core.maxtest import single_extension_test
+from repro.core.naive import brute_force_constraint, reference_enumerate
 from repro.core.reduction import reduce_graph, reduction_components
 from repro.exceptions import ParameterError
 from repro.fastpath import (
@@ -48,6 +53,7 @@ from repro.generators import (
     planted_partition_graph,
 )
 from repro.graphs import SignedGraph
+from repro.models import make_constraint
 from tests.conftest import PAPER_EDGES
 
 
@@ -219,67 +225,82 @@ class TestKernelCrossValidation:
         assert fast == pure
 
 
+def _oracle(graph, params):
+    """Definition-2 answer by the paper's straightforward method."""
+    return {c.nodes for c in reference_enumerate(graph, params)}
+
+
 class TestSearchCrossValidation:
+    """The search on a full compilation and on MSCE's own compilation.
+
+    ``MSCE(graph)`` compiles only the nodes its reduction can keep, so
+    the two runs search different index spaces; identical counters show
+    the tree does not depend on the indexing. The cliques are held to
+    :func:`~repro.core.naive.reference_enumerate`.
+    """
+
     @pytest.mark.parametrize("graph", _cases())
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_msce_identical_cliques_and_stats(self, graph, params):
         compiled = compile_graph(graph)
-        pure = MSCE(graph, params, compile=False).enumerate_all()
+        default = MSCE(graph, params).enumerate_all()
         fast = MSCE(compiled, params).enumerate_all()
-        assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
-        # Identical counters prove the two paths walk the same tree.
-        assert fast.stats.as_dict() == pure.stats.as_dict()
+        assert {c.nodes for c in fast.cliques} == _oracle(graph, params)
+        assert [c.nodes for c in fast.cliques] == [c.nodes for c in default.cliques]
+        assert fast.stats.as_dict() == default.stats.as_dict()
 
     @pytest.mark.parametrize("graph", _cases())
     @pytest.mark.parametrize("selection", ["first", "random"])
     def test_other_selections_match(self, graph, selection):
         params = AlphaK(1.5, 1)
         compiled = compile_graph(graph)
-        pure = MSCE(
-            graph, params, selection=selection, seed=5, compile=False
-        ).enumerate_all()
+        default = MSCE(graph, params, selection=selection, seed=5).enumerate_all()
         fast = MSCE(compiled, params, selection=selection, seed=5).enumerate_all()
-        assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
-        assert fast.stats.as_dict() == pure.stats.as_dict()
+        assert {c.nodes for c in fast.cliques} == _oracle(graph, params)
+        assert [c.nodes for c in fast.cliques] == [c.nodes for c in default.cliques]
+        assert fast.stats.as_dict() == default.stats.as_dict()
 
     @pytest.mark.parametrize("graph", _cases())
     def test_paper_maxtest_matches(self, graph):
+        # Same tree as the exact run; the paper test's "maximal" answers
+        # are always right, so it keeps the exact answers it accepts.
         params = AlphaK(2, 1)
         compiled = compile_graph(graph)
-        pure = MSCE(graph, params, maxtest="paper", compile=False).enumerate_all()
+        default = MSCE(graph, params, maxtest="paper").enumerate_all()
         fast = MSCE(compiled, params, maxtest="paper").enumerate_all()
-        assert {c.nodes for c in fast.cliques} == {c.nodes for c in pure.cliques}
+        expected = {
+            nodes
+            for nodes in _oracle(graph, params)
+            if single_extension_test(graph, set(nodes), params)
+        }
+        assert {c.nodes for c in fast.cliques} == expected
+        assert {c.nodes for c in default.cliques} == expected
 
     @pytest.mark.parametrize("graph", _cases())
     @pytest.mark.parametrize("r", [1, 3])
     def test_top_r_matches(self, graph, r):
         params = AlphaK(1.5, 1)
         compiled = compile_graph(graph)
-        pure = MSCE(graph, params, compile=False).top_r(r)
+        default = MSCE(graph, params).top_r(r)
         fast = MSCE(compiled, params).top_r(r)
-        assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
-        assert fast.stats.as_dict() == pure.stats.as_dict()
-
-    def test_compile_false_forces_pure_path(self):
-        graph = dict(GRAPHS)["random-dense"]
-        compiled = compile_graph(graph)
-        searcher = MSCE(compiled, AlphaK(2, 1), compile=False)
-        assert searcher.compiled is None
-        pure = MSCE(graph, AlphaK(2, 1), compile=False).enumerate_all()
-        assert {c.nodes for c in searcher.enumerate_all().cliques} == {
-            c.nodes for c in pure.cliques
-        }
+        ranked = sort_cliques(reference_enumerate(graph, params))[:r]
+        assert [c.nodes for c in fast.cliques] == [c.nodes for c in ranked]
+        assert [c.nodes for c in default.cliques] == [c.nodes for c in ranked]
+        assert fast.stats.as_dict() == default.stats.as_dict()
 
     def test_enumerate_seeded_matches(self):
+        # On SignedGraph input the seeded search compiles a slice; on a
+        # full compilation it searches in place. Same tree either way.
         graph = dict(GRAPHS)["paper"]
         compiled = compile_graph(graph)
         params = AlphaK(3, 1)
         space = graph.node_set()
-        pure = MSCE(graph, params, compile=False).enumerate_seeded(
-            set(space), frozenset({1})
-        )
+        sliced = MSCE(graph, params).enumerate_seeded(set(space), frozenset({1}))
         fast = MSCE(compiled, params).enumerate_seeded(set(space), frozenset({1}))
-        assert {c.nodes for c in fast.cliques} == {c.nodes for c in pure.cliques}
+        expected = {nodes for nodes in _oracle(graph, params) if 1 in nodes}
+        assert {c.nodes for c in fast.cliques} == expected
+        assert [c.nodes for c in sliced.cliques] == [c.nodes for c in fast.cliques]
+        assert sliced.stats.as_dict() == fast.stats.as_dict()
 
     def test_every_fast_result_verifies(self):
         for _name, graph in GRAPHS:
@@ -374,10 +395,12 @@ def test_hypothesis_fast_search_identical(spec, param_spec):
     alpha, k = param_spec
     params = AlphaK(alpha, k)
     compiled = compile_graph(graph)
-    pure = MSCE(graph, params, audit=True, compile=False).enumerate_all()
+    default = MSCE(graph, params, audit=True).enumerate_all()
     fast = MSCE(compiled, params, audit=True).enumerate_all()
-    assert [c.nodes for c in fast.cliques] == [c.nodes for c in pure.cliques]
-    assert fast.stats.as_dict() == pure.stats.as_dict()
+    truth = brute_force_constraint(graph, make_constraint("msce", params))
+    assert [c.nodes for c in fast.cliques] == [c.nodes for c in truth]
+    assert [c.nodes for c in default.cliques] == [c.nodes for c in truth]
+    assert fast.stats.as_dict() == default.stats.as_dict()
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,8 +6,8 @@ Pins the tentpole contracts of ``repro.models``:
   default) mirrors the kernel-backend resolver, unknown names raise;
 * **oracle parity** — balanced enumeration matches the model-generic
   brute-force oracle (:func:`repro.core.naive.brute_force_constraint`)
-  on hundreds of generated graphs, on the pure *and* compiled paths,
-  with auditing on;
+  on hundreds of generated graphs, for ``SignedGraph`` *and*
+  ``CompiledGraph`` input, with auditing on;
 * **bit-identity** — balanced cliques and ``SearchStats`` are identical
   across worker counts {1, 2, 4} and every kernel backend, like MSCE;
 * **cache isolation** — the serve cache keys carry the model, so a
@@ -168,17 +168,15 @@ class TestBalancedOracleParity:
             expected = _nodes(
                 brute_force_constraint(graph, make_constraint("balanced", params))
             )
-            pure = MSCE(
-                graph, params, model="balanced", audit=True, compile=False
-            ).enumerate_all()
+            default = MSCE(graph, params, model="balanced", audit=True).enumerate_all()
             fast = MSCE(
                 compile_graph(graph), params, model="balanced", audit=True
             ).enumerate_all()
-            assert _nodes(pure) == expected, f"pure path diverged on graph {index}"
-            assert _nodes(fast) == expected, f"compiled path diverged on graph {index}"
-            assert pure.stats.as_dict() == fast.stats.as_dict(), index
-            assert pure.stats.model == "balanced"
-            for clique in pure.cliques:
+            assert _nodes(default) == expected, f"search diverged on graph {index}"
+            assert _nodes(fast) == expected, f"compiled input diverged on graph {index}"
+            assert default.stats.as_dict() == fast.stats.as_dict(), index
+            assert default.stats.model == "balanced"
+            for clique in default.cliques:
                 assert is_balanced_clique(graph, clique.nodes, tau)
 
     def test_two_camp_graph_end_to_end(self):
@@ -455,15 +453,13 @@ def test_hypothesis_balanced_matches_oracle(spec, tau):
     params = AlphaK(1.0, tau)
     constraint = make_constraint("balanced", params)
     expected = _nodes(brute_force_constraint(graph, constraint))
-    pure = MSCE(
-        graph, params, model="balanced", audit=True, compile=False
-    ).enumerate_all()
+    default = MSCE(graph, params, model="balanced", audit=True).enumerate_all()
     fast = MSCE(
         compile_graph(graph), params, model="balanced", audit=True
     ).enumerate_all()
-    assert _nodes(pure) == expected
+    assert _nodes(default) == expected
     assert _nodes(fast) == expected
-    assert pure.stats.as_dict() == fast.stats.as_dict()
+    assert default.stats.as_dict() == fast.stats.as_dict()
 
 
 @settings(max_examples=60, deadline=None)

@@ -505,7 +505,7 @@ class TestCrashBitIdentity:
         graph = _fault_graph(seed=13)
         # Uninstrumented 1-process baseline: the default observer stays
         # disabled, SearchStats counts in its private registry only.
-        baseline = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all()
+        baseline = MSCE(graph, AlphaK(1.5, 1)).enumerate_all()
         expected = baseline.stats.as_dict()
 
         journal_path = tmp_path / "journal.jsonl"
@@ -562,7 +562,7 @@ class TestCrashBitIdentity:
 
     def test_aggregation_is_stable_across_worker_counts(self):
         graph = _fault_graph(seed=17)
-        expected = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all().stats.as_dict()
+        expected = MSCE(graph, AlphaK(1.5, 1)).enumerate_all().stats.as_dict()
         for workers in (2, ACCEPTANCE_WORKERS):
             with observing() as observer:
                 enumerate_parallel(graph, 1.5, 1, workers=workers, **SPLIT_KNOBS)

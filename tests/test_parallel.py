@@ -120,7 +120,7 @@ class TestParallelDeterminism:
 
     def test_greedy_identical_across_worker_counts_and_sequential(self):
         graph = _multi_component_graph(seed=13)
-        sequential = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all()
+        sequential = MSCE(graph, AlphaK(1.5, 1)).enumerate_all()
         expected = _fingerprint(sequential)
         for workers in (1, 2, 4):
             result = enumerate_parallel(
@@ -152,7 +152,7 @@ class TestParallelDeterminism:
 
     def test_heavy_resplitting_changes_nothing(self):
         graph = _multi_component_graph(seed=19, components=1)
-        sequential = MSCE(graph, AlphaK(1.5, 1), compile=False).enumerate_all()
+        sequential = MSCE(graph, AlphaK(1.5, 1)).enumerate_all()
         result = enumerate_parallel(
             graph, 1.5, 1, workers=2, split_component=16, task_budget=10
         )
@@ -290,10 +290,10 @@ TOP_R_PARAMS = {"msce": AlphaK(2, 1), "balanced": AlphaK(1, 1)}
 @pytest.mark.parametrize("model", ("msce", "balanced"))
 @pytest.mark.parametrize("r", (1, 3))
 def test_parallel_top_r_matches_pure_search(workers, model, r):
-    """Per-task cutoffs over shipped frames return the pure top-r rows."""
+    """Per-task cutoffs over shipped frames return the sequential top-r rows."""
     graph = _battery_graph()
     params = TOP_R_PARAMS[model]
-    expected = MSCE(graph, params, model=model, compile=False).top_r(r)
+    expected = MSCE(graph, params, model=model).top_r(r)
     result = enumerate_parallel(
         graph,
         params.alpha,

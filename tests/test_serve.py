@@ -52,9 +52,13 @@ def _slashdot():
 
 
 @lru_cache(maxsize=None)
-def _pure(params, maxtest="exact", top_r=None):
-    """The pure-search reference answer for one slashdot point."""
-    searcher = MSCE(_slashdot(), params, maxtest=maxtest, compile=False)
+def _sequential(params, maxtest="exact", top_r=None):
+    """The sequential reference answer for one slashdot point.
+
+    ``MSCE`` compiles, reduces and extracts each point on its own, so it
+    checks the grid's shared union extraction and re-indexing.
+    """
+    searcher = MSCE(_slashdot(), params, maxtest=maxtest)
     return searcher.enumerate_all() if top_r is None else searcher.top_r(top_r)
 
 
@@ -184,7 +188,7 @@ class TestDifferentialOracle:
     def test_top_r_with_stats_matches_cutoff_search(self, random_graph):
         engine = SignedCliqueEngine(random_graph)
         result = engine.top_r_with_stats(2, 2, 3)
-        reference = MSCE(random_graph, AlphaK(2, 2), compile=False).top_r(3)
+        reference = MSCE(random_graph, AlphaK(2, 2)).top_r(3)
         assert_result_equal(result, reference, "top-r cutoff")
         replay = engine.top_r_with_stats(2, 2, 3)
         assert_result_equal(replay, reference, "top-r cache replay")
@@ -264,7 +268,7 @@ class TestRunGrid:
         grid = enumerate_grid(_slashdot(), UNION_POINTS, workers=workers, maxtest=maxtest)
         assert list(grid) == UNION_POINTS
         for params, result in grid.items():
-            reference = _pure(params, maxtest)
+            reference = _sequential(params, maxtest)
             assert_result_equal(result, reference, f"union{workers} {maxtest} {params}")
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -273,7 +277,7 @@ class TestRunGrid:
         for params, result in grid.items():
             # Under top-r only the cliques are pinned: each task prunes
             # against its own size heap, so counters follow the split.
-            assert result.cliques == _pure(params, top_r=10).cliques, params
+            assert result.cliques == _sequential(params, top_r=10).cliques, params
 
     def test_grid_result_lookup_api(self, paper_graph):
         engine = SignedCliqueEngine(paper_graph)
@@ -558,12 +562,12 @@ class TestEntryKeys:
 
 
 class TestTopRServing:
-    """Compute == memory hit == disk hit == one-shot pure oracle."""
+    """Compute == memory hit == disk hit == one-shot sequential search."""
 
     def test_all_tiers_replay_the_compute(self, random_graph, tmp_path):
         cache = tmp_path / "cache"
         params = AlphaK(2, 2)
-        oracle = MSCE(random_graph, params, compile=False).top_r(3)
+        oracle = MSCE(random_graph, params).top_r(3)
 
         engine = SignedCliqueEngine(random_graph, cache_dir=cache)
         computed = engine.top_r_with_stats(2, 2, 3)
