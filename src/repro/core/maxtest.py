@@ -241,6 +241,14 @@ def make_mask_maxtest(
         viable = viable_extensions(members)
         if not viable:
             return True
+        # Single-node witness: a viable v with enough positive edges into
+        # a valid clique extends it by itself, which is the answer the
+        # full search would reach. The clique check keeps the shortcut
+        # exact on member sets that are not (alpha, k)-cliques.
+        if any(
+            bit_count(pos_masks[v] & members) >= threshold for v in iter_bits(viable)
+        ) and is_clique(members):
+            return False
         return not extension_search(members, viable, bit_count(members))
 
     def paper(members: int) -> bool:

@@ -64,8 +64,13 @@ and frames *will* misbehave on long production runs:
   collapse, ``KeyboardInterrupt`` — drains the result queue for rows
   healthy workers already completed, cancels the task queues' feeder
   joins (so a full queue cannot hang shutdown), joins or terminates
-  every child, and closes all queues. The shared graph segment itself
-  is owned by the caller (plus a crash-path finalizer in
+  every child, and closes all queues. A clean exit (every worker
+  returned with code 0, none lost during the run) drains without
+  waiting: a worker that returned normally has flushed its queue feeder
+  into the pipe. Only after a lost, terminated or failed worker does
+  the drain wait out the timed salvage window for rows still in
+  flight. The shared graph segment itself is owned by the caller (plus
+  a crash-path finalizer in
   :class:`~repro.fastpath.shared.SharedCompiledGraph`).
 
 Completion accounting lives entirely in the parent: ``pending`` starts
@@ -107,10 +112,11 @@ DEFAULT_PREFETCH = 2
 
 #: Seconds the graceful shutdown path spends draining the result queue
 #: for rows healthy workers completed while a sibling failed. The window
-#: only bounds the *salvage* sweep after sentinels were acknowledged —
-#: normal completion never waits on it — so it trades a small worst-case
-#: shutdown delay against losing finished work; ``drain_timeout`` on
-#: :class:`WorkStealingScheduler` overrides it per run.
+#: only bounds the *salvage* sweep that runs when some worker was lost,
+#: terminated or exited nonzero — a clean exit drains without waiting —
+#: so it trades a small worst-case shutdown delay against losing
+#: finished work; ``drain_timeout`` on :class:`WorkStealingScheduler`
+#: overrides it per run.
 RESULT_DRAIN_TIMEOUT = 0.5
 
 #: A task on the wire: (candidates mask, included mask).
@@ -523,10 +529,11 @@ class WorkStealingScheduler:
         metrics (``worker_tasks``, the ``task_recursions`` histogram).
 
         *local_work* (the parent's inline small-component sweep) runs
-        after the pool is seeded and before result pumping, so it
-        overlaps with the workers' first tasks. The returned clique
-        rows are duplicate-free by construction (frames partition the
-        search tree; a retried frame's rows are counted exactly once).
+        after the workers are spawned and handed their first tasks (up
+        to ``prefetch`` each) and before result pumping, so it overlaps
+        with the workers' first tasks. The returned clique rows are
+        duplicate-free by construction (frames partition the search
+        tree; a retried frame's rows are counted exactly once).
         The leftovers list frames that did **not** finish — empty on a
         healthy exhaustive run, populated when a deadline / memory
         guard tripped or the pool collapsed. Each leftover carries its
@@ -557,6 +564,9 @@ class WorkStealingScheduler:
             else:
                 for slot in range(self.workers):
                     self._try_spawn(slot, 0)
+                # Seed the pool before the inline sweep, so the workers
+                # search while the parent does.
+                self._assign()
                 if local_work is not None:
                     local_work()
                 self._pump(guard)
@@ -835,14 +845,16 @@ class WorkStealingScheduler:
     def _shutdown(self, graceful: bool) -> None:
         """Stop the pool; never hang, never silently drop finished rows.
 
-        The graceful path sends sentinels, joins briefly, then drains
-        the result queue so rows completed by healthy workers while
-        another one failed are still merged (they arrive ahead of the
-        sentinel acknowledgements). The emergency path (unexpected
-        parent exception, ``KeyboardInterrupt``) terminates children
-        immediately. Both paths ``cancel_join_thread()`` every task
-        queue — the parent is their only writer, and a full queue must
-        not block interpreter exit — and close all queues.
+        The graceful path sends sentinels and joins briefly. If every
+        worker then exited with code 0 and none was lost during the run,
+        it drains what is already readable without waiting. Otherwise it
+        drains for up to ``drain_timeout`` seconds, so rows completed by
+        healthy workers while another one failed are still merged. The
+        emergency path (unexpected parent exception,
+        ``KeyboardInterrupt``) terminates children immediately. Both
+        paths ``cancel_join_thread()`` every task queue — the parent is
+        their only writer, and a full queue must not block interpreter
+        exit — and close all queues.
         """
         workers = list(self._pool.values())
         self._pool.clear()
@@ -858,22 +870,30 @@ class WorkStealingScheduler:
                 if worker.process.is_alive():
                     worker.process.terminate()
                     worker.process.join(timeout=1.0)
-            # Salvage completed rows that were still in flight
-            # (satellite guarantee: a crashed sibling must not cost a
-            # healthy worker its finished tasks).
-            deadline = time.monotonic() + self.drain_timeout
-            while time.monotonic() < deadline:
-                try:
-                    message = self._result_queue.get(timeout=0.05)
-                except queue_module.Empty:
-                    break
-                except (EOFError, OSError):  # pragma: no cover
-                    self._corrupt_messages += 1
-                    break
-                try:
-                    self._handle(message)
-                except Exception:  # pragma: no cover - defensive
-                    self._corrupt_messages += 1
+            if self._workers_lost == 0 and all(
+                worker.process.exitcode == 0 for worker in workers
+            ):
+                # Every worker returned normally, and a normal exit joins
+                # the result queue's feeder thread, so every message the
+                # pool sent is already readable.
+                self._drain_available()
+            else:
+                # Salvage completed rows that were still in flight (a
+                # crashed sibling must not cost a healthy worker its
+                # finished tasks).
+                deadline = time.monotonic() + self.drain_timeout
+                while time.monotonic() < deadline:
+                    try:
+                        message = self._result_queue.get(timeout=0.05)
+                    except queue_module.Empty:
+                        break
+                    except (EOFError, OSError):  # pragma: no cover
+                        self._corrupt_messages += 1
+                        break
+                    try:
+                        self._handle(message)
+                    except Exception:  # pragma: no cover - defensive
+                        self._corrupt_messages += 1
         else:
             for worker in workers:
                 worker.process.terminate()

@@ -21,7 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import MSCE, AlphaK, enumerate_grid, enumerate_parallel
+from repro.core import (
+    MSCE,
+    AlphaK,
+    WorkStealingScheduler,
+    enumerate_grid,
+    enumerate_parallel,
+)
 from repro.exceptions import SharedMemoryError, WorkerCrashError
 from repro.fastpath import compile_graph
 from repro.fastpath import storage
@@ -96,8 +102,94 @@ def _no_leaks():
     assert not multiprocessing.active_children()
 
 
+class _RecordingQueue:
+    """Result-queue proxy that counts blocking ``get`` calls."""
+
+    def __init__(self, queue):
+        self._queue = queue
+        self.blocking_gets = 0
+
+    def get(self, block=True, timeout=None):
+        if block:
+            self.blocking_gets += 1
+        return self._queue.get(block, timeout)
+
+    def __getattr__(self, name):
+        return getattr(self._queue, name)
+
+
+@pytest.fixture
+def shutdown_queues(monkeypatch):
+    """The result queue of every ``_shutdown`` call, wrapped in a recorder."""
+    recorded = []
+    real_shutdown = WorkStealingScheduler._shutdown
+
+    def recording_shutdown(self, graceful):
+        self._result_queue = _RecordingQueue(self._result_queue)
+        recorded.append(self._result_queue)
+        real_shutdown(self, graceful)
+
+    monkeypatch.setattr(WorkStealingScheduler, "_shutdown", recording_shutdown)
+    return recorded
+
+
+class TestSchedulerFixedCosts:
+    def test_local_work_overlaps_seeded_workers(self):
+        """The inline sweep runs while every worker already holds a task."""
+        graph = _fault_graph(seed=13, components=max(3, WORKERS))
+        compiled = compile_graph(graph)
+        by_component = {}
+        for node in graph.nodes():
+            by_component.setdefault(node // 100, set()).add(node)
+        tasks = [
+            (0, (compiled.mask_from_nodes(nodes), 0))
+            for _, nodes in sorted(by_component.items())
+        ]
+        assert len(tasks) >= WORKERS
+        shared = SharedCompiledGraph.create(compiled)
+        try:
+            scheduler = WorkStealingScheduler(
+                shared, WORKERS, [AlphaK(1.5, 1)], "greedy", "exact", 0
+            )
+            in_flight = []
+            scheduler.run_grouped(
+                tasks,
+                local_work=lambda: in_flight.append(
+                    {slot: len(w.in_flight) for slot, w in scheduler._pool.items()}
+                ),
+            )
+        finally:
+            shared.close()
+            shared.unlink()
+        assert len(in_flight) == 1
+        assert sorted(in_flight[0]) == list(range(WORKERS))
+        assert all(count >= 1 for count in in_flight[0].values())
+        report = scheduler.report
+        assert report["tasks_completed"] == len(tasks) + report["frames_resplit"]
+
+    def test_healthy_shutdown_never_waits_on_the_result_queue(self, shutdown_queues):
+        graph = _fault_graph(seed=13)
+        expected = _fingerprint(MSCE(graph, AlphaK(1.5, 1)).enumerate_all())
+        result = enumerate_parallel(graph, 1.5, 1, workers=WORKERS, **SPLIT_KNOBS)
+        assert _fingerprint(result) == expected
+        assert result.parallel["workers_lost"] == 0
+        assert len(shutdown_queues) == 1
+        assert shutdown_queues[0].blocking_gets == 0
+
+    def test_delayed_messages_are_all_merged_by_a_clean_shutdown(self, shutdown_queues):
+        """Slow result messages must still be merged when the clean path
+        drains without waiting."""
+        graph = _fault_graph(seed=13)
+        expected = _fingerprint(MSCE(graph, AlphaK(1.5, 1)).enumerate_all())
+        with injected(FaultPlan(message_delay=0.005)):
+            result = enumerate_parallel(graph, 1.5, 1, workers=WORKERS, **SPLIT_KNOBS)
+        assert _fingerprint(result) == expected
+        assert not result.interrupted
+        assert shutdown_queues[0].blocking_gets == 0
+
+
 class TestWorkerCrashRecovery:
-    def test_killed_worker_changes_nothing(self):
+    def test_killed_worker_changes_nothing(self, shutdown_queues):
         """Acceptance: a worker killed mid-run yields the same clique set
         and SearchStats as an undisturbed sequential run."""
         graph = _fault_graph(seed=13)
@@ -105,6 +197,8 @@ class TestWorkerCrashRecovery:
         with injected(FaultPlan(kill_at_frame={0: 5})):
             result = enumerate_parallel(graph, 1.5, 1, workers=WORKERS, **SPLIT_KNOBS)
         assert _fingerprint(result) == expected
+        # A lost worker sends shutdown through the timed salvage drain.
+        assert shutdown_queues[0].blocking_gets >= 1
         report = result.parallel
         assert report["workers_lost"] >= 1
         assert report["respawns"] >= 1

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AlphaK, brute_force_maximal, is_alpha_k_clique, is_maximal
+from repro.core import maxtest as maxtest_module
 from repro.core.maxtest import make_mask_maxtest, make_maxtest, single_extension_test
 from repro.exceptions import ParameterError
 from repro.fastpath import compile_graph
@@ -133,6 +134,49 @@ class TestExactAgainstBruteForce:
                     for exact, paper in tests:
                         assert exact(subset_set) == expected
                         assert not paper(subset_set) or expected
+
+
+class TestSingleWitnessShortcut:
+    """The mask exact test answers single-node witnesses without searching.
+
+    ``icore_fast`` is the first kernel the extension search calls (every
+    case here has a positive threshold and viable candidates), so a spy
+    on it tells whether the search was entered.
+    """
+
+    @staticmethod
+    def _spied_exact(monkeypatch, graph, params):
+        calls = []
+        real = maxtest_module.icore_fast
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(maxtest_module, "icore_fast", spy)
+        compiled = compile_graph(graph)
+        exact = make_mask_maxtest("exact", compiled, params)
+        return (lambda members: exact(compiled.mask_from_nodes(members))), calls
+
+    def test_single_node_witness_skips_extension_search(self, monkeypatch, paper_graph):
+        # {1, 2, 4, 5} is a (3, 1)-clique that node 3 extends on its own.
+        params = AlphaK(3, 1)
+        exact, calls = self._spied_exact(monkeypatch, paper_graph, params)
+        assert not exact({1, 2, 4, 5})
+        assert calls == []
+
+    def test_two_node_extension_still_searches(self, monkeypatch):
+        # Neither v nor w has enough positive edges into C alone, so only
+        # the search finds C u {v, w}.
+        params = AlphaK(1.5, 2)
+        edges = _positive_clique("abcd") + [
+            ("v", "a", "+"), ("v", "b", "+"), ("v", "c", "-"), ("v", "d", "-"),
+            ("w", "a", "+"), ("w", "b", "+"), ("w", "c", "-"), ("w", "d", "-"),
+            ("v", "w", "+"),
+        ]
+        exact, calls = self._spied_exact(monkeypatch, SignedGraph(edges), params)
+        assert not exact(set("abcd"))
+        assert calls
 
 
 class TestFactory:

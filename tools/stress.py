@@ -1,9 +1,11 @@
 """Randomized differential stress harness.
 
 Runs the full cross-validation battery on a stream of random signed
-graphs: MSCE under every branch strategy vs brute force, MCBasic vs
-MCNew, query search vs filtered enumeration, the dynamic index vs
-recompute, and the greedy heuristic's subset property. This is the
+graphs: MSCE under every branch strategy vs brute force, the compiled
+exact maxtest vs the node-set one, MCBasic vs MCNew, query search vs
+filtered enumeration, the dynamic index vs recompute, the greedy
+heuristic's subset property, and (every 25th trial) the two-worker
+parallel enumerator vs the sequential one. This is the
 long-running version of `tests/test_cross_validation.py` — run it after
 touching the enumeration core:
 
@@ -23,12 +25,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import AlphaK, SignedGraph, brute_force_maximal  # noqa: E402
-from repro.core import MSCE  # noqa: E402
+from repro.core import MSCE, enumerate_parallel  # noqa: E402
 from repro.core.dynamic import DynamicSignedCliqueIndex  # noqa: E402
 from repro.core.heuristic import greedy_signed_cliques  # noqa: E402
 from repro.core.mcbasic import mccore_basic  # noqa: E402
+from repro.core.maxtest import is_maximal, make_mask_maxtest  # noqa: E402
 from repro.core.mcnew import mccore_new  # noqa: E402
 from repro.core.query import signed_cliques_containing  # noqa: E402
+from repro.fastpath import compile_graph  # noqa: E402
+
+#: Every this many trials, also run the two-worker parallel enumerator.
+PARALLEL_EVERY = 25
+
+
+def _fingerprint(result):
+    return (
+        [(c.nodes, c.positive_edges, c.negative_edges) for c in result.cliques],
+        result.stats.as_dict(),
+    )
 
 
 def random_instance(rng: random.Random):
@@ -59,6 +73,30 @@ def run_trial(rng: random.Random, trial: int) -> None:
             .cliques
         }
         assert got == truth, f"MSCE[{selection}] diverged: {context}"
+
+    compiled = compile_graph(graph)
+    mask_exact = make_mask_maxtest("exact", compiled, params)
+    probes = list(truth) + [c - {v} for c in truth if len(c) > 1 for v in c]
+    for probe in probes:
+        assert mask_exact(compiled.mask_from_nodes(probe)) == is_maximal(
+            graph, set(probe), params
+        ), f"mask maxtest diverged on {sorted(probe)}: {context}"
+
+    if trial % PARALLEL_EVERY == 0:
+        # Knobs small enough that even these tiny graphs ship frames to
+        # the workers and re-split them.
+        parallel = enumerate_parallel(
+            graph,
+            params.alpha,
+            params.k,
+            workers=2,
+            small_component=1,
+            split_component=6,
+            task_budget=2,
+        )
+        assert _fingerprint(parallel) == _fingerprint(
+            MSCE(graph, params).enumerate_all()
+        ), f"parallel enumeration diverged: {context}"
 
     assert mccore_basic(graph, params) == mccore_new(graph, params), (
         f"MCBasic != MCNew: {context}"
