@@ -150,7 +150,7 @@ def icore_tracked(
     degrees: Optional[Dict[Node, int]] = None,
     sign: str = "positive",
 ) -> Tuple[bool, Set[Node], Dict[Node, int]]:
-    """Degree-tracked ICore for the enumeration inner loop.
+    """Degree-tracked ICore for repeated calls over shrinking sets.
 
     Semantically identical to :func:`icore`, but built for repeated calls
     over shrinking candidate sets: *members* is peeled **in place** (the
@@ -158,9 +158,9 @@ def icore_tracked(
     (within-*members* degree of every member, for the selected sign
     class) is reused and updated instead of recomputed. The returned map
     reflects the surviving core exactly, so callers can keep threading
-    it through child search frames with cheap decremental updates —
-    this is what makes MSCE's per-recursion core pruning O(changes)
-    instead of O(|R|).
+    it through shrinking subproblems with cheap decremental updates:
+    O(changes) per call instead of O(|R|). (The MSCE search keeps its
+    degrees bit-sliced instead, see :class:`repro.models.alpha_k.AlphaKMaskOps`.)
 
     On failure the partially-peeled *members*/*degrees* are returned as
     is; callers are expected to discard the frame.

@@ -58,6 +58,7 @@ from repro.graphs.signed_graph import Node, SignedGraph
 from repro.limits import ResourceGuard, make_guard
 from repro.models import make_constraint, resolve_model
 from repro.obs import runtime as obs
+from repro.obs import metrics
 from repro.obs.metrics import MetricsRegistry
 
 #: Registry metric name prefix for the :class:`SearchStats` counters
@@ -121,6 +122,14 @@ class SearchStats:
         self.model: Optional[str] = None
         for name in _STAT_FIELDS:
             setattr(self, "_c_" + name, self.registry.counter(STAT_METRIC_PREFIX + name))
+
+    def counter(self, field: str) -> metrics.Counter:
+        """The registry counter behind *field*, for hot loops to write directly.
+
+        ``stats.counter("recursions").value += 1`` is the same update
+        as ``stats.recursions += 1`` without the property dispatch.
+        """
+        return getattr(self, "_c_" + field)
 
     def as_dict(self) -> Dict[str, int]:
         """Return the counters as a plain dictionary."""
@@ -671,6 +680,7 @@ class MSCE:
         size_heap: List[int],
         top_r: Optional[int],
         stats: SearchStats,
+        edges: Optional[Tuple[int, int]] = None,
     ) -> None:
         if self.min_size is not None and len(members) < self.min_size:
             return
@@ -684,7 +694,7 @@ class MSCE:
             if self.audit:
                 raise AssertionError(f"duplicate maximal clique emitted: {sorted(map(repr, key))}")
             return
-        clique = SignedClique.from_nodes(self.graph, key, self.params)
+        clique = SignedClique.from_nodes(self.graph, key, self.params, edges=edges)
         if self.audit:
             self.constraint.audit_check(self.graph, clique)
         found[key] = clique

@@ -106,10 +106,21 @@ class SignedClique:
 
     @classmethod
     def from_nodes(
-        cls, graph: SignedGraph, nodes: Iterable[Node], params: AlphaK
+        cls,
+        graph: SignedGraph,
+        nodes: Iterable[Node],
+        params: AlphaK,
+        edges: Optional[Tuple[int, int]] = None,
     ) -> "SignedClique":
-        """Build a result object, counting internal edges by sign."""
+        """Build a result object, counting internal edges by sign.
+
+        *edges*, when given, is the already-known ``(positive,
+        negative)`` internal edge count and skips the count in *graph*.
+        """
         member_set = frozenset(nodes)
+        if edges is not None:
+            pos, neg = edges
+            return cls(nodes=member_set, params=params, positive_edges=pos, negative_edges=neg)
         pos = 0
         neg = 0
         for node in member_set:

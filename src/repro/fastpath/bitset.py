@@ -6,11 +6,17 @@ through CPython's C big-integer kernels — intersection is one ``&`` over
 packed 30-bit digits instead of a hashed probe per element — which is
 what makes the fastpath pruning loops cheap.
 
-Two layers are provided:
+Three layers are provided:
 
 * module functions (:func:`bit_count`, :func:`iter_bits`,
   :func:`mask_of`) operating on raw ``int`` masks — these are what the
   kernels use on hot paths;
+* bit-sliced counters (:func:`sliced_counts` and friends): one small
+  non-negative counter per node, stored as a list of masks ``planes``
+  with bit ``b`` of node ``v``'s count in ``planes[b]``, lowest bit
+  first. Comparing every counter against a constant, taking the
+  minimum or decrementing a whole set of counters then costs
+  O(log(max count)) big-int operations instead of one per node;
 * :class:`IntBitset`, a small mutable set-like wrapper used by the BBE
   search frames where readability matters more than the last few
   nanoseconds.
@@ -18,7 +24,7 @@ Two layers are provided:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List, Sequence
 
 #: bytes.translate table mapping each byte to its popcount, so the 3.9
 #: fallback counts bits via two C-level passes (to_bytes + translate).
@@ -73,6 +79,88 @@ def mask_of(indices: Iterable[int]) -> int:
     for index in indices:
         mask |= 1 << index
     return mask
+
+
+def sliced_counts(rows: Sequence[int], scope: int) -> List[int]:
+    """Bit-sliced ``bit_count(rows[v] & scope)`` for every ``v`` in *scope*.
+
+    *rows* must be symmetric (``u`` in ``rows[v]`` iff ``v`` in
+    ``rows[u]``), as adjacency rows are: the counts are then built by
+    adding the row ``rows[u] & scope`` of each member ``u`` as a
+    ripple-carry increment. Counters of nodes outside *scope* are zero.
+    """
+    planes: List[int] = []
+    rest = scope
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        carry = rows[low.bit_length() - 1] & scope
+        for b, plane in enumerate(planes):
+            planes[b] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
+def sliced_decrement(planes: List[int], mask: int) -> None:
+    """Subtract one from the counter of every node in *mask*, in place.
+
+    Every counter in *mask* must be at least one. Planes that become
+    empty at the top are dropped, so ``len(planes)`` stays the bit
+    length of the largest counter.
+    """
+    b = 0
+    while mask:
+        plane = planes[b]
+        planes[b] = plane ^ mask
+        mask &= ~plane
+        b += 1
+    while planes and not planes[-1]:
+        planes.pop()
+
+
+def sliced_below(planes: Sequence[int], scope: int, bound: int) -> int:
+    """The nodes of *scope* whose counter is less than *bound*.
+
+    One most-significant-first comparison against the constant: a node
+    leaves ``equal`` at the first bit where it differs from *bound*,
+    into ``below`` when that bit of *bound* is the set one.
+    """
+    if bound <= 0:
+        return 0
+    top = len(planes)
+    if bound >> top:  # bound >= 2**top exceeds every counter
+        return scope
+    below = 0
+    equal = scope
+    for b in range(top - 1, -1, -1):
+        plane = planes[b]
+        if (bound >> b) & 1:
+            below |= equal & ~plane
+            equal &= plane
+        else:
+            equal &= ~plane
+        if not equal:
+            break
+    return below
+
+
+def sliced_min(planes: Sequence[int], scope: int) -> int:
+    """The nodes of *scope* whose counter is minimal within *scope* (0 if empty)."""
+    for plane in reversed(planes):
+        zeros = scope & ~plane
+        if zeros:
+            scope = zeros
+    return scope
+
+
+def sliced_total(planes: Sequence[int]) -> int:
+    """The sum of all counters."""
+    return sum(bit_count(plane) << b for b, plane in enumerate(planes))
 
 
 class IntBitset:

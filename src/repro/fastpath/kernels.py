@@ -104,7 +104,7 @@ def core_numbers_fast(
 
 
 # ----------------------------------------------------------------------
-# ICore (port of repro.algorithms.kcore.icore / icore_tracked)
+# ICore (port of repro.algorithms.kcore.icore)
 # ----------------------------------------------------------------------
 
 
@@ -164,50 +164,6 @@ def icore_fast(
     if not members:
         return False, 0
     return True, members
-
-
-def icore_tracked_fast(
-    compiled: CompiledGraph,
-    fixed_mask: int,
-    tau: int,
-    members: int,
-    degrees: Optional[Dict[int, int]] = None,
-    sign: str = "positive",
-) -> Tuple[bool, int, Dict[int, int]]:
-    """Bitmask port of :func:`repro.algorithms.kcore.icore_tracked`.
-
-    *degrees* maps surviving indices to their within-*members* degree
-    for the sign class and is updated decrementally, exactly like the
-    pure version, so BBE frames can thread it through children. On
-    failure the partially-peeled state is returned for the caller to
-    discard.
-    """
-    masks = compiled.masks(sign)
-    if degrees is None:
-        degrees = {i: bit_count(masks[i] & members) for i in iter_bits(members)}
-    queue: deque = deque()
-    queued = 0
-    for i, d in degrees.items():
-        if d < tau:
-            if (fixed_mask >> i) & 1:
-                return False, members, degrees
-            queue.append(i)
-            queued |= 1 << i
-    while queue:
-        i = queue.popleft()
-        members &= ~(1 << i)
-        del degrees[i]
-        for j in iter_bits(masks[i] & members & ~queued):
-            d = degrees[j] - 1
-            degrees[j] = d
-            if d < tau:
-                if (fixed_mask >> j) & 1:
-                    return False, members, degrees
-                queue.append(j)
-                queued |= 1 << j
-    if not members:
-        return False, members, degrees
-    return True, members, degrees
 
 
 def budget_violators(neg_masks: List[int], members: int, scope: int, budget: int) -> int:

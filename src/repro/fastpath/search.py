@@ -11,18 +11,21 @@ and a full compilation of the same nodes walk the same tree.
 The *rules* themselves are pluggable: the enumerator's
 :class:`~repro.models.base.SignedConstraint` supplies a
 :class:`~repro.models.base.FrameOps` binding (prune bound, early
-termination feasibility, include-branch budget update, per-frame state
-threading), so the skeleton here is model-neutral — MSCE's (alpha, k)
-rules live in :mod:`repro.models.alpha_k`, the balanced-clique rules in
+termination feasibility, include-branch budget update, greedy
+candidates, per-frame state threading), so the skeleton here is
+model-neutral — MSCE's (alpha, k) rules live in
+:mod:`repro.models.alpha_k`, the balanced-clique rules in
 :mod:`repro.models.balanced`, and both inherit the resumable frames,
 offload/spill driving loops, and guard handling below unchanged.
 
-The search is *resumable*: a frame ``(candidates, included, degrees)``
-is a self-contained subproblem, :meth:`FrameSearch.expand` processes
-exactly one frame, and :meth:`FrameSearch.run` drives a DFS over an
-explicit list of frames with an optional per-call *budget*. When the
-budget is exceeded the deepest unexplored branches — the frames at the
-bottom of the DFS stack, which root the largest subtrees — are handed
+The search is *resumable*: a frame ``(candidates, included, state)``
+is a self-contained subproblem (``state`` is the model's threaded
+bookkeeping, opaque here and recomputable from the two masks),
+:meth:`FrameSearch.expand` processes exactly one frame, and
+:meth:`FrameSearch.run` drives a DFS over an explicit list of frames
+with an optional per-call *budget*. When the budget is exceeded the
+deepest unexplored branches — the frames at the bottom of the DFS
+stack, which root the largest subtrees — are handed
 to an ``offload`` callback instead of being recursed into. This is what
 lets the work-stealing scheduler (:mod:`repro.core.scheduler`) re-split
 a running task across worker processes: every frame is still processed
@@ -53,7 +56,7 @@ bookkeeping and result caps.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.limits import ResourceGuard
@@ -61,8 +64,21 @@ from repro.limits import ResourceGuard
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.bbe import MSCE, SearchStats
 
-#: A search frame: (candidates mask, included mask, threaded state map).
-Frame = Tuple[int, int, Optional[Dict[int, int]]]
+#: A search frame: (candidates mask, included mask, the model's threaded
+#: state or ``None`` to recompute it).
+Frame = Tuple[int, int, Any]
+
+#: The :class:`~repro.core.bbe.SearchStats` counters :meth:`FrameSearch.expand`
+#: writes, bound once per search.
+_EXPAND_COUNTERS = (
+    "recursions",
+    "core_prunes",
+    "topr_prunes",
+    "early_terminations",
+    "maxtests",
+    "clique_pruned_candidates",
+    "negative_pruned_candidates",
+)
 
 #: How many bottom-of-stack frames one budget overrun may offload.
 MAX_OFFLOAD = 16
@@ -96,7 +112,7 @@ class FrameSearch:
         "ops",
         "select",
         "maxtest",
-    )
+    ) + tuple("_" + name for name in _EXPAND_COUNTERS)
 
     def __init__(
         self,
@@ -135,6 +151,10 @@ class FrameSearch:
         self.select = _make_selector(msce, self.ops, compiled)
         #: The model's maximality test over masks of this graph.
         self.maxtest = msce.constraint.make_maxtest(msce.maxtest_kind, compiled)
+        # The registry counters behind `stats`, written directly: a
+        # SearchStats property write costs several times a slot write.
+        for name in _EXPAND_COUNTERS:
+            setattr(self, "_" + name, stats.counter(name))
 
     # ------------------------------------------------------------------
     # Frame processing
@@ -150,36 +170,35 @@ class FrameSearch:
         :class:`~repro.core.bbe.SearchStats` no matter how frames are
         distributed over tasks and processes.
         """
-        msce = self.msce
-        stats = self.stats
         ops = self.ops
-        candidates, included, degrees = frame
-        stats.recursions += 1
+        candidates, included, state = frame
+        self._recursions.value += 1
 
-        flag, candidates, degrees = ops.prune_bound(candidates, included, degrees)
+        flag, candidates, state = ops.prune_bound(candidates, included, state)
         if not flag:
-            stats.core_prunes += 1
+            self._core_prunes.value += 1
             return None
 
         size = bit_count(candidates)
         if self.min_size is not None and size < self.min_size:
-            stats.topr_prunes += 1
+            self._topr_prunes.value += 1
             return None
         top_r = self.top_r
         if top_r is not None and len(self.size_heap) >= top_r and size < self.size_heap[0]:
-            stats.topr_prunes += 1
+            self._topr_prunes.value += 1
             return None
 
-        if ops.feasible(candidates, degrees):
-            stats.early_terminations += 1
-            stats.maxtests += 1
+        if ops.feasible(candidates, state):
+            self._early_terminations.value += 1
+            self._maxtests.value += 1
             if self.maxtest(candidates):
-                msce._emit(
+                self.msce._emit(
                     self.compiled.nodes_from_mask(candidates),
                     self.found,
                     self.size_heap,
                     top_r,
-                    stats,
+                    self.stats,
+                    ops.leaf_edges(candidates, state),
                 )
             return None
 
@@ -189,23 +208,23 @@ class FrameSearch:
             # implies the feasibility check fired); defensive for
             # ablation modes.
             return None
-        branch = self.select(candidates, included, degrees)
+        branch = self.select(candidates, included, state)
         branch_bit = 1 << branch
         new_included = included | branch_bit
 
-        keep, clique_pruned, negative_pruned = ops.update_budgets(
-            candidates, included, new_included, branch
+        keep, clique_pruned, negative_pruned, budget = ops.update_budgets(
+            candidates, included, new_included, branch, state
         )
-        stats.clique_pruned_candidates += clique_pruned
-        stats.negative_pruned_candidates += negative_pruned
+        self._clique_pruned_candidates.value += clique_pruned
+        self._negative_pruned_candidates.value += negative_pruned
 
         # Exclude branch: candidates lose the branch node.
         exclude_candidates = candidates & ~branch_bit
-        exclude_degrees = ops.exclude_degrees(branch, exclude_candidates, degrees)
-        include_degrees = ops.include_degrees(candidates, keep, degrees)
+        exclude_state = ops.exclude_degrees(branch, exclude_candidates, state)
+        include_state = ops.include_degrees(candidates, keep, state, budget)
         return (
-            (keep, new_included, include_degrees),
-            (exclude_candidates, included, exclude_degrees),
+            (keep, new_included, include_state),
+            (exclude_candidates, included, exclude_state),
         )
 
     # ------------------------------------------------------------------
@@ -224,7 +243,7 @@ class FrameSearch:
         With a *budget*, every ``budget`` processed frames up to
         *max_offload* frames are taken **from the bottom of the stack**
         (the largest unexplored subtrees) and passed to *offload* as
-        plain ``(candidates, included)`` pairs — threaded degree state
+        plain ``(candidates, included)`` pairs — threaded state
         is dropped, which changes nothing observable: the receiving
         frame recomputes it, producing identical results and counters.
         The offload points depend only on the processed-frame count,
@@ -237,8 +256,8 @@ class FrameSearch:
         kept bounded in RAM: whenever it crosses the frontier's
         high-water mark the bottom-of-stack frames — the same largest
         unexplored subtrees offload would take — are spilled to its
-        disk-backed :class:`~repro.fastpath.storage.FrameStore` (tracked
-        degrees dropped, recomputed on reload) and pulled back only when
+        disk-backed :class:`~repro.fastpath.storage.FrameStore` (threaded
+        state dropped, recomputed on reload) and pulled back only when
         the in-memory stack drains. Spill timing may consult wall-clock
         RSS because it only decides *where frames wait*, never which
         frames are expanded: cliques and stats stay bit-identical to an
@@ -304,7 +323,7 @@ class FrameSearch:
                 if take > 0:
                     frontier.spill(
                         (candidates, included)
-                        for candidates, included, _degrees in stack[:take]
+                        for candidates, included, _state in stack[:take]
                     )
                     del stack[:take]
             if (
@@ -314,7 +333,7 @@ class FrameSearch:
                 and len(stack) > 1
             ):
                 take = min(max_offload, len(stack) - 1)
-                for candidates, included, _degrees in stack[:take]:
+                for candidates, included, _state in stack[:take]:
                     offload((candidates, included))
                 del stack[:take]
                 processed = 0
@@ -410,39 +429,29 @@ def _make_selector(msce: "MSCE", ops, compiled):
 
     ``"greedy"`` picks the free candidate of minimum model degree,
     ``"first"`` the smallest by node ``repr``, ``"random"`` a uniform
-    draw. The greedy score is the model's tracked degree when the frame
-    threads a degree map (MSCE: positive degree inside ``R``), read
-    straight from the map, and otherwise
-    :meth:`~repro.models.base.FrameOps.branch_degree` (balanced:
-    sign-blind degree). Tie-breaking goes through the compiled
-    ``repr``-rank permutation, so the chosen node does not depend on
-    the index space. With ``frame_rng`` the random strategy
-    hashes the frame's free candidates (by node ``repr``, so the draw is
-    independent of the compiled index space) instead of consuming a
-    sequential RNG stream; see :func:`repro.core.bbe.frame_draw`.
+    draw. The model names the greedy candidates,
+    :meth:`~repro.models.base.FrameOps.min_degree_set` (MSCE: minimum
+    positive degree inside ``R``; balanced: sign-blind degree).
+    Tie-breaking goes through the compiled ``repr``-rank permutation, so
+    the chosen node does not depend on the index space. With
+    ``frame_rng`` the random strategy hashes the frame's free candidates
+    (by node ``repr``, so the draw is independent of the compiled index
+    space) instead of consuming a sequential RNG stream; see
+    :func:`repro.core.bbe.frame_draw`.
     """
     repr_rank = compiled.repr_rank
+    min_degree_set = ops.min_degree_set
 
-    def greedy(candidates: int, included: int, degrees: Optional[Dict[int, int]]) -> int:
-        if degrees is not None:
-            return min(
-                (d, repr_rank[i], i)
-                for i, d in degrees.items()
-                if not (included >> i) & 1
-            )[2]
-        best = -1
-        best_key: Optional[Tuple[int, int]] = None
-        for i in iter_bits(candidates & ~included):
-            key = (ops.branch_degree(i, candidates, degrees), repr_rank[i])
-            if best_key is None or key < best_key:
-                best_key = key
-                best = i
-        return best
+    def greedy(candidates: int, included: int, state) -> int:
+        tied = min_degree_set(candidates, included, state)
+        if not tied & (tied - 1):
+            return tied.bit_length() - 1
+        return min(iter_bits(tied), key=repr_rank.__getitem__)
 
-    def first(candidates: int, included: int, degrees) -> int:
+    def first(candidates: int, included: int, state) -> int:
         return min(iter_bits(candidates & ~included), key=repr_rank.__getitem__)
 
-    def randomized(candidates: int, included: int, degrees) -> int:
+    def randomized(candidates: int, included: int, state) -> int:
         free = sorted(iter_bits(candidates & ~included), key=repr_rank.__getitem__)
         if msce.frame_rng:
             from repro.core.bbe import frame_draw

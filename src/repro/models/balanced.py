@@ -51,7 +51,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Set, Tuple
 
 from repro.core.params import AlphaK
-from repro.fastpath.bitset import bit_count, iter_bits
+from repro.fastpath.bitset import bit_count, iter_bits, sliced_counts, sliced_min
 from repro.graphs.signed_graph import Node, SignedGraph
 from repro.models.base import FrameOps, SignedConstraint, masks_via_graph, register_model
 
@@ -121,7 +121,6 @@ class BalancedConstraint(SignedConstraint):
     """Maximal balanced cliques with minimum side size ``tau = params.k``."""
 
     name = "balanced"
-    tracks_degrees = False
     supports_queries = False
 
     @property
@@ -170,13 +169,13 @@ class BalancedMaskOps(FrameOps):
         self.adj_masks = compiled.masks("all")
 
     def prune_bound(
-        self, candidates: int, included: int, degrees
+        self, candidates: int, included: int, state
     ) -> Tuple[bool, int, None]:
         # No core analogue is sound; the generic size floor
         # (search_min_size) is the model's only subspace bound.
         return True, candidates, None
 
-    def feasible(self, members: int, degrees) -> bool:
+    def feasible(self, members: int, state) -> bool:
         if not members:
             return False
         pos_masks = self.pos_masks
@@ -196,8 +195,8 @@ class BalancedMaskOps(FrameOps):
         return True
 
     def update_budgets(
-        self, candidates: int, included: int, new_included: int, branch: int
-    ) -> Tuple[int, int, int]:
+        self, candidates: int, included: int, new_included: int, branch: int, state
+    ) -> Tuple[int, int, int, None]:
         free = candidates & ~new_included
         adjacent = free & self.adj_masks[branch]
         clique_pruned = bit_count(free) - bit_count(adjacent)
@@ -215,15 +214,15 @@ class BalancedMaskOps(FrameOps):
         else:
             keep_free = adjacent
         negative_pruned = bit_count(adjacent) - bit_count(keep_free)
-        return new_included | keep_free, clique_pruned, negative_pruned
+        return new_included | keep_free, clique_pruned, negative_pruned, None
 
-    def exclude_degrees(self, branch: int, exclude_candidates: int, degrees) -> None:
+    def exclude_degrees(self, branch: int, exclude_candidates: int, state) -> None:
         return None
 
-    def include_degrees(self, candidates: int, keep: int, degrees) -> None:
+    def include_degrees(self, candidates: int, keep: int, state, budget) -> None:
         return None
 
-    def branch_degree(self, node: int, candidates: int, degrees) -> int:
+    def min_degree_set(self, candidates: int, included: int, state) -> int:
         # Greedy peels the candidate of minimum sign-blind degree
         # inside R — a degeneracy-style order on the underlying clique.
-        return bit_count(self.adj_masks[node] & candidates)
+        return sliced_min(sliced_counts(self.adj_masks, candidates), candidates & ~included)

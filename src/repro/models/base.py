@@ -38,7 +38,7 @@ parallel run always applies one consistent model.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, Optional, Type
+from typing import Callable, Dict, Iterable, Optional, Tuple, Type
 
 from repro.core.params import AlphaK
 from repro.exceptions import ParameterError
@@ -60,40 +60,50 @@ class FrameOps:
     A binding holds everything the hot loop needs (masks, budgets,
     flags) resolved once, then processes frames through these methods.
     ``candidates`` / ``included`` / ``members`` are bitmasks over the
-    compiled node indices of the graph the search runs on; ``degrees``
-    is the model's per-frame threaded state (``None`` when the model
-    threads nothing).
+    compiled node indices of the graph the search runs on. ``state`` is
+    the model's per-frame threaded state, opaque to the search: only the
+    binding reads it. ``None`` means "nothing threaded"; frames that
+    arrive without state (roots, offloaded or spilled frames) must be
+    handled by recomputing it, so dropping state never changes results
+    or counters.
 
     The contract every binding must honour:
 
-    ``prune_bound(candidates, included, degrees)``
-        Returns ``(flag, candidates, degrees)``. ``flag=False`` prunes
+    ``prune_bound(candidates, included, state)``
+        Returns ``(flag, candidates, state)``. ``flag=False`` prunes
         the whole subspace (counted as a core prune); otherwise the
-        possibly-shrunk candidates/degrees replace the frame's.
-    ``feasible(members, degrees)``
+        possibly-shrunk candidates and the state for them replace the
+        frame's. The other methods receive the state returned here.
+    ``feasible(members, state)``
         ``True`` iff *members* is a valid clique of the model —
         the early-termination check, run once per frame on the full
         candidate set. Excludes reporting thresholds that supersets
         inherit (see :meth:`SignedConstraint.reportable`).
-    ``update_budgets(candidates, included, new_included, branch)``
+    ``min_degree_set(candidates, included, state)``
+        The greedy selector's candidates: the mask of free nodes
+        (``candidates - included``) of minimum model degree. The
+        selector breaks ties by node ``repr`` rank.
+    ``update_budgets(candidates, included, new_included, branch, state)``
         The include-branch candidate filter. Returns
-        ``(keep, clique_pruned, negative_pruned)``: the surviving
-        candidate set (a superset of ``new_included``) plus the two
-        pruning-counter deltas.
-    ``exclude_degrees(branch, exclude_candidates, degrees)``
-        Threaded state for the exclude child ``(candidates - branch)``.
-    ``include_degrees(candidates, keep, degrees)``
-        Threaded state for the include child, or ``None`` to make the
-        child recompute from scratch.
-    ``branch_degree(node, candidates, degrees)``
-        The greedy selector's score for *node* (minimum wins; ties are
-        broken by node ``repr`` rank in the generic selectors). A
-        threaded ``degrees`` map must be keyed by the frame's candidates
-        and hold exactly this score: the selector reads the map directly
-        and calls ``branch_degree`` only when it is ``None``.
+        ``(keep, clique_pruned, negative_pruned, budget)``: the
+        surviving candidate set (a superset of ``new_included``), the
+        two pruning-counter deltas, and whatever of the state the
+        include child inherits from this step (handed on to
+        ``include_degrees``).
+    ``exclude_degrees(branch, exclude_candidates, state)``
+        State for the exclude child ``(candidates - branch)``.
+    ``include_degrees(candidates, keep, state, budget)``
+        State for the include child ``(keep, new_included)``.
+    ``leaf_edges(members, state)``
+        ``(positive, negative)`` internal edge counts of a leaf clique
+        when the state already holds them, else ``None`` (the emitter
+        then counts them in the graph).
     """
 
     __slots__ = ()
+
+    def leaf_edges(self, members: int, state) -> Optional[Tuple[int, int]]:
+        return None
 
 
 class SignedConstraint:
@@ -111,10 +121,6 @@ class SignedConstraint:
 
     #: Registry name; also the cache-key segment and the span attribute.
     name: str = ""
-
-    #: Whether frames thread a tracked-degree map (MSCE's positive
-    #: degrees). Models that thread nothing skip the bookkeeping.
-    tracks_degrees: bool = True
 
     #: Whether the query-driven community search (:mod:`repro.core.query`)
     #: understands this model's seeded subspaces.

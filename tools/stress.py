@@ -4,8 +4,9 @@ Runs the full cross-validation battery on a stream of random signed
 graphs: MSCE under every branch strategy vs brute force, the compiled
 exact maxtest vs the node-set one, MCBasic vs MCNew, query search vs
 filtered enumeration, the dynamic index vs recompute, the greedy
-heuristic's subset property, and (every 25th trial) the two-worker
-parallel enumerator vs the sequential one. This is the
+heuristic's subset property, the MSCE frame-state invariant (with and
+without core pruning), and (every 25th trial) the two-worker parallel
+enumerator vs the sequential one. This is the
 long-running version of `tests/test_cross_validation.py` — run it after
 touching the enumeration core:
 
@@ -20,7 +21,9 @@ import argparse
 import itertools
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -33,6 +36,8 @@ from repro.core.maxtest import is_maximal, make_mask_maxtest  # noqa: E402
 from repro.core.mcnew import mccore_new  # noqa: E402
 from repro.core.query import signed_cliques_containing  # noqa: E402
 from repro.fastpath import compile_graph  # noqa: E402
+from repro.fastpath.bitset import bit_count, iter_bits  # noqa: E402
+from repro.models.alpha_k import AlphaKMaskOps  # noqa: E402
 
 #: Every this many trials, also run the two-worker parallel enumerator.
 PARALLEL_EVERY = 25
@@ -43,6 +48,85 @@ def _fingerprint(result):
         [(c.nodes, c.positive_edges, c.negative_edges) for c in result.cliques],
         result.stats.as_dict(),
     )
+
+
+def frame_state_mismatch(
+    ops: AlphaKMaskOps, candidates: int, included: int, state, complete: bool
+) -> Optional[str]:
+    """What is wrong with an MSCE frame's threaded state, or ``None``.
+
+    Recounts by plain per-node popcounts: ``planes`` must hold the
+    positive degree inside ``candidates`` of exactly its nodes, and
+    ``(levels, blocked)`` the negative counts against ``included``. With
+    *complete*, a part the frame's rules need must also be present.
+    """
+    planes, budget = state
+    if planes is None:
+        if complete and ops.core_pruning:
+            return "positive-degree planes missing"
+    else:
+        if planes and not planes[-1]:
+            return "empty top plane"
+        if any(plane & ~candidates for plane in planes):
+            return "planes hold a node outside R"
+        for v in iter_bits(candidates):
+            held = sum(((plane >> v) & 1) << b for b, plane in enumerate(planes))
+            if held != bit_count(ops.pos_masks[v] & candidates):
+                return f"positive degree of index {v} drifted"
+    if budget is None:
+        if complete and ops.negative_pruning:
+            return "negative budget state missing"
+        return None
+    neg_masks = ops.neg_masks
+    k = ops.neg_budget
+    counts = {}
+    for m in iter_bits(included):
+        for v in iter_bits(neg_masks[m]):
+            counts[v] = counts.get(v, 0) + 1
+    levels = [0] * (k + 1)
+    for v, count in counts.items():
+        for j in range(min(count, k + 1)):
+            levels[j] |= 1 << v
+    blocked = 0
+    for m in iter_bits(included):
+        if counts.get(m, 0) >= k:
+            blocked |= neg_masks[m]
+    if list(budget[0]) != levels:
+        return "negative-count levels drifted"
+    if budget[1] != blocked:
+        return "blocked mask drifted"
+    return None
+
+
+@contextmanager
+def checked_frame_state() -> Iterator[List[int]]:
+    """Check every MSCE frame's state on the way into and out of ``prune_bound``.
+
+    Yields a one-item list counting the checked frames; a mismatch
+    raises ``AssertionError`` from inside the search.
+    """
+    checked = [0]
+    original = AlphaKMaskOps.prune_bound
+
+    def prune_bound(self, candidates, included, state):
+        if state is not None:
+            # Parts left for this frame to recompute may be missing.
+            problem = frame_state_mismatch(self, candidates, included, state, False)
+            if problem is not None:
+                raise AssertionError(f"incoming frame state: {problem}")
+        flag, candidates, state = original(self, candidates, included, state)
+        if flag:
+            problem = frame_state_mismatch(self, candidates, included, state, True)
+            if problem is not None:
+                raise AssertionError(f"frame state after prune_bound: {problem}")
+            checked[0] += 1
+        return flag, candidates, state
+
+    AlphaKMaskOps.prune_bound = prune_bound
+    try:
+        yield checked
+    finally:
+        AlphaKMaskOps.prune_bound = original
 
 
 def random_instance(rng: random.Random):
@@ -73,6 +157,13 @@ def run_trial(rng: random.Random, trial: int) -> None:
             .cliques
         }
         assert got == truth, f"MSCE[{selection}] diverged: {context}"
+
+    for core_pruning in (True, False):
+        with checked_frame_state():
+            checked = MSCE(graph, params, core_pruning=core_pruning).enumerate_all()
+        assert {clique.nodes for clique in checked.cliques} == truth, (
+            f"MSCE[core_pruning={core_pruning}] diverged: {context}"
+        )
 
     compiled = compile_graph(graph)
     mask_exact = make_mask_maxtest("exact", compiled, params)
