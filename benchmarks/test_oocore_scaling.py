@@ -13,8 +13,8 @@ Two exhibits behind ``BENCH_oocore.json``:
 
 * **Cold start** — the wall-clock cost of materialising a usable
   ``CompiledGraph`` in a fresh process stand-in, per transport: mmap
-  attach of a storage artifact, shared-memory attach, and the pickle
-  round-trip the pre-storage worker paid. The mmap attach skips both
+  attach of a storage artifact, and the pickle round-trip a process
+  without the artifact would pay. The mmap attach skips both
   the array copies and the ``__setstate__`` sign-splitting pass, and
   the gate asserts it beats pickle by at least 2x.
 """
@@ -27,7 +27,6 @@ from repro.core import enumerate_parallel
 from repro.experiments.harness import Exhibit, Series, measure_peak_memory
 from repro.fastpath import storage
 from repro.fastpath.compiled import CompiledGraph, compile_graph
-from repro.fastpath.shared import SharedCompiledGraph
 from repro.generators import gnp_signed
 from repro.graphs import SignedGraph
 
@@ -117,29 +116,19 @@ def oocore_cold_start(tmp_dir) -> Exhibit:
     path = str(tmp_dir / "cold.graph")
     compiled.save(path, packed="none")
     blob = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-    shared = SharedCompiledGraph.create(compiled)
 
     def via_mmap():
         attached = CompiledGraph.mmap(path)
         storage.release_views(attached)
         attached._storage.close()
 
-    def via_shm():
-        worker = SharedCompiledGraph.attach(shared.meta)
-        worker.graph
-        worker.close()
-
     def via_pickle():
         pickle.loads(blob)
 
-    try:
-        timings = {
-            "mmap attach": _best_of(via_mmap),
-            "shm attach": _best_of(via_shm),
-            "pickle round-trip": _best_of(via_pickle),
-        }
-    finally:
-        shared.unlink()
+    timings = {
+        "mmap attach": _best_of(via_mmap),
+        "pickle round-trip": _best_of(via_pickle),
+    }
     series = Series("cold-start seconds")
     for label, seconds in timings.items():
         series.add(label, round(seconds, 6))

@@ -30,24 +30,26 @@ point's MCCore, which lies inside the union — so searching the union
 is exactly searching each MCCore.
 
 Frames of every point are driven by one fault-tolerant work-stealing
-pool (:class:`repro.core.scheduler.WorkStealingScheduler`): a worker
-whose subtree exceeds a node budget sheds its deepest unexplored
-branches back to the queue, so load balances adaptively across the
-whole grid even when the presplit guessed wrong; a worker that *dies*
-has its frames retried elsewhere (bounded per frame, then quarantined)
-without perturbing results. Graph data crosses the process boundary
-exactly once, as a :class:`~repro.fastpath.shared.SharedCompiledGraph`
-shared-memory block; tasks themselves are three integers. Components
-below :data:`SMALL_COMPONENT` nodes never ship at all: the parent
-searches them inline while the workers chew on the big frames.
+loop (:class:`repro.core.scheduler.WorkStealingScheduler`) in which
+the calling process is worker 0: it searches queued frames itself, and
+a task whose subtree exceeds a node budget sheds its deepest
+unexplored branches back to the queue. Only once the parent has
+searched :data:`~repro.core.scheduler.HELPER_START_BUDGETS` budgets of
+frames with work still queued does it fork ``workers - 1`` helper
+processes, which inherit the extracted graph and every point's
+:class:`~repro.core.bbe.MSCE` through ``fork``; tasks on the wire are
+four integers. Load balances adaptively across the whole grid even
+when the presplit guessed wrong, and a helper that *dies* has its
+frames retried elsewhere (bounded per frame, then quarantined) without
+perturbing results. Components below :data:`SMALL_COMPONENT` nodes
+never ship at all: the parent sweeps them while the helpers finish.
 
-Robustness: the driver degrades rather than dies. If shared memory
-cannot be allocated, the worker pool cannot spawn, or the pool
-collapses mid-run, the remaining frames are finished inline in the
-parent — same frames, same answers — and the fallback reason is
+Robustness: the driver degrades rather than dies. If helpers cannot
+fork or the pool collapses mid-run, the parent finishes the remaining
+frames itself — same frames, same answers — and the fallback reason is
 recorded in ``result.parallel["degraded"]``. A ``time_limit`` /
 ``max_memory_bytes`` guard stops the run cooperatively across the
-parent and all workers, returning partial
+parent and all helpers, returning partial
 :class:`~repro.core.bbe.EnumerationResult` objects with ``interrupted``
 set on the affected points instead of raising.
 
@@ -61,7 +63,7 @@ worker crashes, and — for the deterministic selection strategies —
 bit-identical to the sequential enumerator.
 
 Observability: the run is wrapped in an ``msce_parallel`` span with
-``enumerate`` / ``merge`` children; worker metrics ride back as
+``enumerate`` / ``merge`` children; helper metrics ride back as
 registry snapshots on terminal messages (exactly-once under retry, see
 :mod:`repro.core.scheduler`) and each point's aggregated snapshot lands
 both in ``result.parallel["metrics"]`` and in the ambient observer's
@@ -73,35 +75,35 @@ from frames outstanding.
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.core.bbe import MSCE, EnumerationResult, SearchStats, compile_floor
-from repro.core.cliques import SignedClique, sort_cliques
+from repro.core.bbe import MSCE, EnumerationResult, compile_floor
+from repro.core.cliques import sort_cliques
 from repro.core.params import AlphaK
 from repro.core.scheduler import (
     DEFAULT_FRAME_RETRIES,
     DEFAULT_MAX_OFFLOAD,
     DEFAULT_TASK_BUDGET,
     RESULT_DRAIN_TIMEOUT,
+    GroupedTask,
+    SearchGroup,
     WorkStealingScheduler,
 )
-from repro.exceptions import ParameterError, SharedMemoryError
+from repro.exceptions import ParameterError
 from repro.fastpath.backend import resolve_backend
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, compile_graph, source_graph
 from repro.fastpath.kernels import component_masks, reduce_mask
-from repro.fastpath.search import FrameSearch, decompose_root
-from repro.fastpath.shared import SharedCompiledGraph
+from repro.fastpath.search import decompose_root
 from repro.fastpath.storage import SpillFrontier
-from repro.graphs.signed_graph import Node, SignedGraph
+from repro.graphs.signed_graph import SignedGraph
 from repro.limits import make_guard, resolve_memory_budget
 from repro.models import make_constraint, resolve_model
 from repro.obs import runtime as obs
 from repro.obs.progress import ProgressEvent, ProgressReporter
 
-#: Components below this node count are searched inline in the parent
-#: while the worker processes handle the large frames.
+#: Components below this node count are never queued as tasks: the
+#: parent sweeps them itself once it has nothing queued.
 SMALL_COMPONENT = 32
 
 #: Components of at least this node count are root-branch decomposed
@@ -219,29 +221,6 @@ def enumerate_parallel(
     )[params]
 
 
-class _GridGroup:
-    """Per-(alpha, k) search state of one :func:`enumerate_grid` run."""
-
-    __slots__ = ("params", "searcher", "stats", "found", "size_heap", "reason", "incomplete")
-
-    def __init__(self, params: AlphaK, searcher: MSCE):
-        self.params = params
-        self.searcher = searcher
-        self.stats = SearchStats()
-        self.stats.backend = searcher.backend
-        self.stats.model = searcher.model
-        self.found: Dict[FrozenSet[Node], SignedClique] = {}
-        self.size_heap: List[int] = []
-        self.reason: Optional[str] = None
-        self.incomplete = 0
-
-    def interrupt(self, reason: str, frames: int) -> None:
-        """Record *frames* abandoned subtrees; the first reason sticks."""
-        if self.reason is None:
-            self.reason = reason
-        self.incomplete += frames
-
-
 def enumerate_grid(
     graph: SignedGraph,
     points: Iterable[AlphaK],
@@ -275,39 +254,44 @@ def enumerate_grid(
     (``reducer`` may memoise the coring across points sharing a
     ``ceil(alpha * k)`` ceiling — the serving engine injects one), the
     union of the survivors is extracted once, and the frames of *all*
-    points ride a single work-stealing pool over one shared-memory
-    graph segment. Stealing therefore balances across the grid: while
-    one point's giant component drags on, idle workers chew through
-    the other points instead of waiting for a per-point barrier.
+    points ride a single work-stealing loop in which the caller
+    searches as worker 0 and helpers fork only once the search outgrows
+    its frame budget. Stealing therefore balances across the grid:
+    while one point's giant component drags on, idle processes chew
+    through the other points instead of waiting for a per-point
+    barrier.
 
     Returns an ordered mapping of each *distinct* requested point to an
     :class:`~repro.core.bbe.EnumerationResult` whose cliques are exactly
     the sequential answer (sorted largest-first) and whose
     :class:`~repro.core.bbe.SearchStats` aggregate the per-frame
-    counters across the parent and all workers — for the deterministic
+    counters across the parent and all helpers — for the deterministic
     selection strategies they equal a sequential ``MSCE(graph, params,
     ...).enumerate_all()`` run bit-for-bit; for ``"random"`` they are
     identical across worker counts and repeated runs (frame-hashed
     draws). Duplicate points are deduplicated, preserving first-seen
     order. Each result's ``parallel`` field carries the run's
-    scheduling counters, including the shared-memory payload size, plus
-    the fault-tolerance report: ``retries``, ``respawns``,
-    ``workers_lost``, ``quarantined_frames``, ``degraded`` (the
-    fallback reason, or ``None``), the point's interruption fields
-    mirrored from its result, and ``metrics`` — the point's aggregated
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` combining the
-    search counters with per-task scheduling metrics.
+    scheduling counters, including ``helpers`` (processes forked, 0
+    when the search stayed under the threshold) and
+    ``helpers_started_after`` (frames the parent had searched by then,
+    ``None`` without helpers), plus the fault-tolerance report:
+    ``retries``, ``respawns``, ``workers_lost``, ``quarantined_frames``,
+    ``degraded`` (the fallback reason, or ``None``), the point's
+    interruption fields mirrored from its result, and ``metrics`` — the
+    point's aggregated :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
+    combining the search counters with per-task scheduling metrics.
 
     Accepts a :class:`repro.fastpath.CompiledGraph` for *graph* to skip
-    recompilation. ``workers <= 1`` (or a grid with no shippable
-    frames) runs the identical decomposition in-process (same frames,
-    same stats) with no worker processes.
+    recompilation. ``workers <= 1`` runs the identical decomposition
+    through the same loop (same frames, same stats) with no helper
+    processes.
 
     Parameters beyond the enumerator's usual knobs:
 
     small_component / split_component:
         Node-count thresholds selecting, per reduced component, between
-        inline search, a single task, and root-branch decomposition.
+        the parent's local sweep, a single task, and root-branch
+        decomposition.
     presplit:
         Root branches carved per giant component before scheduling
         (default ``4 * workers``); the residual spine frame becomes the
@@ -315,10 +299,12 @@ def enumerate_grid(
     task_budget / max_offload:
         Work-stealing re-split knobs, see
         :mod:`repro.core.scheduler`. Scheduling granularity only —
-        results and stats are invariant.
+        results and stats are invariant. ``task_budget`` also sets when
+        helpers fork: after ``HELPER_START_BUDGETS * task_budget``
+        frames searched by the parent.
     time_limit / max_memory_bytes:
         Wall-clock budget in seconds / peak-RSS ceiling in bytes,
-        enforced cooperatively in the parent and every worker. When
+        enforced cooperatively in the parent and every helper. When
         either trips, the affected points' results are partial, with
         ``interrupted`` set, ``interrupted_reason`` of ``"deadline"``
         or ``"memory"``, and ``incomplete_frames`` counting abandoned
@@ -326,14 +312,12 @@ def enumerate_grid(
         raises for it.
     frame_retries / max_respawns:
         Fault-tolerance budgets: failed attempts one frame survives
-        before quarantine, and total worker respawns across the run
+        before quarantine, and total helper respawns across the run
         (default ``2 * workers``).
     strict:
-        Disable graceful degradation: shared-memory failure raises
-        :class:`~repro.exceptions.SharedMemoryError` and a collapsed
-        worker pool raises
-        :class:`~repro.exceptions.WorkerCrashError` instead of
-        finishing the remaining frames inline.
+        Disable graceful degradation: a collapsed helper pool raises
+        :class:`~repro.exceptions.WorkerCrashError` instead of the
+        parent finishing the remaining frames itself.
     drain_timeout:
         Shutdown salvage window forwarded to the scheduler (see
         :data:`repro.core.scheduler.RESULT_DRAIN_TIMEOUT`).
@@ -348,14 +332,14 @@ def enumerate_grid(
         the same survivor mask.
     backend:
         Kernel tier (:data:`repro.fastpath.backend.BACKENDS`). Resolved
-        once in the parent and shipped to every worker, so the whole
-        run uses one consistent tier; recorded in
+        once in the parent, before any helper forks, so the whole run
+        uses one consistent tier; recorded in
         ``result.parallel["backend"]``. Results are bit-identical
         across tiers.
     model:
         Signed-cohesion model (:data:`repro.models.MODELS`). Resolved
-        once (explicit > ``REPRO_MODEL`` env > ``"msce"``) and shipped
-        to every worker, so the whole run applies one consistent
+        once (explicit > ``REPRO_MODEL`` env > ``"msce"``) before any
+        helper forks, so the whole run applies one consistent
         constraint; recorded in ``result.parallel["model"]`` and on the
         results' stats. The requested ``reduction`` is mapped through
         the model's :meth:`~repro.models.SignedConstraint.reduction_rule`
@@ -365,7 +349,8 @@ def enumerate_grid(
         execution plan (explicit argument wins over the
         ``REPRO_MEMORY_BUDGET`` environment variable). Component shards
         are ordered by estimated footprint (heaviest first, while the
-        frontier is emptiest) and the parent-side frame searches run
+        frontier is emptiest) and the parent's unbudgeted frame searches
+        (the local sweep; every task when no helper can fork) run
         under a :class:`~repro.fastpath.storage.SpillFrontier` that
         parks bottom-of-stack frames in a disk-backed frame store when
         the in-memory frontier crosses its budget-derived high-water
@@ -379,13 +364,13 @@ def enumerate_grid(
     top_r:
         Return only the ``r`` largest maximal cliques of each point,
         with the paper's size-based subspace cutoff active in the
-        parent *and* every worker task (per-task size heaps hold only
+        parent *and* every helper task (size heaps hold only
         genuine answer sizes, so each local cutoff under-estimates the
         true r-th-largest size and no top-r clique is ever pruned). The
         returned cliques are bit-identical to the sequential
         ``MSCE.top_r`` answer at any worker count; search *counters*
-        under top-r depend on the worker count (each task prunes
-        against its own heap), unlike full enumeration.
+        under top-r depend on the worker count (each helper task
+        prunes against its own heap), unlike full enumeration.
 
     Raises
     ------
@@ -409,7 +394,7 @@ def enumerate_grid(
     if not param_list:
         return {}
 
-    # Resolve once up front: workers inherit the concrete tier name, so
+    # Resolve once up front: helpers inherit the concrete tier name, so
     # a vectorized->python degradation in the parent applies everywhere.
     backend = resolve_backend(backend)
     model = resolve_model(model)
@@ -431,7 +416,7 @@ def enumerate_grid(
         model=model,
     ):
         # The deadline is an absolute time.monotonic timestamp so the parent
-        # and forked workers (same clock) agree on when time is up.
+        # and forked helpers (same clock) agree on when time is up.
         deadline_ts = time.monotonic() + time_limit if time_limit is not None else None
         guard = make_guard(
             deadline_ts, max_memory_bytes, memory_budget_bytes=memory_budget_bytes
@@ -462,24 +447,23 @@ def enumerate_grid(
             extracted = compiled
         else:
             extracted = compiled.extract(union)
-            # The parent emits and maxtests against the original graph, like
-            # the sequential enumerator (workers use the extracted subgraph,
-            # which provably gives the same answers); seeding the source
-            # also avoids an O(m) reconstruction in MSCE's constructor.
+            # Every point's MSCE (helpers inherit them) emits and maxtests
+            # against the original graph, like the sequential enumerator;
+            # seeding the source also avoids an O(m) reconstruction in
+            # MSCE's constructor.
             extracted._source = source_graph(graph)
             survivors = [
                 extracted.full_mask if mask == union else _within(mask, union)
                 for mask in survivors
             ]
 
-        groups: List[_GridGroup] = []
-        inline_frames: List[Tuple[int, Tuple[int, int]]] = []
-        tasks: List[Tuple[int, Tuple[int, int]]] = []
+        groups: List[SearchGroup] = []
+        local: List[GroupedTask] = []
+        tasks: List[GroupedTask] = []
         presplit_cap = presplit if presplit is not None else max(4 * workers, 4)
         split_components = 0
         for index, (params, survivor_mask) in enumerate(zip(param_list, survivors)):
-            group = _GridGroup(
-                params,
+            group = SearchGroup(
                 MSCE(
                     extracted,
                     params,
@@ -490,14 +474,14 @@ def enumerate_grid(
                     frame_rng=True,
                     backend=backend,
                     model=model,
-                ),
+                )
             )
             groups.append(group)
             for mask in component_masks(extracted, survivor_mask):
                 group.stats.components += 1
                 size = bit_count(mask)
                 if size < small_component:
-                    inline_frames.append((index, (mask, 0)))
+                    local.append((index, (mask, 0)))
                 elif size < split_component:
                     tasks.append((index, (mask, 0)))
                 else:
@@ -524,28 +508,28 @@ def enumerate_grid(
             tasks.sort(
                 key=lambda task: (-_shard_footprint(extracted, task[1][0]), task[0], task[1])
             )
+            # The local sweep's DFS pops from the end, so ascending
+            # footprint puts the heaviest shard first in execution order.
+            local.sort(
+                key=lambda task: (_shard_footprint(extracted, task[1][0]), task[0], task[1])
+            )
         else:
             # Biggest subtrees first so stragglers start early; deterministic
             # tie-break keeps the seeded order stable across runs.
             tasks.sort(key=lambda task: (-bit_count(task[1][0]), task[0], task[1]))
 
         report: Dict[str, object] = {
-            "workers": workers,
             "backend": backend,
             "model": model,
             "grid_points": len(param_list),
-            "tasks_seeded": len(tasks),
-            "inline_components": len(inline_frames),
+            "inline_components": len(local),
             "presplit_components": split_components,
-            "shared_graph_bytes": 0,
-            "frames_resplit": 0,
             "memory_budget_bytes": memory_budget_bytes,
             "spilled_frames": 0,
             "spill_bytes": 0,
             "top_r": top_r,
         }
-        degraded: Optional[str] = None
-        # One disk-backed frontier shared by every parent-side inline
+        # One disk-backed frontier shared by every unbudgeted parent
         # search of a budgeted run; each run() drains it before
         # returning, so reuse across calls is safe.
         frontier = (
@@ -555,159 +539,31 @@ def enumerate_grid(
             if memory_budget_bytes is not None
             else None
         )
-
-        def run_inline(frames: List[Tuple[int, Tuple[int, int]]]) -> None:
-            # One FrameSearch per point per call, same as the sequential
-            # enumerator's per-component sweeps; counters are additive so
-            # the grouping order cannot affect results.
-            by_group: Dict[int, List[Tuple[int, int]]] = {}
-            for index, frame in frames:
-                by_group.setdefault(index, []).append(frame)
-            for index, group_frames in by_group.items():
-                group = groups[index]
-                if frontier is not None and len(group_frames) > 1:
-                    # The DFS pops from the end, so ascending footprint puts
-                    # the heaviest shard first in execution order.
-                    group_frames.sort(
-                        key=lambda frame: (
-                            _shard_footprint(extracted, frame[0]),
-                            frame[0],
-                            frame[1],
-                        )
-                    )
-                frame_search = FrameSearch(
-                    group.searcher, group.stats, group.found, group.size_heap, top_r, guard
-                )
-                reason = frame_search.run(
-                    [(candidates, included, None) for candidates, included in group_frames],
-                    frontier=frontier,
-                )
-                if reason is not None:
-                    group.interrupt(reason, len(frame_search.incomplete))
-
-        def finish_inline(leftover: List[Tuple[int, Tuple[int, int], int]]) -> None:
-            """Finish frames the pool abandoned, skipping credited spawns.
-
-            Replays each leftover frame with the same ``task_budget`` /
-            ``max_offload`` offload semantics a worker would have used, so
-            its spawn sequence is reproduced deterministically; the first
-            ``credited`` spawned subtrees were already enqueued as separate
-            tasks (completed or themselves leftover) and are dropped, while
-            later ones are appended and finished here. Results therefore
-            stay duplicate-free and bit-identical to a healthy run.
-            """
-            pending = deque(leftover)
-            while pending:
-                index, (candidates, included), credited = pending.popleft()
-                group = groups[index]
-                spawn_index = 0
-                fresh: List[Tuple[int, int]] = []
-
-                def offload(child, _fresh=fresh, _credited=credited):
-                    nonlocal spawn_index
-                    if spawn_index >= _credited:
-                        _fresh.append(child)
-                    spawn_index += 1
-
-                frame_search = FrameSearch(
-                    group.searcher, group.stats, group.found, group.size_heap, top_r, guard
-                )
-                reason = frame_search.run(
-                    [(candidates, included, None)],
-                    budget=task_budget,
-                    offload=offload,
-                    max_offload=max_offload,
-                )
-                for child in fresh:
-                    pending.append((index, child, 0))
-                if reason is not None:
-                    group.interrupt(reason, len(frame_search.incomplete))
-                    for other, _, _ in pending:
-                        groups[other].interrupt(reason, 1)
-                    return
-
         with obs.span("enumerate"):
-            shared = None
-            if workers <= 1 or not tasks:
-                # Same frames, same order semantics, no processes: results and
-                # stats match the multi-worker path bit for bit.
-                degraded = "workers<=1" if workers <= 1 else "no parallel tasks"
-            else:
-                try:
-                    shared = SharedCompiledGraph.create(extracted)
-                except SharedMemoryError as exc:
-                    if strict:
-                        raise
-                    # Tiny or missing /dev/shm: the parallel payload cannot be
-                    # published, so run the identical frames in-process.
-                    degraded = f"shared memory unavailable ({exc})"
-            if shared is None:
-                run_inline(tasks + inline_frames)
-                report["tasks_completed"] = len(tasks)
-            else:
-                try:
-                    scheduler = WorkStealingScheduler(
-                        shared,
-                        workers,
-                        param_list,
-                        selection,
-                        maxtest,
-                        seed,
-                        task_budget=task_budget,
-                        max_offload=max_offload,
-                        deadline=deadline_ts,
-                        max_memory_bytes=max_memory_bytes,
-                        frame_retries=frame_retries,
-                        max_respawns=max_respawns,
-                        strict=strict,
-                        drain_timeout=drain_timeout,
-                        progress=reporter.update if reporter is not None else None,
-                        backend=backend,
-                        model=model,
-                        top_r=top_r,
-                    )
-                    rows_by_group, metrics_by_group, leftover = scheduler.run_grouped(
-                        tasks, local_work=lambda: run_inline(inline_frames)
-                    )
-                finally:
-                    shared.close()
-                    shared.unlink()
-                for index, group in enumerate(groups):
-                    for nodes, positive, negative in rows_by_group[index]:
-                        group.found[nodes] = SignedClique(
-                            nodes=nodes,
-                            params=group.params,
-                            positive_edges=positive,
-                            negative_edges=negative,
-                        )
-                    group.stats.merge_snapshot(metrics_by_group[index])
-                report.update(scheduler.report)
-                if scheduler.report["interrupted"]:
-                    reason = scheduler.report["interrupted_reason"]
-                    for index, dropped in scheduler.incomplete_by_group.items():
-                        if dropped:
-                            groups[index].interrupt(reason, dropped)
-                    for index, _, _ in leftover:
-                        groups[index].interrupt(reason, 1)
-                elif leftover:
-                    # The pool died under us (spawn failures or crashes past
-                    # the respawn budget) without a resource guard tripping:
-                    # finish the abandoned frames inline so the answer is
-                    # still exhaustive.
-                    if (
-                        scheduler.report["spawn_failures"] > 0
-                        and scheduler.report["workers_lost"] == 0
-                    ):
-                        degraded = "worker spawn failed"
-                    else:
-                        degraded = "worker pool collapsed"
-                    finish_inline(leftover)
-
-        if frontier is not None:
-            report["spilled_frames"] = frontier.spilled_frames
-            report["spill_bytes"] = frontier.spill_bytes
-            frontier.close()
-        report["degraded"] = degraded
+            scheduler = WorkStealingScheduler(
+                groups,
+                workers,
+                task_budget=task_budget,
+                max_offload=max_offload,
+                deadline=deadline_ts,
+                max_memory_bytes=max_memory_bytes,
+                frame_retries=frame_retries,
+                max_respawns=max_respawns,
+                strict=strict,
+                drain_timeout=drain_timeout,
+                progress=reporter.update if reporter is not None else None,
+                top_r=top_r,
+                frontier=frontier,
+            )
+            try:
+                scheduler.run_grouped(tasks, local)
+            finally:
+                if frontier is not None:
+                    report["spilled_frames"] = frontier.spilled_frames
+                    report["spill_bytes"] = frontier.spill_bytes
+                    frontier.close()
+        report.update(scheduler.report)
+        degraded = report["degraded"]
         if degraded is not None:
             obs.journal_event("degraded", reason=degraded)
 

@@ -47,16 +47,6 @@ class ExecutionError(ReproError):
     """The parallel execution layer failed at runtime (not a user input error)."""
 
 
-class SharedMemoryError(ExecutionError):
-    """A shared-memory segment could not be allocated or populated.
-
-    Raised by :meth:`repro.fastpath.shared.SharedCompiledGraph.create`
-    when the operating system refuses the segment (tiny ``/dev/shm``,
-    resource limits). The parallel enumerator catches this and degrades
-    to the inline sequential path instead of failing the run.
-    """
-
-
 class StorageError(ReproError):
     """An on-disk :class:`~repro.fastpath.compiled.CompiledGraph` artifact
     could not be written, opened, or validated.
@@ -71,6 +61,6 @@ class WorkerCrashError(ExecutionError):
     """The worker pool collapsed and strict mode forbids degradation.
 
     Only raised by :meth:`repro.core.scheduler.WorkStealingScheduler.run_grouped`
-    when constructed with ``strict=True``; the default behaviour is to
-    hand unfinished frames back to the caller for inline completion.
+    when constructed with ``strict=True``; the default behaviour is for
+    the parent to finish the remaining frames itself.
     """

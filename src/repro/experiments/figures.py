@@ -368,8 +368,9 @@ def fig8_parallel_speedup(
     single-community-structured LFR-like graph — the adversarial case
     for component-level fan-out, since there is exactly one component
     to fan out. Results are checked bit-identical across worker counts
-    before any timing is reported; the notes record the once-per-run
-    shared-memory payload that replaces per-task subgraph pickles.
+    before any timing is reported; the notes record how many helper
+    processes each run forked (the parent searches as worker 0 and
+    forks helpers only once the search outgrows its frame budget).
 
     Defaults are sized for CI; ``REPRO_BENCH_FULL=1`` runs the 10k-node
     / ~100k-edge configuration the speedup gate quotes.
@@ -418,8 +419,8 @@ def fig8_parallel_speedup(
         else:
             report = result.parallel
             exhibit.notes.append(
-                f"workers={workers}: shared graph {report['shared_graph_bytes']} B "
-                f"(once per run), tasks completed={report['tasks_completed']}, "
+                f"workers={workers}: helpers={report['helpers']}, "
+                f"tasks completed={report['tasks_completed']}, "
                 f"frames re-split={report['frames_resplit']}"
             )
         time_series.add(workers, round(result.elapsed_seconds, 3))
@@ -427,7 +428,7 @@ def fig8_parallel_speedup(
     worst_task = len(pickle.dumps((compiled.full_mask, compiled.full_mask)))
     exhibit.notes.append(
         f"per-task payload <= {worst_task} B (two bitmasks); "
-        f"graph arrays never ride the task queue"
+        f"helpers inherit the graph by fork, it never rides the task queue"
     )
     return exhibit
 

@@ -26,9 +26,6 @@ This package provides the flat alternative:
   search, the repo's one search loop, built around explicit resumable
   frames (:class:`~repro.fastpath.search.FrameSearch`) so the parallel
   enumerator can split, budget and offload subtrees;
-* :mod:`~repro.fastpath.shared` — one-shot zero-copy shipping of a
-  compiled graph to worker processes in one shared-memory block
-  (:class:`~repro.fastpath.shared.SharedCompiledGraph`);
 * :mod:`~repro.fastpath.storage` — the durable storage tier: a
   versioned little-endian artifact layout written by
   :meth:`CompiledGraph.save <repro.fastpath.compiled.CompiledGraph.save>`
@@ -64,7 +61,6 @@ from repro.fastpath.backend import (
 )
 from repro.fastpath.bitset import IntBitset, bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
-from repro.fastpath.shared import SharedCompiledGraph
 from repro.fastpath.storage import (
     FrameStore,
     GraphStore,
@@ -78,7 +74,6 @@ __all__ = [
     "compile_graph",
     "as_compiled",
     "source_graph",
-    "SharedCompiledGraph",
     "GraphStore",
     "FrameStore",
     "SpillFrontier",

@@ -12,17 +12,12 @@ flagged — the packed-``uint64`` adjacency matrices of
 :mod:`repro.fastpath.packed`. :func:`mmap_compiled` re-attaches the file
 as a read-only ``mmap`` and rebuilds a :class:`CompiledGraph` whose
 array slots are ``memoryview`` casts straight into the mapping — **zero
-pickle bytes and zero array copies**, the same zero-copy contract as
-:class:`~repro.fastpath.shared.SharedCompiledGraph`, but durable and
-shareable across unrelated processes via the filesystem. Because the
-mapping is ``ACCESS_READ``, any attempt to assign through the views
-raises — compiled graphs are immutable and the storage tier enforces it.
-
-The segment order and 8-byte alignment deliberately mirror
-``shared._layout``: a worker attaching a graph artifact runs the exact
-code path a shared-memory worker runs, just against file-backed pages
-that the OS shares between every attached process and evicts under
-pressure.
+pickle bytes and zero array copies** — durable and shareable across
+unrelated processes via the filesystem, whose file-backed pages the OS
+shares between every attached process and evicts under pressure.
+Because the mapping is ``ACCESS_READ``, any attempt to assign through
+the views raises — compiled graphs are immutable and the storage tier
+enforces it.
 
 **Frame spilling** — :class:`FrameStore` is a disk-backed LIFO of
 ``(candidates, included)`` search frames and :class:`SpillFrontier` is
@@ -35,10 +30,9 @@ when the stack drains. Spilling changes *where frames wait, never which
 frames run*, so cliques and stats stay bit-identical to the unbudgeted
 in-memory run (the same argument as the scheduler's offload path).
 
-Every spill file carries a ``weakref.finalize`` crash guard mirroring
-the ``/dev/shm`` leak guarantees of :mod:`repro.fastpath.shared`: files
-are removed even when the owner never reaches its explicit ``close()``,
-and the guard is pid-checked so forked children cannot yank a file from
+Every spill file carries a ``weakref.finalize`` crash guard: files are
+removed even when the owner never reaches its explicit ``close()``, and
+the guard is pid-checked so forked children cannot yank a file from
 under the still-running parent.
 """
 
@@ -444,10 +438,10 @@ def mmap_compiled(path, expected_fingerprint: Optional[str] = None) -> CompiledG
 
 
 def release_views(graph: CompiledGraph) -> None:
-    """Release a mapped/shared graph's memoryview exports (idempotent).
+    """Release a mapped graph's memoryview exports (idempotent).
 
-    ``mmap.close()`` and ``SharedMemory.close()`` refuse while casts are
-    exported, so detach paths drop them first. Plain in-memory graphs
+    ``mmap.close()`` refuses while casts are exported, so detach paths
+    drop them first. Plain in-memory graphs
     (``array`` slots) pass through untouched.
     """
     graph._packed.clear()
@@ -570,7 +564,7 @@ class FrameStore:
 
 
 def _remove_spill(handle, path: str, owner_pid: int) -> None:
-    """Crash-path cleanup of a spill file (pid-checked, like shm unlink)."""
+    """Crash-path cleanup of a spill file (pid-checked: only the owner removes it)."""
     if os.getpid() != owner_pid:
         return
     try:

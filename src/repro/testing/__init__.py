@@ -1,9 +1,9 @@
 """Test-support utilities shipped with the library.
 
 :mod:`repro.testing.faults` is a fault-injection harness for the
-parallel execution layer: it lets tests kill worker processes at chosen
-frame counts, poison individual tasks, delay queue messages, starve
-shared memory and interrupt the scheduler's parent loop — all through
+parallel execution layer: it lets tests kill helper processes at chosen
+frame or spawn counts, poison individual tasks, delay queue messages,
+refuse helper launches and interrupt the scheduler's parent loop — all through
 hooks the production code consults at its failure-prone seams. With no
 plan installed every hook is a no-op costing one ``None`` comparison.
 

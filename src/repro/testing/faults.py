@@ -5,32 +5,31 @@ trusting if its failure paths are exercised deterministically. This
 module provides the injection points the execution layer consults at
 its seams:
 
-* **worker death** — :func:`worker_tick` returns a per-frame callback
-  that hard-kills the worker process (``os._exit``) once it has
-  processed a chosen number of frames. Only first-incarnation workers
-  (``epoch == 0``) are killed, so a respawned worker never re-dies and
-  tests terminate. The queue feeder is flushed before exiting so the
+* **helper death** — :func:`worker_tick` returns a per-frame callback
+  that hard-kills a helper process (``os._exit``) once it has
+  processed a chosen number of frames. Only first-incarnation helpers
+  (``epoch == 0``) are killed, so a respawned helper never re-dies and
+  tests terminate; the parent, which searches as worker 0, is never
+  killed. The same callback can instead fire on a helper's spawn
+  messages, killing it mid-task right after it shed a frame. The queue feeder is flushed before exiting so the
   death is abrupt for the scheduler (no ``done`` message) but does not
   leave a torn message in the pipe.
 * **poisoned tasks** — :func:`check_task` raises :class:`InjectedFault`
-  for chosen task ids on *every* attempt, driving the retry budget to
-  exhaustion and the frame into quarantine.
-* **message delay** — :func:`message_delay` sleeps before each worker
+  for chosen task ids on *every* attempt, in a helper or the parent,
+  driving the retry budget to exhaustion and the frame into quarantine.
+* **message delay** — :func:`message_delay` sleeps before each helper
   result message, widening race windows and making deadline tests
   deterministic.
-* **shared-memory starvation** — :func:`check_shm_create` makes
-  :meth:`~repro.fastpath.shared.SharedCompiledGraph.create` fail as if
-  ``/dev/shm`` were full.
-* **spawn failure** — :func:`check_worker_spawn` makes every worker
-  process launch fail, collapsing the pool before it starts.
+* **spawn failure** — :func:`check_worker_spawn` makes every helper
+  process launch fail, collapsing the pool when it starts.
 * **parent interrupt** — :func:`parent_message_tick` raises
   ``KeyboardInterrupt`` in the scheduler's parent loop after a chosen
-  number of handled messages, simulating Ctrl-C mid-enumeration.
+  number of handled helper messages, simulating Ctrl-C mid-enumeration.
 
 Plans are installed process-globally (:func:`install` / :func:`clear`,
-or the :func:`injected` context manager). The scheduler's worker
+or the :func:`injected` context manager). The scheduler's helper
 processes are forked *after* the parent seeds its state, so an
-installed plan is inherited by every worker automatically — no
+installed plan is inherited by every helper automatically — no
 environment variables or pickled configuration needed. With no plan
 installed every hook short-circuits on one ``None`` comparison, so the
 harness costs nothing in production.
@@ -50,7 +49,7 @@ class InjectedFault(RuntimeError):
 
     Deliberately *not* a :class:`~repro.exceptions.ReproError`: injected
     faults simulate arbitrary runtime breakage (a segfaulting kernel, a
-    full ``/dev/shm``), so the production code must handle them through
+    refused process launch), so the production code must handle them through
     the same generic paths it uses for real failures.
     """
 
@@ -62,26 +61,28 @@ class FaultPlan:
     Attributes
     ----------
     kill_at_frame:
-        ``{worker slot: frame count}`` — hard-kill the slot's first
+        ``{helper slot: frame count}`` — hard-kill the slot's first
         incarnation once it has processed that many search frames.
+    kill_after_spawns:
+        ``{helper slot: spawn count}`` — hard-kill the slot's first
+        incarnation right after it has sent that many spawn messages,
+        so the task it dies in has credited spawns to replay.
     poison_tasks:
         Task ids whose processing always raises :class:`InjectedFault`
-        (every attempt, every worker) — exercises retry + quarantine.
+        (every attempt, helper or parent) — exercises retry + quarantine.
     message_delay:
-        Seconds each worker sleeps before sending a result message.
-    fail_shm_create:
-        Make shared-memory segment creation fail.
+        Seconds each helper sleeps before sending a result message.
     fail_worker_spawn:
-        Make every worker process launch fail.
+        Make every helper process launch fail.
     interrupt_parent_after:
         Raise ``KeyboardInterrupt`` in the scheduler's parent loop after
-        this many messages have been handled (``None`` = never).
+        this many helper messages have been handled (``None`` = never).
     """
 
     kill_at_frame: Dict[int, int] = field(default_factory=dict)
+    kill_after_spawns: Dict[int, int] = field(default_factory=dict)
     poison_tasks: FrozenSet[int] = frozenset()
     message_delay: float = 0.0
-    fail_shm_create: bool = False
     fail_worker_spawn: bool = False
     interrupt_parent_after: Optional[int] = None
 
@@ -119,12 +120,6 @@ def injected(plan: FaultPlan):
 # ---------------------------------------------------------------------------
 # Hooks consulted by the production code
 # ---------------------------------------------------------------------------
-def check_shm_create() -> None:
-    """Raise :class:`InjectedFault` when shm starvation is planned."""
-    if _PLAN is not None and _PLAN.fail_shm_create:
-        raise InjectedFault("injected fault: shared-memory allocation refused")
-
-
 def check_worker_spawn(slot: int, epoch: int) -> None:
     """Raise :class:`InjectedFault` when worker spawn failure is planned."""
     if _PLAN is not None and _PLAN.fail_worker_spawn:
@@ -139,11 +134,14 @@ def check_task(task_id: int) -> None:
         raise InjectedFault(f"injected fault: task {task_id} is poisoned")
 
 
-def worker_tick(slot: int, epoch: int, result_queue) -> Optional[Callable[[], None]]:
-    """Per-frame kill callback for a worker, or ``None`` when unplanned.
+def worker_tick(
+    slot: int, epoch: int, result_queue, spawns: bool = False
+) -> Optional[Callable[[], None]]:
+    """Per-frame kill callback for a helper, or ``None`` when unplanned.
 
+    With *spawns* the callback counts spawn messages instead of frames.
     The returned callable ``os._exit(1)``s the process once the slot's
-    frame budget is reached — but only for the first incarnation
+    frame (spawn) count is reached — but only for the first incarnation
     (``epoch == 0``), so the respawned worker finishes the work. The
     result queue's feeder thread is flushed first: messages already sent
     (task spawns) reach the parent, while the in-progress task's
@@ -154,7 +152,7 @@ def worker_tick(slot: int, epoch: int, result_queue) -> Optional[Callable[[], No
     """
     if _PLAN is None or epoch != 0:
         return None
-    limit = _PLAN.kill_at_frame.get(slot)
+    limit = (_PLAN.kill_after_spawns if spawns else _PLAN.kill_at_frame).get(slot)
     if limit is None:
         return None
     remaining = [limit]

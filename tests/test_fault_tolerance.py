@@ -1,13 +1,14 @@
 """Fault-injection tests for the resilient parallel enumeration stack.
 
-The contract under test: worker crashes, poisoned frames, wall-clock
-deadlines, memory ceilings, shared-memory starvation and spawn failures
-must never corrupt results — a disturbed run either produces the exact
-sequential answer (crash retry, degradation) or an honestly-labelled
-partial one (``interrupted``), and no run may leak ``/dev/shm``
-segments or worker processes. Worker counts honour the
-``REPRO_FAULT_WORKERS`` environment variable (default 2) so CI can
-stress wider pools.
+The contract under test: helper crashes, poisoned frames, wall-clock
+deadlines, memory ceilings and spawn failures must never corrupt
+results — a disturbed run either produces the exact sequential answer
+(crash retry, degradation) or an honestly-labelled partial one
+(``interrupted``), and no run may leak worker processes or storage temp
+files. Worker counts honour the ``REPRO_FAULT_WORKERS`` environment
+variable (default 2) so CI can stress wider pools; the parent is worker
+0, so a run forks ``workers - 1`` helpers once it outgrows its frame
+budget.
 """
 
 import gc
@@ -16,7 +17,6 @@ import os
 import random
 import tempfile
 import time
-from multiprocessing import shared_memory
 from pathlib import Path
 
 import pytest
@@ -28,25 +28,24 @@ from repro.core import (
     enumerate_grid,
     enumerate_parallel,
 )
-from repro.exceptions import SharedMemoryError, WorkerCrashError
+from repro.core.scheduler import HELPER_START_BUDGETS, PARENT_SLOT, SearchGroup
+from repro.exceptions import WorkerCrashError
 from repro.fastpath import compile_graph
 from repro.fastpath import storage
-from repro.fastpath.shared import SharedCompiledGraph
 from repro.graphs import SignedGraph
 from repro.testing import FaultPlan, injected
 from tests.conftest import make_random_signed_graph
 
 WORKERS = int(os.environ.get("REPRO_FAULT_WORKERS", "2"))
 
-SHM_DIR = Path("/dev/shm")
-
 #: Split thresholds small enough that the test graphs actually ship
-#: frames to worker processes (mirrors tests/test_parallel.py).
+#: frames to helper processes: ``task_budget=20`` forks the helpers once
+#: the parent has searched 160 frames, and these graphs run 850-1,900.
 SPLIT_KNOBS = dict(small_component=8, split_component=24, task_budget=20)
 
 
 def _fault_graph(seed: int, components: int = 3) -> SignedGraph:
-    """Disjoint random blobs big enough to seed several worker tasks."""
+    """Disjoint random blobs big enough to seed several helper tasks."""
     rng = random.Random(seed)
     graph = SignedGraph()
     offset = 0
@@ -70,24 +69,16 @@ def _fingerprint(result):
 
 @pytest.fixture(autouse=True)
 def _no_leaks():
-    """Every test must leave /dev/shm, the tempdir and the process table clean.
+    """Every test must leave the tempdir and the process table clean.
 
     The tempdir check covers the storage tier's temp artifacts
     (``repro-mmap-*`` in-progress saves, ``repro-spill-*`` frame
-    stores) — the on-disk mirror of the /dev/shm guarantee.
+    stores).
     """
     tmp_dir = Path(tempfile.gettempdir())
-    before = set(os.listdir(SHM_DIR)) if SHM_DIR.exists() else set()
     tmp_before = set(os.listdir(tmp_dir))
     yield
     gc.collect()
-    if SHM_DIR.exists():
-        leaked = {
-            name
-            for name in set(os.listdir(SHM_DIR)) - before
-            if name.startswith("psm_")
-        }
-        assert not leaked, f"leaked shared-memory segments: {leaked}"
     leaked_files = {
         name
         for name in set(os.listdir(tmp_dir)) - tmp_before
@@ -134,8 +125,9 @@ def shutdown_queues(monkeypatch):
 
 
 class TestSchedulerFixedCosts:
-    def test_local_work_overlaps_seeded_workers(self):
-        """The inline sweep runs while every worker already holds a task."""
+    def test_local_work_overlaps_seeded_workers(self, monkeypatch):
+        """Helpers are fed a task in the same step that forks them, so
+        they search while the parent keeps working."""
         graph = _fault_graph(seed=13, components=max(3, WORKERS))
         compiled = compile_graph(graph)
         by_component = {}
@@ -145,27 +137,30 @@ class TestSchedulerFixedCosts:
             (0, (compiled.mask_from_nodes(nodes), 0))
             for _, nodes in sorted(by_component.items())
         ]
-        assert len(tasks) >= WORKERS
-        shared = SharedCompiledGraph.create(compiled)
-        try:
-            scheduler = WorkStealingScheduler(
-                shared, WORKERS, [AlphaK(1.5, 1)], "greedy", "exact", 0
-            )
-            in_flight = []
-            scheduler.run_grouped(
-                tasks,
-                local_work=lambda: in_flight.append(
-                    {slot: len(w.in_flight) for slot, w in scheduler._pool.items()}
-                ),
-            )
-        finally:
-            shared.close()
-            shared.unlink()
-        assert len(in_flight) == 1
-        assert sorted(in_flight[0]) == list(range(WORKERS))
-        assert all(count >= 1 for count in in_flight[0].values())
+        params = AlphaK(1.5, 1)
+        searcher = MSCE(compiled, params, reduction="none", frame_rng=True)
+        group = SearchGroup(searcher)
+        scheduler = WorkStealingScheduler([group], WORKERS, task_budget=20)
+        fed = []
+        real_assign = WorkStealingScheduler._assign
+
+        def recording_assign(self):
+            real_assign(self)
+            if self._pool and not fed:
+                fed.append({slot: len(w.in_flight) for slot, w in self._pool.items()})
+
+        monkeypatch.setattr(WorkStealingScheduler, "_assign", recording_assign)
+        scheduler.run_grouped(tasks)
+        assert len(fed) == 1
+        assert sorted(fed[0]) == list(range(WORKERS - 1))
+        assert all(count == 1 for count in fed[0].values())
         report = scheduler.report
+        assert report["helpers"] == WORKERS - 1
+        assert report["helpers_started_after"] >= HELPER_START_BUDGETS * 20
         assert report["tasks_completed"] == len(tasks) + report["frames_resplit"]
+        expected = MSCE(compiled, params, reduction="none").enumerate_all()
+        assert set(group.found) == {c.nodes for c in expected.cliques}
+        assert group.stats.recursions == expected.stats.recursions
 
     def test_healthy_shutdown_never_waits_on_the_result_queue(self, shutdown_queues):
         graph = _fault_graph(seed=13)
@@ -206,6 +201,7 @@ class TestWorkerCrashRecovery:
         assert report["quarantined_frames"] == 0
         assert not result.interrupted
         assert report["degraded"] is None
+        assert report["helpers"] == WORKERS - 1
         # Retry accounting: every task still completes exactly once.
         assert report["tasks_completed"] == (
             report["tasks_seeded"] + report["frames_resplit"]
@@ -214,11 +210,45 @@ class TestWorkerCrashRecovery:
     def test_multiple_killed_workers_change_nothing(self):
         graph = _fault_graph(seed=17)
         expected = _fingerprint(MSCE(graph, AlphaK(1.5, 1)).enumerate_all())
-        kills = {slot: 3 + slot for slot in range(min(WORKERS, 2))}
+        # Two helper slots at least, so two distinct helpers can die.
+        workers = max(WORKERS, 3)
+        kills = {slot: 3 + slot for slot in range(2)}
         with injected(FaultPlan(kill_at_frame=kills)):
-            result = enumerate_parallel(graph, 1.5, 1, workers=WORKERS, **SPLIT_KNOBS)
+            result = enumerate_parallel(graph, 1.5, 1, workers=workers, **SPLIT_KNOBS)
         assert _fingerprint(result) == expected
+        assert result.parallel["helpers"] == workers - 1
         assert result.parallel["workers_lost"] >= len(kills)
+
+    def test_parent_reruns_a_dead_helpers_task_without_its_credited_spawns(
+        self, monkeypatch
+    ):
+        """With no respawn budget the parent itself re-runs the frame a
+        killed helper held, dropping the spawns that helper already shed."""
+        graph = _fault_graph(seed=13)
+        expected = _fingerprint(MSCE(graph, AlphaK(1.5, 1)).enumerate_all())
+        dropped = []
+        real_credit = WorkStealingScheduler._credit_spawn
+
+        def recording_credit(self, parent, index, frame, slot):
+            if slot == PARENT_SLOT and index < parent.spawns_credited:
+                dropped.append((parent.task_id, index))
+            real_credit(self, parent, index, frame, slot)
+
+        monkeypatch.setattr(WorkStealingScheduler, "_credit_spawn", recording_credit)
+        # Killed right after its first spawn, so the task it dies in
+        # has one credited spawn for the parent's replay to drop.
+        with injected(FaultPlan(kill_after_spawns={0: 1})):
+            result = enumerate_parallel(
+                graph, 1.5, 1, workers=2, max_respawns=0, **SPLIT_KNOBS
+            )
+        assert _fingerprint(result) == expected
+        report = result.parallel
+        assert report["helpers"] == 1
+        assert report["workers_lost"] == 1
+        assert report["respawns"] == 0
+        assert report["retries"] >= 1
+        assert report["degraded"] == "worker pool collapsed"
+        assert dropped, "the parent's replay skipped no credited spawn"
 
     def test_poisoned_frame_is_quarantined_not_retried_forever(self):
         graph = _fault_graph(seed=13)
@@ -234,6 +264,19 @@ class TestWorkerCrashRecovery:
         # Everything outside the quarantined subtree is still found, and
         # nothing bogus is invented.
         assert {c.nodes for c in result} <= sequential
+        assert report["helpers"] == WORKERS - 1
+
+    def test_parent_run_poisoned_frame_is_quarantined_not_raised(self):
+        graph = _fault_graph(seed=13)
+        sequential = {c.nodes for c in MSCE(graph, AlphaK(1.5, 1)).enumerate_all()}
+        with injected(FaultPlan(poison_tasks=frozenset({0}))):
+            result = enumerate_parallel(graph, 1.5, 1, workers=1, **SPLIT_KNOBS)
+        report = result.parallel
+        assert report["helpers"] == 0
+        assert report["quarantined_frames"] == 1
+        assert report["retries"] == 2
+        assert not result.interrupted
+        assert {c.nodes for c in result} < sequential
 
 
 class TestResourceGuards:
@@ -277,14 +320,25 @@ class TestResourceGuards:
         assert not result.timed_out
 
 
+def _run_without_children():
+    """Body of the daemonic-caller test; runs in a pool worker."""
+    graph = _fault_graph(seed=13)
+    expected = _fingerprint(MSCE(graph, AlphaK(1.5, 1)).enumerate_all())
+    result = enumerate_parallel(graph, 1.5, 1, workers=2, **SPLIT_KNOBS)
+    return _fingerprint(result) == expected, result.parallel
+
+
 class TestGracefulDegradation:
-    def test_shared_memory_starvation_falls_back_inline(self):
-        graph = _fault_graph(seed=13)
-        expected = _fingerprint(MSCE(graph, AlphaK(1.5, 1)).enumerate_all())
-        with injected(FaultPlan(fail_shm_create=True)):
-            result = enumerate_parallel(graph, 1.5, 1, workers=WORKERS, **SPLIT_KNOBS)
-        assert _fingerprint(result) == expected
-        assert result.parallel["degraded"].startswith("shared memory unavailable")
+    def test_caller_that_may_not_fork_runs_without_helpers(self):
+        """A daemonic pool worker may not start children: the helper
+        launch fails and the parent alone returns the exact answer."""
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            exact, report = pool.apply(_run_without_children)
+        assert exact
+        assert report["degraded"] == "worker spawn failed"
+        assert report["spawn_failures"] == 1
+        assert report["helpers"] == 0
+        assert report["quarantined_frames"] == 0
 
     def test_worker_spawn_failure_falls_back_inline(self):
         graph = _fault_graph(seed=13)
@@ -293,7 +347,8 @@ class TestGracefulDegradation:
             result = enumerate_parallel(graph, 1.5, 1, workers=WORKERS, **SPLIT_KNOBS)
         assert _fingerprint(result) == expected
         assert result.parallel["degraded"] == "worker spawn failed"
-        assert result.parallel["spawn_failures"] == WORKERS
+        assert result.parallel["spawn_failures"] == WORKERS - 1
+        assert result.parallel["helpers"] == 0
         assert not result.interrupted
 
     def test_single_worker_records_fallback_reason(self):
@@ -309,22 +364,11 @@ class TestGracefulDegradation:
                     graph, 1.5, 1, workers=WORKERS, strict=True, **SPLIT_KNOBS
                 )
 
-    def test_strict_mode_raises_on_shm_failure(self):
-        graph = _fault_graph(seed=13)
-        with injected(FaultPlan(fail_shm_create=True)):
-            with pytest.raises(
-                SharedMemoryError,
-                match="shared-memory segment",
-            ):
-                enumerate_parallel(
-                    graph, 1.5, 1, workers=WORKERS, strict=True, **SPLIT_KNOBS
-                )
-
 
 class TestKeyboardInterrupt:
     def test_interrupt_reaps_children_and_unlinks_shm(self):
-        """Ctrl-C mid-enumeration: children terminated, segment unlinked,
-        exception re-raised (leak checks in the autouse fixture)."""
+        """Ctrl-C mid-enumeration: helpers terminated and exception
+        re-raised (leak checks in the autouse fixture)."""
         graph = _fault_graph(seed=13)
         with injected(FaultPlan(interrupt_parent_after=1)):
             with pytest.raises(KeyboardInterrupt):
@@ -354,22 +398,6 @@ class TestArgumentValidation:
             enumerate_grid(paper_graph, [AlphaK(3, 1), AlphaK(2, 1)], **kwargs)
 
 
-class TestSharedMemoryCrashGuard:
-    def test_leaked_owner_handle_unlinks_segment_on_collection(self):
-        """A parent that crashes between create() and unlink() must not
-        leave the segment behind: the finalizer reclaims it."""
-        compiled = compile_graph(
-            make_random_signed_graph(random.Random(5), n_range=(8, 12))
-        )
-        shared = SharedCompiledGraph.create(compiled)
-        name = shared.name
-        # Simulate the crash: the handle is dropped without close/unlink.
-        del shared
-        gc.collect()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
 class TestStorageCrashGuard:
     def test_leaked_frame_store_removes_spill_file_on_collection(self):
         store = storage.FrameStore()
@@ -382,7 +410,7 @@ class TestStorageCrashGuard:
 
     def test_interrupted_budgeted_run_leaves_no_artifacts(self):
         """Ctrl-C mid-run with spilling active: the autouse fixture
-        asserts no repro-spill-* files (and no shm segment) survive."""
+        asserts no repro-spill-* files and no helper survive."""
         graph = _fault_graph(seed=13)
         with injected(FaultPlan(interrupt_parent_after=1)):
             with pytest.raises(KeyboardInterrupt):

@@ -10,6 +10,7 @@ set of maximal cliques across tasks.
 """
 
 import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -20,9 +21,10 @@ from repro.core import MSCE, AlphaK, enumerate_parallel
 from repro.core.bbe import SearchStats, frame_draw
 from repro.core.parallel import SMALL_COMPONENT
 from repro.core.reduction import reduction_components
+from repro.core.scheduler import DEFAULT_TASK_BUDGET, HELPER_START_BUDGETS
 from repro.fastpath import compile_graph
 from repro.fastpath.search import decompose_root
-from repro.fastpath.shared import SharedCompiledGraph
+from repro.generators.datasets import load_dataset
 from repro.graphs import SignedGraph
 from tests.conftest import make_random_signed_graph
 
@@ -86,20 +88,18 @@ class TestParallelEnumeration:
             assert clique.positive_edges == rebuilt
 
     def test_worker_path_matches_sequential_on_reduced_components(self):
-        # Two disjoint positive 35-cliques: MCCore keeps both, so the
-        # reduced graph has two components above SMALL_COMPONENT and the
-        # real multi-process path (not the inline path) is exercised.
-        graph = SignedGraph()
-        for offset in (0, 100):
-            for u, v in itertools.combinations(range(offset, offset + 35), 2):
-                graph.add_edge(u, v, 1)
+        # Two reduced components above SMALL_COMPONENT, and a task budget
+        # small enough that the parent forks its helper mid-search: the
+        # real multi-process path (not the parent alone) is exercised.
+        graph = _multi_component_graph(seed=7)
         params = AlphaK(2, 2)
         components = [set(c) for c in reduction_components(graph, params)]
         assert sum(len(c) >= SMALL_COMPONENT for c in components) >= 2
-        sequential = {c.nodes for c in MSCE(graph, params).enumerate_all().cliques}
-        result = enumerate_parallel(graph, 2, 2, workers=2)
-        assert {c.nodes for c in result} == sequential
-        assert result.parallel["shared_graph_bytes"] > 0
+        sequential = MSCE(graph, params).enumerate_all()
+        result = enumerate_parallel(graph, 2, 2, workers=2, task_budget=20)
+        assert _fingerprint(result) == _fingerprint(sequential)
+        assert result.parallel["helpers"] == 1
+        assert result.parallel["helpers_started_after"] >= HELPER_START_BUDGETS * 20
 
     def test_accepts_compiled_graph(self):
         graph = _multi_component_graph(seed=7)
@@ -170,45 +170,57 @@ class TestParallelDeterminism:
         assert frame_draw(43, reprs) != draw or True  # different seed may differ
 
 
-class TestSharedCompiledGraph:
-    def test_roundtrip_and_search(self):
-        graph = make_random_signed_graph(random.Random(23), n_range=(20, 25))
-        compiled = compile_graph(graph)
-        shared = SharedCompiledGraph.create(compiled)
-        try:
-            view = SharedCompiledGraph.attach(shared.meta)
-            try:
-                mirror = view.graph
-                assert mirror.nodes == compiled.nodes
-                for slot in ("xadj", "pxadj", "nxadj", "adj", "padj", "nadj", "signs"):
-                    assert list(getattr(mirror, slot)) == list(getattr(compiled, slot))
-                params = AlphaK(1.5, 1)
-                expected = MSCE(compiled, params).enumerate_all()
-                got = MSCE(mirror, params).enumerate_all()
-                assert [c.nodes for c in got.cliques] == [
-                    c.nodes for c in expected.cliques
-                ]
-            finally:
-                view.close()
-        finally:
-            shared.close()
-            shared.unlink()
+@pytest.fixture
+def started_processes(monkeypatch):
+    """Every process the scheduler's fork context creates, in order."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the fork start method is unavailable")
+    context = multiprocessing.get_context("fork")
+    started = []
+    real = context.Process
 
-    def test_close_is_idempotent_and_nonowner_unlink_is_noop(self):
-        compiled = compile_graph(
-            make_random_signed_graph(random.Random(3), n_range=(5, 8))
+    def spy(*args, **kwargs):
+        process = real(*args, **kwargs)
+        started.append(process)
+        return process
+
+    monkeypatch.setattr(context, "Process", spy)
+    return started
+
+
+class TestHelperPlan:
+    """The parent searches as worker 0 and forks helpers only once a
+    search outgrows ``HELPER_START_BUDGETS * task_budget`` frames."""
+
+    def test_stand_in_call_below_the_threshold_starts_no_process(self, started_processes):
+        graph = load_dataset("slashdot").graph
+        sequential = MSCE(graph, AlphaK(4, 3), model="msce").enumerate_all()
+        assert sequential.stats.recursions < HELPER_START_BUDGETS * DEFAULT_TASK_BUDGET
+        result = enumerate_parallel(graph, 4, 3, workers=2, model="msce")
+        assert _fingerprint(result) == _fingerprint(sequential)
+        assert started_processes == []
+        assert result.parallel["helpers"] == 0
+        assert result.parallel["helpers_started_after"] is None
+        assert result.parallel["degraded"] is None
+        assert result.parallel["tasks_completed"] > 0
+
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_above_the_threshold_forks_workers_minus_one_helpers(
+        self, started_processes, workers
+    ):
+        graph = _multi_component_graph(seed=13)
+        sequential = MSCE(graph, AlphaK(1.5, 1)).enumerate_all()
+        assert sequential.stats.recursions > HELPER_START_BUDGETS * 20
+        result = enumerate_parallel(
+            graph, 1.5, 1, workers=workers, small_component=8, split_component=24, task_budget=20
         )
-        shared = SharedCompiledGraph.create(compiled)
-        view = SharedCompiledGraph.attach(shared.meta)
-        view.graph  # materialise the memoryview exports
-        view.unlink()  # non-owner: must not destroy the segment
-        view.close()
-        view.close()
-        reattached = SharedCompiledGraph.attach(shared.meta)  # still alive
-        reattached.close()
-        shared.close()
-        shared.unlink()
-        shared.unlink()  # idempotent
+        assert _fingerprint(result) == _fingerprint(sequential)
+        assert len(started_processes) == workers - 1
+        assert result.parallel["helpers"] == workers - 1
+        assert result.parallel["helpers_started_after"] >= HELPER_START_BUDGETS * 20
+        # Parent-run and helper-run tasks alike land in the metrics.
+        metrics = result.parallel["metrics"]
+        assert metrics["counters"]["worker_tasks"] == result.parallel["tasks_completed"]
 
 
 class TestExtract:

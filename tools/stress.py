@@ -5,8 +5,10 @@ graphs: MSCE under every branch strategy vs brute force, the compiled
 exact maxtest vs the node-set one, MCBasic vs MCNew, query search vs
 filtered enumeration, the dynamic index vs recompute, the greedy
 heuristic's subset property, the MSCE frame-state invariant (with and
-without core pruning), and (every 25th trial) the two-worker parallel
-enumerator vs the sequential one. This is the
+without core pruning), and (every 25th trial) the parallel enumerator at
+two and three workers vs the sequential one; one last trial kills a
+helper process mid-run and still expects the sequential answer. This is
+the
 long-running version of `tests/test_cross_validation.py` — run it after
 touching the enumeration core:
 
@@ -29,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import AlphaK, SignedGraph, brute_force_maximal  # noqa: E402
 from repro.core import MSCE, enumerate_parallel  # noqa: E402
+from repro.core.scheduler import HELPER_START_BUDGETS  # noqa: E402
 from repro.core.dynamic import DynamicSignedCliqueIndex  # noqa: E402
 from repro.core.heuristic import greedy_signed_cliques  # noqa: E402
 from repro.core.mcbasic import mccore_basic  # noqa: E402
@@ -38,9 +41,15 @@ from repro.core.query import signed_cliques_containing  # noqa: E402
 from repro.fastpath import compile_graph  # noqa: E402
 from repro.fastpath.bitset import bit_count, iter_bits  # noqa: E402
 from repro.models.alpha_k import AlphaKMaskOps  # noqa: E402
+from repro.testing import FaultPlan, injected  # noqa: E402
 
-#: Every this many trials, also run the two-worker parallel enumerator.
+#: Every this many trials, also run the parallel enumerator.
 PARALLEL_EVERY = 25
+
+#: Knobs small enough that even these tiny graphs ship frames to the
+#: helpers and re-split them: the parent forks its helpers after
+#: ``HELPER_START_BUDGETS * 2`` frames.
+PARALLEL_KNOBS = dict(small_component=1, split_component=6, task_budget=2)
 
 
 def _fingerprint(result):
@@ -174,20 +183,14 @@ def run_trial(rng: random.Random, trial: int) -> None:
         ), f"mask maxtest diverged on {sorted(probe)}: {context}"
 
     if trial % PARALLEL_EVERY == 0:
-        # Knobs small enough that even these tiny graphs ship frames to
-        # the workers and re-split them.
-        parallel = enumerate_parallel(
-            graph,
-            params.alpha,
-            params.k,
-            workers=2,
-            small_component=1,
-            split_component=6,
-            task_budget=2,
-        )
-        assert _fingerprint(parallel) == _fingerprint(
-            MSCE(graph, params).enumerate_all()
-        ), f"parallel enumeration diverged: {context}"
+        sequential = _fingerprint(MSCE(graph, params).enumerate_all())
+        for workers in (2, 3):
+            parallel = enumerate_parallel(
+                graph, params.alpha, params.k, workers=workers, **PARALLEL_KNOBS
+            )
+            assert _fingerprint(parallel) == sequential, (
+                f"parallel enumeration (workers={workers}) diverged: {context}"
+            )
 
     assert mccore_basic(graph, params) == mccore_new(graph, params), (
         f"MCBasic != MCNew: {context}"
@@ -222,6 +225,30 @@ def run_trial(rng: random.Random, trial: int) -> None:
     )
 
 
+def run_helper_kill(rng: random.Random) -> None:
+    """Kill a helper at its first frame; the answer must not change.
+
+    Draws instances until one searches three helper thresholds of
+    frames, so the helpers are sure to start.
+    """
+    for _ in range(10_000):
+        graph, params = random_instance(rng)
+        sequential = MSCE(graph, params).enumerate_all()
+        if sequential.stats.recursions > 3 * HELPER_START_BUDGETS * PARALLEL_KNOBS["task_budget"]:
+            break
+    else:
+        raise AssertionError("no instance large enough to start helpers")
+    context = f"helper kill n={graph.number_of_nodes()} params={params}"
+    with injected(FaultPlan(kill_at_frame={0: 1})):
+        parallel = enumerate_parallel(
+            graph, params.alpha, params.k, workers=3, **PARALLEL_KNOBS
+        )
+    assert parallel.parallel["workers_lost"] >= 1, f"no helper was killed: {context}"
+    assert _fingerprint(parallel) == _fingerprint(sequential), (
+        f"parallel enumeration diverged after a helper kill: {context}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
@@ -242,7 +269,13 @@ def main(argv=None) -> int:
             return 1
         if (trial + 1) % 50 == 0:
             print(f"{trial + 1}/{args.trials} trials clean")
-    print(f"all {args.trials} trials clean")
+    try:
+        run_helper_kill(random.Random(f"helper-kill-{args.seed}"))
+    except AssertionError as failure:
+        print(f"DIVERGENCE: {failure}", file=sys.stderr)
+        print(f"reproduce with: python tools/stress.py --trials 0 --seed {args.seed}", file=sys.stderr)
+        return 1
+    print(f"all {args.trials} trials clean, helper kill clean")
     return 0
 
 
