@@ -15,7 +15,6 @@ import pytest
 
 from benchmarks.conftest import record_exhibits
 from repro.algorithms import core_numbers, icore, maximal_cliques
-from repro.algorithms.kcore import icore_tracked
 from repro.algorithms.triangles import all_ego_triangle_degrees, triangle_count
 from repro.core import AlphaK
 from repro.core.maxtest import is_maximal
@@ -36,16 +35,6 @@ def test_icore_positive(benchmark):
     graph = get_dataset("slashdot").graph
     flag, members = benchmark(icore, graph, (), 12, None, "positive")
     assert flag and members
-
-
-def test_icore_tracked_fresh(benchmark):
-    graph = get_dataset("slashdot").graph
-
-    def run():
-        return icore_tracked(graph, set(), 12, graph.node_set(), None, sign="positive")
-
-    flag, members, degrees = benchmark(run)
-    assert flag and len(degrees) == len(members)
 
 
 def test_core_numbers(benchmark):

@@ -1,104 +1,23 @@
-"""Out-of-core scaling: budgeted frontier spilling + cold-start transports.
+"""Storage artifacts: cold-start cost per transport.
 
-Two exhibits behind ``BENCH_oocore.json``:
-
-* **Frontier scaling** — many-component graphs of growing edge count are
-  enumerated under one fixed (absurdly small) memory budget. The
-  in-memory frontier is capped at a scale-independent high-water mark,
-  so the overflow — which grows with the graph — lands on disk:
-  ``spilled frames`` rises while ``resident frame cap`` stays flat, and
-  the budgeted run's tracemalloc peak never exceeds the unbudgeted
-  run's (spilling can only shrink the resident search state). Cliques
-  and stats stay bit-identical throughout — the spill oracle.
-
-* **Cold start** — the wall-clock cost of materialising a usable
-  ``CompiledGraph`` in a fresh process stand-in, per transport: mmap
-  attach of a storage artifact, and the pickle round-trip a process
-  without the artifact would pay. The mmap attach skips both
-  the array copies and the ``__setstate__`` sign-splitting pass, and
-  the gate asserts it beats pickle by at least 2x.
+One exhibit behind ``BENCH_oocore.json``: the wall-clock cost of
+materialising a usable ``CompiledGraph`` in a fresh process stand-in,
+per transport: mmap attach of a storage artifact, and the pickle
+round-trip a process without the artifact would pay. The mmap attach
+skips both the array copies and the ``__setstate__`` sign-splitting
+pass, and the gate asserts it beats pickle by at least 2x.
 """
 
 import pickle
 import time
 
 from benchmarks.conftest import record_exhibits
-from repro.core import enumerate_parallel
-from repro.experiments.harness import Exhibit, Series, measure_peak_memory
+from repro.experiments.harness import Exhibit, Series
 from repro.fastpath import storage
 from repro.fastpath.compiled import CompiledGraph, compile_graph
 from repro.generators import gnp_signed
-from repro.graphs import SignedGraph
-
-#: Fixed soft budget for the scaling leg: small enough that every scale
-#: operates at the minimum frontier high-water mark.
-BUDGET_BYTES = 1
-
-SCALES = (30, 60, 120)
 
 COLD_START_REPEATS = 5
-
-
-def _many_component_graph(components: int, n: int = 14) -> SignedGraph:
-    graph = SignedGraph()
-    for index in range(components):
-        blob = gnp_signed(n, 0.5, negative_fraction=0.25, seed=index)
-        for u, v, sign in blob.edges():
-            graph.add_edge(f"{index}:{u}", f"{index}:{v}", sign)
-    return graph
-
-
-def _fingerprint(result):
-    return (
-        [(c.nodes, c.positive_edges, c.negative_edges) for c in result.cliques],
-        result.stats.as_dict(),
-    )
-
-
-def oocore_scaling() -> Exhibit:
-    edges = Series("edges")
-    spilled = Series("spilled frames")
-    resident_cap = Series("resident frame cap")
-    peak_budgeted = Series("peak bytes (budgeted)")
-    peak_unbudgeted = Series("peak bytes (unbudgeted)")
-    exhibit = Exhibit(
-        title=f"Out-of-core frontier scaling (budget={BUDGET_BYTES} byte)",
-        series=[edges, spilled, resident_cap, peak_budgeted, peak_unbudgeted],
-    )
-    for components in SCALES:
-        graph = _many_component_graph(components)
-        compiled = compile_graph(graph)
-        baseline, base_peak = measure_peak_memory(
-            enumerate_parallel, compiled, 1.5, 1, workers=1
-        )
-        budgeted, budget_peak = measure_peak_memory(
-            enumerate_parallel,
-            compiled,
-            1.5,
-            1,
-            workers=1,
-            memory_budget_bytes=BUDGET_BYTES,
-        )
-        assert _fingerprint(budgeted) == _fingerprint(baseline)
-        assert budgeted.parallel["spilled_frames"] > 0
-        frontier = storage.SpillFrontier(BUDGET_BYTES, compiled.n)
-        try:
-            cap = frontier.high_water
-        finally:
-            frontier.close()
-        edges.add(components, graph.number_of_edges())
-        spilled.add(components, budgeted.parallel["spilled_frames"])
-        resident_cap.add(components, cap)
-        peak_budgeted.add(components, budget_peak)
-        peak_unbudgeted.add(components, base_peak)
-    exhibit.notes.append(
-        "resident frontier capped at a scale-independent high-water mark; "
-        "overflow frames (growing with the graph) wait on disk"
-    )
-    exhibit.notes.append(
-        "budgeted/unbudgeted runs are bit-identical (cliques and stats)"
-    )
-    return exhibit
 
 
 def _best_of(fn, repeats: int = COLD_START_REPEATS) -> float:
@@ -143,25 +62,9 @@ def oocore_cold_start(tmp_dir) -> Exhibit:
     return exhibit
 
 
-def test_oocore_scaling(benchmark, tmp_path):
-    scaling = benchmark.pedantic(oocore_scaling, rounds=1, iterations=1)
-    cold = oocore_cold_start(tmp_path)
-    record_exhibits("oocore", [scaling, cold])
-
-    by_label = scaling.series_by_label()
-    spilled = by_label["spilled frames"].y
-    caps = by_label["resident frame cap"].y
-    budgeted = by_label["peak bytes (budgeted)"].y
-    unbudgeted = by_label["peak bytes (unbudgeted)"].y
-    # The disk-resident overflow grows with the graph...
-    assert spilled[-1] > spilled[0]
-    # ...while the in-RAM frontier bound stays flat under the fixed budget.
-    assert len(set(caps)) == 1
-    # Spilling must not cost resident memory: the budgeted peak stays at
-    # or below the unbudgeted peak at every scale (small slack for
-    # allocator noise).
-    for scale, low, high in zip(SCALES, budgeted, unbudgeted):
-        assert low <= 1.10 * high, f"components={scale}: {low} vs {high}"
+def test_oocore_cold_start(benchmark, tmp_path):
+    cold = benchmark.pedantic(oocore_cold_start, args=(tmp_path,), rounds=1, iterations=1)
+    record_exhibits("oocore", [cold])
 
     timings = dict(zip(*(cold.series[0].x, cold.series[0].y)))
     # Acceptance gate: mmap cold start beats the pickle round-trip >= 2x.

@@ -142,59 +142,6 @@ def icore(
     return True, members
 
 
-def icore_tracked(
-    graph: SignedGraph,
-    fixed,
-    tau: int,
-    members: Set[Node],
-    degrees: Optional[Dict[Node, int]] = None,
-    sign: str = "positive",
-) -> Tuple[bool, Set[Node], Dict[Node, int]]:
-    """Degree-tracked ICore for repeated calls over shrinking sets.
-
-    Semantically identical to :func:`icore`, but built for repeated calls
-    over shrinking candidate sets: *members* is peeled **in place** (the
-    caller must own it), and an optional pre-computed *degrees* map
-    (within-*members* degree of every member, for the selected sign
-    class) is reused and updated instead of recomputed. The returned map
-    reflects the surviving core exactly, so callers can keep threading
-    it through shrinking subproblems with cheap decremental updates:
-    O(changes) per call instead of O(|R|). (The MSCE search keeps its
-    degrees bit-sliced instead, see :class:`repro.models.alpha_k.AlphaKMaskOps`.)
-
-    On failure the partially-peeled *members*/*degrees* are returned as
-    is; callers are expected to discard the frame.
-    """
-    neighbors_of = _neighbor_fn(graph, sign)
-    if degrees is None:
-        degrees = {node: len(neighbors_of(node) & members) for node in members}
-    fixed_set = fixed if isinstance(fixed, (set, frozenset)) else set(fixed)
-    queue: deque = deque()
-    queued: Set[Node] = set()
-    for node, degree in degrees.items():
-        if degree < tau:
-            if node in fixed_set:
-                return False, members, degrees
-            queue.append(node)
-            queued.add(node)
-    while queue:
-        node = queue.popleft()
-        members.discard(node)
-        del degrees[node]
-        for neighbor in neighbors_of(node):
-            if neighbor in members and neighbor not in queued:
-                d = degrees[neighbor] - 1
-                degrees[neighbor] = d
-                if d < tau:
-                    if neighbor in fixed_set:
-                        return False, members, degrees
-                    queue.append(neighbor)
-                    queued.add(neighbor)
-    if not members:
-        return False, members, degrees
-    return True, members, degrees
-
-
 def k_core(
     graph: SignedGraph,
     k: int,

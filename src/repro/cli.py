@@ -159,14 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="enumerate through the parallel scheduler with this many workers",
     )
-    enumerate_cmd.add_argument(
-        "--memory-budget",
-        default=None,
-        metavar="BYTES",
-        help="soft memory budget (kb/mb/gb suffix ok); pending frames "
-        "spill to disk instead of growing the heap (implies the "
-        "scheduler path; default: REPRO_MEMORY_BUDGET)",
-    )
 
     top = sub.add_parser("top", help="find the top-r largest maximal (alpha,k)-cliques")
     _add_graph_argument(top)
@@ -434,19 +426,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "enumerate":
         graph = _load_graph(args.graph)
         params = AlphaK(args.alpha, args.k)
-        if args.workers is not None or args.memory_budget is not None:
+        if args.workers is not None:
             from repro.core.parallel import enumerate_parallel
-            from repro.limits import parse_memory_budget
 
-            try:
-                budget = (
-                    parse_memory_budget(args.memory_budget)
-                    if args.memory_budget is not None
-                    else None
-                )
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
             result = enumerate_parallel(
                 graph,
                 params.alpha,
@@ -454,7 +436,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 workers=args.workers or 1,
                 selection=args.selection,
                 time_limit=args.time_limit,
-                memory_budget_bytes=budget,
                 model=args.model,
             )
         else:
@@ -652,6 +633,17 @@ def _serve_http(args: argparse.Namespace) -> int:
     from repro.net import CliqueServer, ServerConfig, TenantRegistry
     from repro.obs import runtime as obs
 
+    try:
+        default_deadline = parse_deadline(args.default_deadline)
+        max_deadline = parse_deadline(args.max_deadline)
+        memory_budget_bytes = (
+            parse_memory_budget(args.memory_budget)
+            if args.memory_budget is not None
+            else None
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     registry = TenantRegistry(
         cache_dir=args.cache_dir,
         cache_mem_entries=args.cache_mem_entries,
@@ -669,15 +661,11 @@ def _serve_http(args: argparse.Namespace) -> int:
         port=args.port,
         max_concurrency=args.max_concurrency,
         max_queue_depth=args.queue_depth,
-        default_deadline=parse_deadline(args.default_deadline),
-        max_deadline=parse_deadline(args.max_deadline),
+        default_deadline=default_deadline,
+        max_deadline=max_deadline,
         read_timeout=args.read_timeout,
         write_timeout=args.write_timeout,
-        memory_budget_bytes=(
-            parse_memory_budget(args.memory_budget)
-            if args.memory_budget is not None
-            else None
-        ),
+        memory_budget_bytes=memory_budget_bytes,
         coalesce=not args.no_coalesce,
     )
     server = CliqueServer(registry, config)

@@ -95,9 +95,8 @@ from repro.fastpath.bitset import bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, compile_graph, source_graph
 from repro.fastpath.kernels import component_masks, reduce_mask
 from repro.fastpath.search import decompose_root
-from repro.fastpath.storage import SpillFrontier
 from repro.graphs.signed_graph import SignedGraph
-from repro.limits import make_guard, resolve_memory_budget
+from repro.limits import make_guard
 from repro.models import make_constraint, resolve_model
 from repro.obs import runtime as obs
 from repro.obs.progress import ProgressEvent, ProgressReporter
@@ -109,24 +108,6 @@ SMALL_COMPONENT = 32
 #: Components of at least this node count are root-branch decomposed
 #: into multiple tasks instead of shipping as one frame.
 SPLIT_COMPONENT = 128
-
-
-def _shard_footprint(compiled: CompiledGraph, mask: int) -> int:
-    """Estimated resident bytes to search the *mask* component shard.
-
-    Dominated by the per-node adjacency bitmasks the frame search builds
-    (three sign classes of ``n``-bit integers per member) plus the CSR
-    rows actually touched; a constant overhead keeps tiny shards from
-    estimating zero. Only the *relative order* matters — the budgeted
-    execution plan runs the heaviest shards first, while the spill
-    frontier is emptiest — so a coarse model is enough.
-    """
-    xadj = compiled.xadj
-    degree_sum = 0
-    for i in iter_bits(mask):
-        degree_sum += xadj[i + 1] - xadj[i]
-    size = bit_count(mask)
-    return size * (3 * (compiled.n >> 3) + 64) + degree_sum * 8 + 1024
 
 
 def _require_positive_int(name: str, value) -> int:
@@ -177,8 +158,6 @@ def enumerate_parallel(
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     backend: Optional[str] = None,
     model: Optional[str] = None,
-    memory_budget_bytes: Optional[int] = None,
-    spill_dir: Optional[str] = None,
     top_r: Optional[int] = None,
 ) -> EnumerationResult:
     """Enumerate all maximal (alpha, k)-cliques using *workers* processes.
@@ -215,8 +194,6 @@ def enumerate_parallel(
         progress=progress,
         backend=backend,
         model=model,
-        memory_budget_bytes=memory_budget_bytes,
-        spill_dir=spill_dir,
         top_r=top_r,
     )[params]
 
@@ -244,8 +221,6 @@ def enumerate_grid(
     reducer: Optional[Callable] = None,
     backend: Optional[str] = None,
     model: Optional[str] = None,
-    memory_budget_bytes: Optional[int] = None,
-    spill_dir: Optional[str] = None,
     top_r: Optional[int] = None,
 ) -> Dict[AlphaK, EnumerationResult]:
     """Enumerate every (alpha, k) point of *points* against one graph.
@@ -344,23 +319,6 @@ def enumerate_grid(
         results' stats. The requested ``reduction`` is mapped through
         the model's :meth:`~repro.models.SignedConstraint.reduction_rule`
         (non-MSCE models degrade it to ``"none"``).
-    memory_budget_bytes:
-        *Soft* peak-RSS target in bytes enabling the out-of-core
-        execution plan (explicit argument wins over the
-        ``REPRO_MEMORY_BUDGET`` environment variable). Component shards
-        are ordered by estimated footprint (heaviest first, while the
-        frontier is emptiest) and the parent's unbudgeted frame searches
-        (the local sweep; every task when no helper can fork) run
-        under a :class:`~repro.fastpath.storage.SpillFrontier` that
-        parks bottom-of-stack frames in a disk-backed frame store when
-        the in-memory frontier crosses its budget-derived high-water
-        mark. Unlike ``max_memory_bytes`` it never interrupts the run —
-        every frame still runs exactly once, so cliques and stats are
-        bit-identical to the unbudgeted path; ``spilled_frames`` /
-        ``spill_bytes`` land in ``result.parallel``.
-    spill_dir:
-        Directory for spill files (default system tempdir). All are
-        crash-guarded temp files.
     top_r:
         Return only the ``r`` largest maximal cliques of each point,
         with the paper's size-based subspace cutoff active in the
@@ -403,7 +361,6 @@ def enumerate_grid(
     # "none"). One model covers the grid, so one mapping covers every
     # point (the rule reads the model, not the params).
     reduction = make_constraint(model, param_list[0]).reduction_rule(reduction)
-    memory_budget_bytes = resolve_memory_budget(memory_budget_bytes)
     started = time.perf_counter()
     reporter = ProgressReporter(progress) if progress is not None else None
     with obs.span(
@@ -418,9 +375,7 @@ def enumerate_grid(
         # The deadline is an absolute time.monotonic timestamp so the parent
         # and forked helpers (same clock) agree on when time is up.
         deadline_ts = time.monotonic() + time_limit if time_limit is not None else None
-        guard = make_guard(
-            deadline_ts, max_memory_bytes, memory_budget_bytes=memory_budget_bytes
-        )
+        guard = make_guard(deadline_ts, max_memory_bytes)
         # Same compile as MSCE's: nodes no point's reduction can keep
         # are left out of it.
         compiled = (
@@ -499,24 +454,9 @@ def enumerate_grid(
                             top_r=top_r,
                         )
                     )
-        if memory_budget_bytes is not None:
-            # Budgeted execution plan: order shards by estimated resident
-            # footprint, heaviest first, so the big components run while
-            # the spill frontier is emptiest. Ordering changes nothing
-            # observable — frames partition the search tree and counters
-            # are additive — so results stay bit-identical either way.
-            tasks.sort(
-                key=lambda task: (-_shard_footprint(extracted, task[1][0]), task[0], task[1])
-            )
-            # The local sweep's DFS pops from the end, so ascending
-            # footprint puts the heaviest shard first in execution order.
-            local.sort(
-                key=lambda task: (_shard_footprint(extracted, task[1][0]), task[0], task[1])
-            )
-        else:
-            # Biggest subtrees first so stragglers start early; deterministic
-            # tie-break keeps the seeded order stable across runs.
-            tasks.sort(key=lambda task: (-bit_count(task[1][0]), task[0], task[1]))
+        # Biggest subtrees first so stragglers start early; deterministic
+        # tie-break keeps the seeded order stable across runs.
+        tasks.sort(key=lambda task: (-bit_count(task[1][0]), task[0], task[1]))
 
         report: Dict[str, object] = {
             "backend": backend,
@@ -524,21 +464,8 @@ def enumerate_grid(
             "grid_points": len(param_list),
             "inline_components": len(local),
             "presplit_components": split_components,
-            "memory_budget_bytes": memory_budget_bytes,
-            "spilled_frames": 0,
-            "spill_bytes": 0,
             "top_r": top_r,
         }
-        # One disk-backed frontier shared by every unbudgeted parent
-        # search of a budgeted run; each run() drains it before
-        # returning, so reuse across calls is safe.
-        frontier = (
-            SpillFrontier(
-                memory_budget_bytes, extracted.n, dir=spill_dir, guard=guard
-            )
-            if memory_budget_bytes is not None
-            else None
-        )
         with obs.span("enumerate"):
             scheduler = WorkStealingScheduler(
                 groups,
@@ -553,15 +480,8 @@ def enumerate_grid(
                 drain_timeout=drain_timeout,
                 progress=reporter.update if reporter is not None else None,
                 top_r=top_r,
-                frontier=frontier,
             )
-            try:
-                scheduler.run_grouped(tasks, local)
-            finally:
-                if frontier is not None:
-                    report["spilled_frames"] = frontier.spilled_frames
-                    report["spill_bytes"] = frontier.spill_bytes
-                    frontier.close()
+            scheduler.run_grouped(tasks, local)
         report.update(scheduler.report)
         degraded = report["degraded"]
         if degraded is not None:

@@ -275,10 +275,6 @@ class WorkStealingScheduler:
         sound because each heap holds only sizes of genuine maximal
         cliques of its own group, so it under-estimates that group's
         r-th-largest size at every point.
-    frontier:
-        Optional :class:`~repro.fastpath.storage.SpillFrontier` for the
-        parent's unbudgeted searches (the local sweep, and every task
-        when no helper can start).
     """
 
     def __init__(
@@ -295,7 +291,6 @@ class WorkStealingScheduler:
         drain_timeout: float = RESULT_DRAIN_TIMEOUT,
         progress: Optional[Callable[[int, int], None]] = None,
         top_r: Optional[int] = None,
-        frontier=None,
     ):
         self.groups: Tuple[SearchGroup, ...] = tuple(groups)
         if not self.groups:
@@ -312,7 +307,6 @@ class WorkStealingScheduler:
         self.drain_timeout = drain_timeout
         self.progress = progress
         self.top_r = top_r
-        self.frontier = frontier
         #: Filled by :meth:`run_grouped`: scheduling + fault-tolerance
         #: counters.
         self.report: Dict[str, object] = {}
@@ -517,7 +511,7 @@ class WorkStealingScheduler:
         through the same credited spawn path as a helper's messages — a
         retried task drops its first ``spawns_credited`` spawns — and
         servicing the pool at every budget boundary. With no helper
-        possible it runs unbudgeted, under the spill frontier if any.
+        possible it runs unbudgeted.
         """
         group = self.groups[record.group]
         search = self._search(record.group)
@@ -544,7 +538,7 @@ class WorkStealingScheduler:
         try:
             faults.check_task(record.task_id)
             if self._ctx is None:
-                reason = search.run([(record.frame[0], record.frame[1], None)], frontier=self.frontier)
+                reason = search.run([(record.frame[0], record.frame[1], None)])
             else:
                 reason = search.run(
                     [(record.frame[0], record.frame[1], None)],
@@ -586,8 +580,7 @@ class WorkStealingScheduler:
             recursions = self.groups[group].stats.counter("recursions")
             start = recursions.value
             reason = search.run(
-                [(candidates, included, None) for candidates, included in frames],
-                frontier=self.frontier,
+                [(candidates, included, None) for candidates, included in frames]
             )
             self._parent_frames += recursions.value - start
             if reason is not None:

@@ -30,8 +30,7 @@ This package provides the flat alternative:
   versioned little-endian artifact layout written by
   :meth:`CompiledGraph.save <repro.fastpath.compiled.CompiledGraph.save>`
   and re-attached zero-copy by :meth:`CompiledGraph.mmap
-  <repro.fastpath.compiled.CompiledGraph.mmap>`, plus the disk-backed
-  frame store / spill frontier behind memory-budgeted enumeration;
+  <repro.fastpath.compiled.CompiledGraph.mmap>`;
 * :mod:`~repro.fastpath.backend` — the kernel-tier resolver
   (:func:`~repro.fastpath.backend.resolve_backend`): ``python`` is the
   pure-Python oracle, ``vectorized`` the numpy packed-uint64 port
@@ -61,13 +60,7 @@ from repro.fastpath.backend import (
 )
 from repro.fastpath.bitset import IntBitset, bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
-from repro.fastpath.storage import (
-    FrameStore,
-    GraphStore,
-    SpillFrontier,
-    mmap_compiled,
-    save_compiled,
-)
+from repro.fastpath.storage import GraphStore, mmap_compiled, save_compiled
 
 __all__ = [
     "CompiledGraph",
@@ -75,8 +68,6 @@ __all__ = [
     "as_compiled",
     "source_graph",
     "GraphStore",
-    "FrameStore",
-    "SpillFrontier",
     "save_compiled",
     "mmap_compiled",
     "IntBitset",

@@ -16,7 +16,7 @@ candidates, per-frame state threading), so the skeleton here is
 model-neutral — MSCE's (alpha, k) rules live in
 :mod:`repro.models.alpha_k`, the balanced-clique rules in
 :mod:`repro.models.balanced`, and both inherit the resumable frames,
-offload/spill driving loops, and guard handling below unchanged.
+offload driving loop, and guard handling below unchanged.
 
 The search is *resumable*: a frame ``(candidates, included, state)``
 is a self-contained subproblem (``state`` is the model's threaded
@@ -236,7 +236,6 @@ class FrameSearch:
         budget: Optional[int] = None,
         offload: Optional[Callable[[Tuple[int, int]], None]] = None,
         max_offload: int = MAX_OFFLOAD,
-        frontier=None,
     ) -> Optional[str]:
         """DFS over *frames* (include branch explored first).
 
@@ -251,25 +250,9 @@ class FrameSearch:
         pure function of the task itself — the foundation of the
         parallel enumerator's determinism guarantee.
 
-        With a *frontier* (a
-        :class:`~repro.fastpath.storage.SpillFrontier`), the stack is
-        kept bounded in RAM: whenever it crosses the frontier's
-        high-water mark the bottom-of-stack frames — the same largest
-        unexplored subtrees offload would take — are spilled to its
-        disk-backed :class:`~repro.fastpath.storage.FrameStore` (threaded
-        state dropped, recomputed on reload) and pulled back only when
-        the in-memory stack drains. Spill timing may consult wall-clock
-        RSS because it only decides *where frames wait*, never which
-        frames are expanded: cliques and stats stay bit-identical to an
-        unbounded in-memory run. Don't combine *frontier* with
-        *offload*: spilling reorders expansion, which would perturb the
-        offload spawn sequence that the retry-credit replay depends on
-        (the budgeted inline paths never do).
-
         When the :class:`~repro.limits.ResourceGuard` trips (deadline or
         memory ceiling) the search stops *cooperatively*: the remaining
-        stack — including any frames still parked in the *frontier* —
-        is recorded in :attr:`incomplete` as plain
+        stack is recorded in :attr:`incomplete` as plain
         ``(candidates, included)`` pairs, :attr:`interrupted` latches
         the reason, and the reason is returned — work already done
         stays emitted and counted, so callers return a partial result
@@ -281,16 +264,7 @@ class FrameSearch:
         tick = self.tick
         stack = list(frames)
         processed = 0
-        while True:
-            if not stack and frontier is not None:
-                reloaded = frontier.refill()
-                if reloaded:
-                    stack.extend(
-                        (candidates, included, None)
-                        for candidates, included in reloaded
-                    )
-            if not stack:
-                break
+        while stack:
             if tick is not None:
                 tick()
             if guard is not None:
@@ -300,9 +274,6 @@ class FrameSearch:
                     self.incomplete.extend(
                         (candidates, included) for candidates, included, _d in stack
                     )
-                    del stack[:]
-                    if frontier is not None:
-                        self.incomplete.extend(frontier.drain())
                     from repro.obs import runtime as obs
 
                     obs.journal_event(
@@ -318,14 +289,6 @@ class FrameSearch:
                 include, exclude = children
                 stack.append(exclude)
                 stack.append(include)
-            if frontier is not None and frontier.should_spill(len(stack)):
-                take = len(stack) - frontier.keep
-                if take > 0:
-                    frontier.spill(
-                        (candidates, included)
-                        for candidates, included, _state in stack[:take]
-                    )
-                    del stack[:take]
             if (
                 budget is not None
                 and offload is not None

@@ -1,11 +1,8 @@
-"""Versioned on-disk storage for :class:`CompiledGraph` + frame spilling.
+"""Versioned on-disk storage for :class:`CompiledGraph` artifacts.
 
-Two storage tiers live here, both built for graphs (and frontiers) that
-should not be paid for in RAM or in pickle bytes:
-
-**Graph artifacts** — :func:`save_compiled` writes a compiled graph to a
-single file in a versioned, **little-endian** layout: a fixed 88-byte
-header (:data:`MAGIC`, version, flags, the CSR dimensions, an optional
+Built for graphs that should not be paid for in RAM or in pickle bytes.
+:func:`save_compiled` writes a compiled graph to a single file in a
+versioned, **little-endian** layout: a fixed 88-byte header (:data:`MAGIC`, version, flags, the CSR dimensions, an optional
 graph fingerprint) followed by 8-aligned segments holding the six CSR
 arrays, the aligned edge signs, the pickled node list, and — when
 flagged — the packed-``uint64`` adjacency matrices of
@@ -18,27 +15,10 @@ shares between every attached process and evicts under pressure.
 Because the mapping is ``ACCESS_READ``, any attempt to assign through
 the views raises — compiled graphs are immutable and the storage tier
 enforces it.
-
-**Frame spilling** — :class:`FrameStore` is a disk-backed LIFO of
-``(candidates, included)`` search frames and :class:`SpillFrontier` is
-the policy object that lets :meth:`FrameSearch.run
-<repro.fastpath.search.FrameSearch.run>` keep its DFS stack bounded:
-when the in-memory frontier crosses a high-water mark (derived from the
-run's memory budget), the bottom-of-stack frames — the largest
-unexplored subtrees — are serialised to a temp file and reloaded only
-when the stack drains. Spilling changes *where frames wait, never which
-frames run*, so cliques and stats stay bit-identical to the unbudgeted
-in-memory run (the same argument as the scheduler's offload path).
-
-Every spill file carries a ``weakref.finalize`` crash guard: files are
-removed even when the owner never reaches its explicit ``close()``, and
-the guard is pid-checked so forked children cannot yank a file from
-under the still-running parent.
 """
 
 from __future__ import annotations
 
-import io
 import mmap
 import os
 import pickle
@@ -46,7 +26,7 @@ import struct
 import sys
 import tempfile
 import weakref
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exceptions import ParameterError, StorageError
 from repro.fastpath.compiled import CompiledGraph
@@ -75,10 +55,9 @@ PACKED_NODE_LIMIT = 4096
 
 _ALIGN = 8
 
-#: Filename prefixes of the crash-guarded temp artifacts (leak checks in
-#: the fault-injection tests grep the tempdir for these).
+#: Filename prefix of in-progress artifact saves (leak checks in the
+#: fault-injection tests grep the tempdir for it).
 MMAP_PREFIX = "repro-mmap-"
-SPILL_PREFIX = "repro-spill-"
 
 
 def _aligned(offset: int) -> int:
@@ -454,126 +433,6 @@ def release_views(graph: CompiledGraph) -> None:
                 pass
 
 
-# ----------------------------------------------------------------------
-# Frame spilling
-# ----------------------------------------------------------------------
-
-#: Bottom floor / ceiling for a budget-derived in-memory frontier size.
-MIN_HIGH_WATER = 32
-MAX_HIGH_WATER = 1 << 20
-
-#: Per-frame RAM estimate: two n-bit masks plus list/tuple overhead.
-FRAME_OVERHEAD = 256
-
-
-def frame_bytes_estimate(n: int) -> int:
-    """Rough resident bytes of one pending ``(candidates, included)`` frame."""
-    return FRAME_OVERHEAD + (n >> 2)
-
-
-class FrameStore:
-    """A disk-backed LIFO of ``(candidates, included)`` frame batches.
-
-    One crash-guarded temp file holds length-prefixed little-endian
-    big-int records; an in-memory index of ``(offset, count, length)``
-    batch descriptors makes :meth:`pop_batch` a seek + read + truncate,
-    so the file never grows past the spilled frontier's high-water mark.
-    """
-
-    __slots__ = ("path", "spilled_frames", "bytes_written", "_file", "_end",
-                 "_batches", "_finalizer", "__weakref__")
-
-    def __init__(self, dir: Optional[str] = None):
-        fd, self.path = tempfile.mkstemp(prefix=SPILL_PREFIX, suffix=".frames", dir=dir)
-        self._file = os.fdopen(fd, "r+b")
-        self._end = 0
-        self._batches: List[Tuple[int, int, int]] = []
-        #: Total frames ever pushed (monotonic; report counter).
-        self.spilled_frames = 0
-        #: Total bytes ever written (monotonic; report counter).
-        self.bytes_written = 0
-        self._finalizer = weakref.finalize(
-            self, _remove_spill, self._file, self.path, os.getpid()
-        )
-
-    @property
-    def pending(self) -> int:
-        """Frames currently on disk awaiting :meth:`pop_batch`."""
-        return sum(count for _offset, count, _length in self._batches)
-
-    def push_batch(self, frames: Iterable[Tuple[int, int]]) -> int:
-        """Append one batch of mask pairs; return the frame count."""
-        buf = io.BytesIO()
-        count = 0
-        for candidates, included in frames:
-            for value in (candidates, included):
-                blob = value.to_bytes(max(1, (value.bit_length() + 7) >> 3), "little")
-                buf.write(len(blob).to_bytes(4, "little"))
-                buf.write(blob)
-            count += 1
-        if not count:
-            return 0
-        payload = buf.getvalue()
-        self._file.seek(self._end)
-        self._file.write(payload)
-        self._batches.append((self._end, count, len(payload)))
-        self._end += len(payload)
-        self.spilled_frames += count
-        self.bytes_written += len(payload)
-        return count
-
-    def pop_batch(self) -> List[Tuple[int, int]]:
-        """Reload the most recently pushed batch (empty list when drained)."""
-        if not self._batches:
-            return []
-        offset, count, length = self._batches.pop()
-        self._file.seek(offset)
-        data = self._file.read(length)
-        self._file.truncate(offset)
-        self._end = offset
-        frames: List[Tuple[int, int]] = []
-        position = 0
-        for _ in range(count):
-            values = []
-            for _half in range(2):
-                blob_len = int.from_bytes(data[position : position + 4], "little")
-                position += 4
-                values.append(
-                    int.from_bytes(data[position : position + blob_len], "little")
-                )
-                position += blob_len
-            frames.append((values[0], values[1]))
-        return frames
-
-    def drain(self) -> List[Tuple[int, int]]:
-        """Pop every remaining batch (guard-trip accounting path)."""
-        frames: List[Tuple[int, int]] = []
-        while self._batches:
-            frames.extend(self.pop_batch())
-        return frames
-
-    def close(self) -> None:
-        """Close and delete the spill file (idempotent)."""
-        self._finalizer()
-
-    def __repr__(self) -> str:
-        return (
-            f"FrameStore(path={self.path!r}, pending={self.pending}, "
-            f"spilled={self.spilled_frames})"
-        )
-
-
-def _remove_spill(handle, path: str, owner_pid: int) -> None:
-    """Crash-path cleanup of a spill file (pid-checked: only the owner removes it)."""
-    if os.getpid() != owner_pid:
-        return
-    try:
-        handle.close()
-    except Exception:  # pragma: no cover - best-effort crash path
-        pass
-    _remove_file(path, owner_pid)
-
-
 def _remove_file(path: str, owner_pid: int) -> None:
     """Unlink *path* if it still exists and we are the owning process."""
     if os.getpid() != owner_pid:
@@ -582,79 +441,3 @@ def _remove_file(path: str, owner_pid: int) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-class SpillFrontier:
-    """Spill policy bounding a :class:`FrameSearch` DFS stack in RAM.
-
-    ``high_water`` is derived from the run's memory budget (a quarter of
-    the budget divided by :func:`frame_bytes_estimate`, clamped to
-    [:data:`MIN_HIGH_WATER`, :data:`MAX_HIGH_WATER`]); when the stack
-    crosses it — or a guard's soft budget reports the process over while
-    the stack holds more than ``keep`` frames — the bottom of the stack
-    moves to the :class:`FrameStore`. The spill trigger may depend on
-    wall-clock RSS because it only changes *where* frames wait: every
-    frame is still expanded exactly once, so results and stats are
-    invariant (unlike offload points, which must stay deterministic
-    because they feed the retry-credit accounting).
-    """
-
-    __slots__ = ("store", "high_water", "keep", "guard")
-
-    def __init__(
-        self,
-        memory_budget_bytes: int,
-        n: int,
-        dir: Optional[str] = None,
-        guard=None,
-        high_water: Optional[int] = None,
-    ):
-        if high_water is None:
-            estimate = frame_bytes_estimate(max(1, n))
-            high_water = max(
-                MIN_HIGH_WATER,
-                min(MAX_HIGH_WATER, memory_budget_bytes // (4 * estimate)),
-            )
-        self.high_water = high_water
-        self.keep = max(1, high_water // 2)
-        self.store = FrameStore(dir=dir)
-        self.guard = guard
-
-    def should_spill(self, depth: int) -> bool:
-        """Whether a *depth*-frame stack should shed its bottom now."""
-        if depth > self.high_water:
-            return True
-        if self.guard is not None and depth > self.keep:
-            return self.guard.over_budget()
-        return False
-
-    def spill(self, frames: Iterable[Tuple[int, int]]) -> int:
-        """Move mask pairs to disk; returns the count."""
-        return self.store.push_batch(frames)
-
-    def refill(self) -> List[Tuple[int, int]]:
-        """Reload the most recent spilled batch (LIFO, empty when dry)."""
-        return self.store.pop_batch()
-
-    @property
-    def pending(self) -> int:
-        """Frames currently parked on disk."""
-        return self.store.pending
-
-    @property
-    def spilled_frames(self) -> int:
-        """Total frames ever spilled (report counter)."""
-        return self.store.spilled_frames
-
-    @property
-    def spill_bytes(self) -> int:
-        """Total bytes ever spilled (report counter)."""
-        return self.store.bytes_written
-
-    def drain(self) -> List[Tuple[int, int]]:
-        """Pop everything still on disk (guard-trip accounting)."""
-        return self.store.drain()
-
-    def close(self) -> None:
-        """Delete the backing spill file (idempotent)."""
-        self.store.close()

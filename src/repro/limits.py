@@ -27,7 +27,6 @@ guard is inert.
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from typing import Callable, Optional
@@ -38,10 +37,6 @@ MEMORY_STRIDE = 64
 #: Reason strings a tripped guard reports.
 REASON_DEADLINE = "deadline"
 REASON_MEMORY = "memory"
-
-#: Environment variable naming the default soft memory budget (bytes,
-#: with an optional kb/mb/gb suffix) for budgeted enumeration runs.
-MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET"
 
 _BUDGET_SUFFIXES = {"kb": 1 << 10, "mb": 1 << 20, "gb": 1 << 30,
                     "k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
@@ -71,7 +66,11 @@ def rss_bytes() -> Optional[int]:
 
 
 def parse_memory_budget(text: str) -> int:
-    """Parse a byte count with an optional ``kb``/``mb``/``gb`` suffix."""
+    """Parse a byte count with an optional ``kb``/``mb``/``gb`` suffix.
+
+    Non-positive counts are rejected: as an admission budget
+    (:mod:`repro.net.admission`) zero bytes would shed every request.
+    """
     value = text.strip().lower()
     scale = 1
     for suffix, multiplier in _BUDGET_SUFFIXES.items():
@@ -80,12 +79,15 @@ def parse_memory_budget(text: str) -> int:
             scale = multiplier
             break
     try:
-        return int(value) * scale
+        budget = int(value) * scale
     except ValueError as exc:
         raise ValueError(
             f"invalid memory budget {text!r}: expected bytes with an "
             "optional kb/mb/gb suffix"
         ) from exc
+    if budget <= 0:
+        raise ValueError(f"invalid memory budget {text!r}: must be a positive byte count")
+    return budget
 
 
 def parse_deadline(text: str) -> float:
@@ -117,26 +119,6 @@ def parse_deadline(text: str) -> float:
     return seconds
 
 
-def resolve_memory_budget(memory_budget_bytes: Optional[int] = None) -> Optional[int]:
-    """Resolve the soft budget: explicit argument > env > no budget.
-
-    Mirrors :func:`repro.fastpath.backend.resolve_backend` precedence:
-    an explicit ``memory_budget_bytes=`` wins over
-    :data:`MEMORY_BUDGET_ENV`, which wins over ``None`` (unbudgeted).
-    Non-positive values disable the budget.
-    """
-    if memory_budget_bytes is None:
-        raw = os.environ.get(MEMORY_BUDGET_ENV, "").strip()
-        if not raw:
-            return None
-        memory_budget_bytes = parse_memory_budget(raw)
-    if isinstance(memory_budget_bytes, bool) or not isinstance(memory_budget_bytes, int):
-        raise ValueError(
-            f"memory_budget_bytes must be an integer byte count, got {memory_budget_bytes!r}"
-        )
-    return memory_budget_bytes if memory_budget_bytes > 0 else None
-
-
 class ResourceGuard:
     """Latched deadline / memory-ceiling check, cheap enough per frame.
 
@@ -147,12 +129,6 @@ class ResourceGuard:
         trips with reason ``"deadline"``, or ``None`` for no deadline.
     max_memory_bytes:
         Peak-RSS ceiling tripping with reason ``"memory"``, or ``None``.
-    memory_budget_bytes:
-        *Soft* peak-RSS target, or ``None``. Unlike the ceiling it never
-        trips the guard: :meth:`over_budget` merely reports the overrun
-        so budget-aware callers (the spill frontier of
-        :mod:`repro.fastpath.storage`) can move pending state to disk
-        and keep running to completion.
     clock:
         The time source *deadline* is compared against. Use
         ``time.monotonic`` when worker processes must agree on the same
@@ -162,7 +138,6 @@ class ResourceGuard:
     __slots__ = (
         "deadline",
         "max_memory_bytes",
-        "memory_budget_bytes",
         "clock",
         "_calls",
         "_tripped",
@@ -173,11 +148,9 @@ class ResourceGuard:
         deadline: Optional[float] = None,
         max_memory_bytes: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
-        memory_budget_bytes: Optional[int] = None,
     ):
         self.deadline = deadline
         self.max_memory_bytes = max_memory_bytes
-        self.memory_budget_bytes = memory_budget_bytes
         self.clock = clock
         self._calls = 0
         self._tripped: Optional[str] = None
@@ -185,24 +158,7 @@ class ResourceGuard:
     @property
     def enabled(self) -> bool:
         """Whether any limit is configured at all."""
-        return (
-            self.deadline is not None
-            or self.max_memory_bytes is not None
-            or self.memory_budget_bytes is not None
-        )
-
-    def over_budget(self) -> bool:
-        """Whether peak RSS currently exceeds the *soft* budget.
-
-        Advisory and non-latching as far as the guard is concerned
-        (``ru_maxrss`` itself is a high-water mark, so once the process
-        has peaked past the budget this stays true). Never trips the
-        guard: budgeted runs complete, they just spill.
-        """
-        if self.memory_budget_bytes is None:
-            return False
-        peak = rss_bytes()
-        return peak is not None and peak > self.memory_budget_bytes
+        return self.deadline is not None or self.max_memory_bytes is not None
 
     @property
     def tripped(self) -> Optional[str]:
@@ -272,14 +228,8 @@ def make_guard(
     deadline: Optional[float],
     max_memory_bytes: Optional[int],
     clock: Callable[[], float] = time.monotonic,
-    memory_budget_bytes: Optional[int] = None,
 ) -> Optional[ResourceGuard]:
     """Build a guard, or ``None`` when no limit is configured."""
-    if deadline is None and max_memory_bytes is None and memory_budget_bytes is None:
+    if deadline is None and max_memory_bytes is None:
         return None
-    return ResourceGuard(
-        deadline,
-        max_memory_bytes,
-        clock=clock,
-        memory_budget_bytes=memory_budget_bytes,
-    )
+    return ResourceGuard(deadline, max_memory_bytes, clock=clock)

@@ -63,7 +63,7 @@ class FrameOps:
     compiled node indices of the graph the search runs on. ``state`` is
     the model's per-frame threaded state, opaque to the search: only the
     binding reads it. ``None`` means "nothing threaded"; frames that
-    arrive without state (roots, offloaded or spilled frames) must be
+    arrive without state (roots or offloaded frames) must be
     handled by recomputing it, so dropping state never changes results
     or counters.
 

@@ -98,8 +98,9 @@ class AdmissionController:
         Additional tickets admitted beyond *max_concurrency*; the total
         standing bound is the sum of the two.
     memory_budget_bytes:
-        Optional soft peak-RSS bound; above it, new admissions shed
-        with reason ``"memory"`` (``None`` disables the check).
+        Optional soft peak-RSS bound in bytes (positive); above it, new
+        admissions shed with reason ``"memory"`` (``None`` disables the
+        check).
     initial_service_seconds:
         Seed of the service-time EMA before any work completed.
     """
@@ -116,6 +117,8 @@ class AdmissionController:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         if max_queue_depth < 0:
             raise ValueError(f"max_queue_depth must be >= 0, got {max_queue_depth}")
+        if memory_budget_bytes is not None and memory_budget_bytes <= 0:
+            raise ValueError(f"memory_budget_bytes must be > 0, got {memory_budget_bytes}")
         self.max_concurrency = max_concurrency
         self.max_queue_depth = max_queue_depth
         self.memory_budget_bytes = memory_budget_bytes

@@ -116,6 +116,25 @@ class TestErrors:
         assert main(["stats", str(bogus)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--memory-budget", "0"),
+            ("--memory-budget", "-1g"),
+            ("--memory-budget", "lots"),
+            ("--default-deadline", "soon"),
+            ("--default-deadline", "0"),
+            ("--max-deadline", "-5s"),
+        ],
+    )
+    def test_serve_rejects_bad_limits_without_traceback(self, graph_file, capsys, flag, value):
+        argv = ["serve", graph_file, "--port", "0", "--exit-after", "0.01", f"{flag}={value}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert "serving" not in captured.out
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -72,8 +72,7 @@ def _no_leaks():
     """Every test must leave the tempdir and the process table clean.
 
     The tempdir check covers the storage tier's temp artifacts
-    (``repro-mmap-*`` in-progress saves, ``repro-spill-*`` frame
-    stores).
+    (``repro-mmap-*`` in-progress saves).
     """
     tmp_dir = Path(tempfile.gettempdir())
     tmp_before = set(os.listdir(tmp_dir))
@@ -82,7 +81,7 @@ def _no_leaks():
     leaked_files = {
         name
         for name in set(os.listdir(tmp_dir)) - tmp_before
-        if name.startswith((storage.MMAP_PREFIX, storage.SPILL_PREFIX))
+        if name.startswith(storage.MMAP_PREFIX)
     }
     assert not leaked_files, f"leaked storage temp artifacts: {leaked_files}"
     # Scheduler children are joined/terminated by every exit path; give
@@ -396,29 +395,3 @@ class TestArgumentValidation:
             enumerate_parallel(paper_graph, 3, 1, **kwargs)
         with pytest.raises(ValueError, match=name):
             enumerate_grid(paper_graph, [AlphaK(3, 1), AlphaK(2, 1)], **kwargs)
-
-
-class TestStorageCrashGuard:
-    def test_leaked_frame_store_removes_spill_file_on_collection(self):
-        store = storage.FrameStore()
-        store.push_batch([(0b1011, 0b1), (0b100, 0b10)])
-        path = store.path
-        assert os.path.exists(path)
-        del store
-        gc.collect()
-        assert not os.path.exists(path)
-
-    def test_interrupted_budgeted_run_leaves_no_artifacts(self):
-        """Ctrl-C mid-run with spilling active: the autouse fixture
-        asserts no repro-spill-* files and no helper survive."""
-        graph = _fault_graph(seed=13)
-        with injected(FaultPlan(interrupt_parent_after=1)):
-            with pytest.raises(KeyboardInterrupt):
-                enumerate_parallel(
-                    graph,
-                    1.5,
-                    1,
-                    workers=WORKERS,
-                    memory_budget_bytes=1,
-                    **SPLIT_KNOBS,
-                )

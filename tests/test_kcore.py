@@ -13,7 +13,6 @@ from repro.algorithms import (
     max_core_number,
     positive_core,
 )
-from repro.algorithms.kcore import icore_tracked
 from repro.exceptions import ParameterError
 from repro.graphs import SignedGraph
 from tests.conftest import make_random_signed_graph
@@ -124,38 +123,3 @@ class TestICore:
     def test_has_k_core(self, paper_graph):
         assert has_k_core(paper_graph, 3, sign="positive")
         assert not has_k_core(paper_graph, 5, sign="positive")
-
-
-class TestICoreTracked:
-    def test_matches_icore_on_random_graphs(self):
-        rng = random.Random(8)
-        for _ in range(40):
-            graph = make_random_signed_graph(rng)
-            tau = rng.randint(0, 4)
-            flag_a, members_a = icore(graph, tau=tau, sign="positive")
-            flag_b, members_b, degrees = icore_tracked(
-                graph, set(), tau, graph.node_set(), None, sign="positive"
-            )
-            assert flag_a == flag_b
-            if flag_a:
-                assert members_a == members_b
-                # Returned degrees must be exact within-core degrees.
-                for node in members_b:
-                    assert degrees[node] == len(
-                        graph.positive_neighbors(node) & members_b
-                    )
-
-    def test_reuses_supplied_degrees(self, paper_graph):
-        members = paper_graph.node_set()
-        degrees = {
-            node: len(paper_graph.positive_neighbors(node) & members) for node in members
-        }
-        flag, survivors, final = icore_tracked(paper_graph, set(), 3, members, degrees)
-        assert flag and survivors == {1, 2, 3, 4, 5, 6, 7}
-        assert all(final[node] >= 3 for node in survivors)
-
-    def test_fixed_node_failure(self, paper_graph):
-        flag, _members, _degrees = icore_tracked(
-            paper_graph, {8}, 3, paper_graph.node_set(), None
-        )
-        assert not flag

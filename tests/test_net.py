@@ -28,7 +28,7 @@ import pytest
 from repro.core import MSCE, AlphaK
 from repro.generators import gnp_signed
 from repro.graphs import SignedGraph
-from repro.limits import ResourceGuard, parse_deadline
+from repro.limits import ResourceGuard, parse_deadline, parse_memory_budget
 from repro.net import (
     AdmissionController,
     ServerConfig,
@@ -76,8 +76,22 @@ def _payload_cliques(payload):
 
 
 # ---------------------------------------------------------------------------
-# Satellite: deadline parsing + guard propagation
+# Satellite: memory-budget and deadline parsing + guard propagation
 # ---------------------------------------------------------------------------
+class TestParseMemoryBudget:
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("100", 100), ("64kb", 64 << 10), (" 2 g ", 2 << 30), ("512M", 512 << 20)],
+    )
+    def test_accepts_suffixes(self, text, expected):
+        assert parse_memory_budget(text) == expected
+
+    @pytest.mark.parametrize("text", ["", "lots", "0", "0kb", "-1", "-1g", "1.5g"])
+    def test_rejects_non_positive_and_garbage(self, text):
+        with pytest.raises(ValueError, match="memory budget"):
+            parse_memory_budget(text)
+
+
 class TestParseDeadline:
     @pytest.mark.parametrize(
         "text,expected",
@@ -274,6 +288,13 @@ class TestAdmission:
             AdmissionController(max_concurrency=0)
         with pytest.raises(ValueError):
             AdmissionController(max_queue_depth=-1)
+
+    @pytest.mark.parametrize("budget", [0, -1, -(1 << 30)])
+    def test_rejects_non_positive_memory_budget(self, budget):
+        # A zero or negative budget is always "over", so it would shed
+        # every request with a 503.
+        with pytest.raises(ValueError, match="memory_budget_bytes"):
+            AdmissionController(memory_budget_bytes=budget)
 
 
 # ---------------------------------------------------------------------------
