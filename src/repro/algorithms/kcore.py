@@ -115,7 +115,13 @@ def icore(
     if not fixed_set <= members:
         return False, set()
 
-    degrees: Dict[Node, int] = {node: len(neighbors_of(node) & members) for node in members}
+    if within is None:
+        # Every neighbour is a member, so a degree is a row length: no
+        # row is intersected, and the peel below costs n plus the volume
+        # of the peeled nodes.
+        degrees: Dict[Node, int] = {node: len(neighbors_of(node)) for node in members}
+    else:
+        degrees = {node: len(neighbors_of(node) & members) for node in members}
     queue: deque = deque()
     queued: Set[Node] = set()
     for node, degree in degrees.items():

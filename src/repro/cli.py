@@ -389,6 +389,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
+        return 1
     if args.command == "stats":
         stats = graph_stats(source_graph(_load_graph(args.graph)))
         print(stats.as_table_row(args.graph))
@@ -433,7 +437,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 graph,
                 params.alpha,
                 params.k,
-                workers=args.workers or 1,
+                workers=args.workers,
                 selection=args.selection,
                 time_limit=args.time_limit,
                 model=args.model,

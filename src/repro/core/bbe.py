@@ -233,12 +233,13 @@ def seeded_slice(graph: SignedGraph, space: Set[Node], floor: int) -> List[Node]
 
 
 def compile_floor(reduction: str, params: AlphaK) -> int:
-    """The positive degree every node kept by *reduction* has.
+    """The threshold of the positive core that holds every node *reduction* keeps.
 
     *reduction* is the model-mapped method. The (alpha, k) reductions
-    keep only nodes with at least ``ceil(alpha * k)`` positive
-    neighbours, so compiling only those changes neither the survivors
-    nor their order. ``"none"`` keeps every node.
+    keep only nodes of the positive ``ceil(alpha * k)``-core (Lemma 1),
+    so :func:`~repro.fastpath.compile_graph` at this
+    ``min_positive_degree`` compiles that core and changes neither the
+    survivors nor their order. ``"none"`` keeps every node (0).
     """
     return 0 if reduction == "none" else params.positive_threshold
 
@@ -253,9 +254,9 @@ class MSCE:
         :class:`repro.fastpath.CompiledGraph` of one. Either way the
         reduction and the branch-and-bound search run on the CSR/bitset
         fastpath: a ``SignedGraph`` is compiled on first use, keeping
-        only the nodes whose positive degree reaches ``ceil(alpha*k)``
-        when the reduction is an (alpha, k) core (no other node can
-        survive it). The search then runs on the re-indexed reduction
+        only its positive ``ceil(alpha*k)``-core when the reduction is an
+        (alpha, k) core (by Lemma 1 no other node can survive it). The
+        search then runs on the re-indexed reduction
         survivors, with a mask-space maximality test. (Seeded searches
         are the exception, see :meth:`enumerate_seeded`.)
     params:
@@ -400,8 +401,9 @@ class MSCE:
         """The compiled graph the reduction and search run on.
 
         The :class:`~repro.fastpath.CompiledGraph` handed in, else a
-        compilation of the ``SignedGraph`` input made on first access
-        with the positive-degree floor of :func:`compile_floor`.
+        compilation of the ``SignedGraph`` input made on first access:
+        its positive core at the threshold of :func:`compile_floor`
+        (the whole graph for ``reduction="none"``).
         (Seeded searches compile a slice instead, see
         :meth:`enumerate_seeded`.)
         """

@@ -376,8 +376,9 @@ def enumerate_grid(
         # and forked helpers (same clock) agree on when time is up.
         deadline_ts = time.monotonic() + time_limit if time_limit is not None else None
         guard = make_guard(deadline_ts, max_memory_bytes)
-        # Same compile as MSCE's: nodes no point's reduction can keep
-        # are left out of it.
+        # Same compile as MSCE's, at the smallest threshold: the positive
+        # core of the smallest ceil(alpha*k). Cores nest, so every point's
+        # MCCore lies inside it.
         compiled = (
             graph
             if isinstance(graph, CompiledGraph)

@@ -16,9 +16,7 @@ Besides the CSR arrays the compilation carries:
   is what makes a ``CompiledGraph`` a *compact pickle* for shipping
   subgraphs to worker processes;
 * lazily-built per-node adjacency bitmasks (:meth:`masks`) used by the
-  bitset kernels; built with numpy's ``packbits`` when numpy is
-  importable, with a pure-Python fallback otherwise (numpy is an
-  optional accelerator, never a dependency);
+  bitset kernels, one ``mask_of`` per CSR row;
 * lazily-built degeneracy orders and degeneracy-oriented adjacency
   (:meth:`oriented`), the substrate of the triangle kernels;
 * a lazily-built ``repr``-rank permutation used to replicate the pure
@@ -35,11 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.fastpath.bitset import iter_bits, mask_of
 from repro.graphs.signed_graph import NEGATIVE, POSITIVE, Node, SignedGraph
-
-try:  # Optional accelerator only; every code path has a stdlib fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 _SIGN_SELECTORS = ("all", "positive", "negative")
 
@@ -201,7 +194,7 @@ class CompiledGraph:
         cached = self._masks.get(sign)
         if cached is None:
             xadj, adj = self.csr(sign)
-            cached = _build_masks(self.n, xadj, adj)
+            cached = [mask_of(adj[xadj[i] : xadj[i + 1]]) for i in range(self.n)]
             self._masks[sign] = cached
         return cached
 
@@ -396,28 +389,32 @@ def compile_graph(
     Node indices follow the graph's iteration order; neighbour lists are
     sorted by index so the kernels can rely on ascending CSR rows.
 
-    With *min_positive_degree*, only nodes with at least that many
-    positive neighbours in *graph* are compiled (the induced subgraph).
-    The enumerator passes ``ceil(alpha * k)`` when its reduction is an
-    (alpha, k) core: no node below it can survive the reduction, and
-    every kept node's index order, and so every tie-break, is unchanged.
+    With *min_positive_degree* ``t``, only the positive ``t``-core is
+    compiled: the largest induced subgraph in which every node keeps at
+    least ``t`` positive neighbours, peeled on the graph's own positive
+    neighbour sets (:func:`repro.algorithms.kcore.positive_core`). The
+    enumerator passes ``ceil(alpha * k)`` when its reduction is an
+    (alpha, k) core: by the paper's Lemma 1 every (alpha, k)-clique, and
+    so every reduction survivor, lies inside that core, and the kept
+    nodes keep their relative order, so every tie-break is unchanged.
 
     With *nodes*, only those nodes (all in *graph*) are compiled, indexed
     in the order given: the induced subgraph, built in time proportional
     to their volume, with *graph* as its :attr:`~CompiledGraph.source`.
+    With both, the core is taken within that induced subgraph.
     """
     if isinstance(graph, CompiledGraph):
         return graph
     from repro.obs import runtime as obs
 
     with obs.span("compile", nodes=graph.number_of_nodes()):
-        nodes = list(graph.nodes()) if nodes is None else list(nodes)
+        within = None if nodes is None else list(nodes)
+        nodes = list(graph.nodes()) if within is None else within
         if min_positive_degree > 0:
-            nodes = [
-                node
-                for node in nodes
-                if len(graph.positive_neighbors(node)) >= min_positive_degree
-            ]
+            from repro.algorithms.kcore import positive_core
+
+            core = positive_core(graph, min_positive_degree, within=within)
+            nodes = [node for node in nodes if node in core]
         index = {node: i for i, node in enumerate(nodes)}
         if len(nodes) < graph.number_of_nodes():
             lookup = index.get
@@ -492,23 +489,3 @@ def _split_by_sign(
         nxadj.append(len(nadj))
     return pxadj, array("q", padj), nxadj, array("q", nadj)
 
-
-def _build_masks(n: int, xadj: array, adj: array) -> List[int]:
-    """Build one adjacency bitmask per node from a CSR pair."""
-    if _np is not None and n:
-        # numpy path: one packbits per node, C speed end to end.
-        np_adj = _np.frombuffer(adj, dtype=_np.int64) if len(adj) else _np.zeros(0, _np.int64)
-        masks: List[int] = []
-        row_bits = _np.zeros(n, dtype=_np.uint8)
-        for i in range(n):
-            start, stop = xadj[i], xadj[i + 1]
-            if start == stop:
-                masks.append(0)
-                continue
-            row = np_adj[start:stop]
-            row_bits[row] = 1
-            packed = _np.packbits(row_bits, bitorder="little")
-            masks.append(int.from_bytes(packed.tobytes(), "little"))
-            row_bits[row] = 0
-        return masks
-    return [mask_of(adj[xadj[i] : xadj[i + 1]]) for i in range(n)]

@@ -56,6 +56,27 @@ class TestEnumerate:
         ) == 0
         assert "size=5" in capsys.readouterr().out
 
+    def test_workers_flag(self, graph_file, capsys):
+        argv = ["enumerate", graph_file, "--alpha", "3", "-k", "1", "--workers", "2"]
+        assert main(argv) == 0
+        assert "#1: size=5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["enumerate", "serve-grid", "serve"])
+def test_rejects_non_positive_workers(graph_file, capsys, command, value):
+    options = {
+        "enumerate": ["--alpha", "3", "-k", "1"],
+        "serve-grid": ["--alphas", "3", "--ks", "1"],
+        "serve": ["--port", "0", "--exit-after", "0.01"],
+    }[command]
+    argv = [command, graph_file, *options, f"--workers={value}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
 
 class TestTopAndConductance:
     def test_top(self, graph_file, capsys):

@@ -1,7 +1,8 @@
 """MSCE compiles its input, and the search on that compilation is exact.
 
-``MSCE`` compiles ``SignedGraph`` input (only the nodes an (alpha, k)
-reduction can keep), reduces, and searches the re-indexed survivors
+``MSCE`` compiles ``SignedGraph`` input (only the positive
+``ceil(alpha*k)``-core, which holds every node an (alpha, k) reduction
+can keep), reduces, and searches the re-indexed survivors
 with mask-space budget updates and maximality tests. On the Table-I
 stand-ins at the end-to-end benchmark's narrow points it must return
 the pure-Python search's cliques *and* :class:`SearchStats`, for full
@@ -16,10 +17,14 @@ seeded search over a full compilation.
 from functools import lru_cache
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MSCE, AlphaK
 from repro.core.bbe import seeded_slice
+from repro.core.parallel import enumerate_grid
 from repro.fastpath import compile_graph
 from repro.generators.datasets import load_dataset
 from repro.graphs import SignedGraph
@@ -40,6 +45,19 @@ def _stand_in(name):
     return load_dataset(name).graph
 
 
+def _networkx_core(graph, threshold, nodes=None):
+    """The positive *threshold*-core by networkx, in *nodes* order."""
+    nodes = list(graph.nodes()) if nodes is None else list(nodes)
+    positive = nx.Graph()
+    positive.add_nodes_from(nodes)
+    members = set(nodes)
+    positive.add_edges_from(
+        (u, v) for u, v in graph.positive_edges() if u in members and v in members
+    )
+    core = set(nx.k_core(positive, threshold))
+    return [node for node in nodes if node in core]
+
+
 def _answer(result):
     return [c.nodes for c in result.cliques], result.stats.as_dict()
 
@@ -57,17 +75,96 @@ def test_default_matches_pure_on_stand_ins(point):
     graph = _stand_in(name)
     params = AlphaK(alpha, k)
     default = MSCE(graph, params)
-    # Only nodes with enough positive neighbours are compiled.
-    threshold = params.positive_threshold
+    # Only the positive ceil(alpha*k)-core is compiled (Lemma 1).
     assert default.compiled.n < graph.number_of_nodes()
-    assert set(default.compiled.nodes) == {
-        node for node in graph.nodes() if graph.positive_degree(node) >= threshold
-    }
+    assert default.compiled.nodes == _networkx_core(graph, params.positive_threshold)
     reference = _reference(name, alpha, k)
     enumerated = default.enumerate_all()
     assert enumerated.cliques
     assert summary(enumerated) == reference["enumerate_all"]
     assert summary(default.top_r(TOP_R)) == reference["top_r"]
+
+
+random_graphs = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.sampled_from([0, 0, 1, -1]),
+            min_size=n * (n - 1) // 2,
+            max_size=n * (n - 1) // 2,
+        ),
+        st.permutations(range(n)),
+    )
+)
+
+
+def _random_graph(spec):
+    # Nodes are inserted in a shuffled order, so "graph iteration order"
+    # is not the sorted order.
+    n, signs, order = spec
+    graph = SignedGraph(nodes=order)
+    for (u, v), sign in zip(combinations(range(n), 2), signs):
+        if sign:
+            graph.add_edge(u, v, sign)
+    return graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs, st.integers(min_value=0, max_value=5), st.data())
+def test_compile_is_the_positive_core(spec, threshold, data):
+    graph = _random_graph(spec)
+    compiled = compile_graph(graph, min_positive_degree=threshold)
+    assert compiled.nodes == _networkx_core(graph, threshold)
+    assert compiled.to_signed_graph() == graph.subgraph(compiled.nodes)
+    # A threshold above every positive degree leaves nothing.
+    top = 1 + max((graph.positive_degree(node) for node in graph.nodes()), default=0)
+    assert compile_graph(graph, min_positive_degree=top).nodes == []
+    # With nodes=, the core of the subgraph they induce, in the order given.
+    nodes = data.draw(st.permutations(list(graph.nodes())))
+    nodes = nodes[: data.draw(st.integers(min_value=0, max_value=len(nodes)))]
+    within = compile_graph(graph, min_positive_degree=threshold, nodes=nodes)
+    assert within.nodes == _networkx_core(graph, threshold, nodes)
+
+
+@pytest.mark.parametrize("reduction", ["mcnew", "mcbasic"])
+@pytest.mark.parametrize(
+    "point", [("slashdot", 4, 3), ("wiki", 4, 3)], ids=lambda p: f"{p[0]}-{p[1]}-{p[2]}"
+)
+def test_core_compile_matches_the_unfloored_compile(point, reduction):
+    # Compiling the core changes what is compiled, not what is found:
+    # same cliques, same search tree.
+    name, alpha, k = point
+    graph = _stand_in(name)
+    params = AlphaK(alpha, k)
+    core = MSCE(graph, params, reduction=reduction)
+    whole = MSCE(compile_graph(graph), params, reduction=reduction)
+    assert core.compiled.n < whole.compiled.n == graph.number_of_nodes()
+    assert _answer(core.enumerate_all()) == _answer(whole.enumerate_all())
+    assert _answer(core.top_r(TOP_R)) == _answer(whole.top_r(TOP_R))
+
+
+def test_grid_compiles_at_the_smallest_core(monkeypatch):
+    # The grid compiles once, at its smallest ceil(alpha*k); cores nest,
+    # so every point's reduction survivors lie inside that core.
+    import repro.core.parallel as parallel
+
+    graph = _stand_in("slashdot")
+    points = [AlphaK(4, 3), AlphaK(3, 3), AlphaK(8, 1)]
+    threshold = min(p.positive_threshold for p in points)
+    assert len({p.positive_threshold for p in points}) == 3
+    compiled = []
+    real_compile = parallel.compile_graph
+
+    def recording(source, *args, **kwargs):
+        result = real_compile(source, *args, **kwargs)
+        compiled.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(parallel, "compile_graph", recording)
+    results = enumerate_grid(graph, points)
+    assert compiled == [_networkx_core(graph, threshold)]
+    for params in points:
+        assert _answer(results[params]) == _answer(MSCE(graph, params).enumerate_all())
 
 
 @pytest.mark.parametrize(
