@@ -22,15 +22,15 @@ from typing import Iterable, Optional, Union
 
 import repro
 from repro.experiments.harness import Exhibit
-from repro.fastpath import resolve_backend
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: Schema revision of the ``BENCH_<name>.json`` artifacts; bump on shape
 #: changes so downstream dashboards can dispatch on it.
-#: v2: adds the resolved ``backend`` (kernel tier, honouring
-#: ``REPRO_BACKEND``) and an optional benchmark-specific ``extra`` block.
-BENCH_JSON_SCHEMA = 2
+#: v2: adds the resolved kernel ``backend`` and an optional
+#: benchmark-specific ``extra`` block.
+#: v3: drops ``backend``: the vectorized kernels are the only tier.
+BENCH_JSON_SCHEMA = 3
 
 
 def _exhibit_payload(exhibit: Exhibit) -> dict:
@@ -55,9 +55,8 @@ def record_exhibits(
     Two artifacts per benchmark: ``<name>.txt`` (the human-readable table
     EXPERIMENTS.md cites) and ``BENCH_<name>.json`` (the same rows as
     machine-readable data, uploaded by CI for trend tracking). The JSON
-    payload stamps the resolved kernel ``backend`` — set ``REPRO_BACKEND``
-    to re-run a gate under a specific tier — and merges ``extra`` (e.g.
-    per-kernel speedup maps) under an ``"extra"`` key.
+    payload merges ``extra`` (e.g. per-kernel speedup maps) under an
+    ``"extra"`` key.
     """
     if isinstance(exhibits, Exhibit):
         exhibits = [exhibits]
@@ -70,7 +69,6 @@ def record_exhibits(
         "name": name,
         "repro_version": repro.__version__,
         "python": platform.python_version(),
-        "backend": resolve_backend(None),
         "exhibits": [_exhibit_payload(exhibit) for exhibit in exhibits],
     }
     if extra:

@@ -3,7 +3,7 @@
 Not a paper exhibit — these pin the cost of the hot building blocks
 (core peeling, ego-triangle initialisation, Bron–Kerbosch, maximality
 testing) so refactors that regress the enumerator show up at the
-primitive level first. The fastpath-vs-pure comparison at the bottom
+primitive level first. The vectorized-vs-pure comparison at the bottom
 additionally records a speedup table under
 ``benchmarks/results/micro_primitives.txt``.
 """
@@ -21,13 +21,7 @@ from repro.core.maxtest import is_maximal
 from repro.core.mcnew import mccore_new
 from repro.experiments.harness import Exhibit, Series
 from repro.experiments.registry import get_dataset
-from repro.fastpath import compile_graph, resolve_backend
-from repro.fastpath.bitset import bit_count
-from repro.fastpath.kernels import (
-    core_numbers_fast,
-    ego_triangle_degrees_fast,
-    triangle_count_fast,
-)
+from repro.fastpath import compile_graph
 from repro.graphs import SignedGraph
 
 
@@ -106,111 +100,78 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def test_fastpath_speedups_on_10k_graph(large_random_graph):
-    """Record pure-vs-kernel-tier timings; assert the headline speedup gates.
+    """Record pure-vs-vectorized timings; assert the headline speedup gates.
 
-    Three columns per kernel: the hashed-adjacency pure implementation,
-    the tier-0 fastpath (``backend="python"``, big-int bitsets), and the
-    resolved vectorized tier (``REPRO_BACKEND`` honoured, so the gate can
-    be re-run per tier). Gates: tier 0 keeps its historic >=2x claim;
-    the vectorized tier must reach >=5x on core decomposition and
-    triangle counting and >=3x on ego-triangle degrees, all vs pure.
+    Two timings per kernel: the hashed-adjacency pure implementation and
+    the numpy kernel of :mod:`repro.fastpath.vectorized` on the compiled
+    graph, whose output must match. Gates: >=5x on core decomposition
+    and triangle counting and >=3x on ego-triangle degrees, all vs pure.
     """
+    import numpy as np
+
+    from repro.fastpath import vectorized
+
     graph = large_random_graph
     compile_seconds = _best_of(lambda: compile_graph(graph), repeats=1)
     compiled = compile_graph(graph)
-    backend = resolve_backend(None)
-    tiered = backend != "python"
 
     pure = Series("pure_s")
-    fast = Series("fastpath_s")
-    speedup = Series("speedup")
-    tier = Series(f"{backend}_s")
-    tier_speedup = Series(f"{backend}_x")
+    tier = Series("vectorized_s")
+    tier_speedup = Series("vectorized_x")
     speedups = {}
 
-    def record(label, pure_fn, fast_fn, tier_fn=None, repeats=3):
-        pure_result, fast_result = pure_fn(), fast_fn()
-        assert fast_result == pure_result, f"{label}: fastpath output differs"
+    def record(label, pure_fn, tier_fn, repeats=3):
+        assert tier_fn() == pure_fn(), f"{label}: vectorized output differs"
         pure_time = _best_of(pure_fn, repeats)
-        fast_time = _best_of(fast_fn, repeats)
+        tier_time = _best_of(tier_fn, repeats)
         pure.add(label, pure_time)
-        fast.add(label, fast_time)
-        speedup.add(label, pure_time / fast_time)
-        entry = {"python": pure_time / fast_time}
-        if tier_fn is not None and tiered:
-            assert tier_fn() == pure_result, f"{label}: {backend} output differs"
-            tier_time = _best_of(tier_fn, repeats)
-            tier.add(label, tier_time)
-            tier_speedup.add(label, pure_time / tier_time)
-            entry[backend] = pure_time / tier_time
-        speedups[label] = entry
-        return entry
+        tier.add(label, tier_time)
+        tier_speedup.add(label, pure_time / tier_time)
+        speedups[label] = pure_time / tier_time
+        return speedups[label]
 
-    core_entry = record(
+    core_x = record(
         "core-decomposition",
         lambda: core_numbers(graph),
-        lambda: core_numbers_fast(compiled, backend="python"),
-        lambda: core_numbers_fast(compiled, backend=backend),
+        lambda: vectorized.core_numbers(compiled),
     )
-    tri_entry = record(
+    tri_x = record(
         "triangle-count",
         lambda: triangle_count(graph),
-        lambda: triangle_count_fast(compiled, backend="python"),
-        lambda: triangle_count_fast(compiled, backend=backend),
+        lambda: vectorized.triangle_count(compiled),
     )
-    ego_entry = record(
+    ego_x = record(
         "ego-triangle-degrees",
         lambda: all_ego_triangle_degrees(graph),
-        lambda: ego_triangle_degrees_fast(compiled, backend="python"),
-        lambda: ego_triangle_degrees_fast(compiled, backend=backend),
+        lambda: vectorized.ego_triangle_degrees(compiled),
     )
 
-    # Candidate-set intersection: hashed set & set vs one big-int AND vs
-    # the packed batched primitive (one fancy-indexed AND + row popcount).
+    # Candidate-set intersection: hashed set & set vs the packed batched
+    # primitive (one fancy-indexed AND + row popcount).
     rng = random.Random(7)
     pairs = [
         (rng.randrange(compiled.n), rng.randrange(compiled.n)) for _ in range(2000)
     ]
     index = compiled.index
     neighbor_sets = {index[u]: graph.neighbor_keys(u) for u in graph.nodes()}
-    masks = compiled.masks("all")
-
-    def pure_intersections():
-        return [len(neighbor_sets[u] & neighbor_sets[v]) for u, v in pairs]
-
-    def fast_intersections():
-        return [bit_count(masks[u] & masks[v]) for u, v in pairs]
-
-    packed_intersections = None
-    if tiered:
-        import numpy as np
-
-        from repro.fastpath import vectorized
-
-        rows_np = np.array([u for u, _ in pairs], dtype=np.int64)
-        cols_np = np.array([v for _, v in pairs], dtype=np.int64)
-        packed_rows = compiled.packed("all")
-
-        def packed_intersections():
-            return vectorized.pair_popcounts(
-                packed_rows, packed_rows, rows_np, cols_np
-            ).tolist()
+    rows_np = np.array([u for u, _ in pairs], dtype=np.int64)
+    cols_np = np.array([v for _, v in pairs], dtype=np.int64)
+    packed_rows = compiled.packed("all")
 
     record(
         "candidate-intersection",
-        pure_intersections,
-        fast_intersections,
-        packed_intersections,
+        lambda: [len(neighbor_sets[u] & neighbor_sets[v]) for u, v in pairs],
+        lambda: vectorized.pair_popcounts(
+            packed_rows, packed_rows, rows_np, cols_np
+        ).tolist(),
     )
 
-    series = [pure, fast, speedup] + ([tier, tier_speedup] if tiered else [])
     exhibit = Exhibit(
-        title="Micro-primitives: pure Python vs kernel tiers (10k nodes, 100k edges)",
-        series=series,
+        title="Micro-primitives: pure Python vs vectorized kernels (10k nodes, 100k edges)",
+        series=[pure, tier, tier_speedup],
         notes=[
             f"one-off compile_graph cost: {compile_seconds:.4g}s",
             "candidate-intersection row = 2000 random neighbourhood pairs",
-            f"resolved kernel backend: {backend}",
         ],
     )
     record_exhibits(
@@ -218,28 +179,13 @@ def test_fastpath_speedups_on_10k_graph(large_random_graph):
         exhibit,
         extra={
             "speedups": speedups,
-            "gates": {
-                "python": "max(core, triangle) >= 2x",
-                "vectorized": "core >= 5x, triangle >= 5x, ego >= 3x",
-            },
+            "gates": {"vectorized": "core >= 5x, triangle >= 5x, ego >= 3x"},
         },
     )
 
-    # Acceptance gates. Tier 0 keeps the historic >=2x headline claim.
-    core_x, tri_x = core_entry["python"], tri_entry["python"]
-    assert max(core_x, tri_x) >= 2.0, (
-        f"expected >=2x speedup, got core={core_x:.2f}x triangles={tri_x:.2f}x"
-    )
-    if tiered:
-        assert core_entry[backend] >= 5.0, (
-            f"{backend} core-decomposition gate: {core_entry[backend]:.2f}x < 5x"
-        )
-        assert tri_entry[backend] >= 5.0, (
-            f"{backend} triangle-count gate: {tri_entry[backend]:.2f}x < 5x"
-        )
-        assert ego_entry[backend] >= 3.0, (
-            f"{backend} ego-triangle-degrees gate: {ego_entry[backend]:.2f}x < 3x"
-        )
+    assert core_x >= 5.0, f"core-decomposition gate: {core_x:.2f}x < 5x"
+    assert tri_x >= 5.0, f"triangle-count gate: {tri_x:.2f}x < 5x"
+    assert ego_x >= 3.0, f"ego-triangle-degrees gate: {ego_x:.2f}x < 3x"
 
 
 # -- observability: disabled-path overhead -----------------------------------

@@ -20,9 +20,9 @@ the sign-blind graph and the positive-edge graph ``G+``.
 Fastpath dispatch: :func:`icore` and :func:`core_numbers` (and through
 them :func:`k_core`, :func:`positive_core`, :func:`core_decomposition`,
 ...) also accept a :class:`repro.fastpath.CompiledGraph` and then run
-the flat-array kernels of :mod:`repro.fastpath.kernels` instead of the
-set-based peeling below, producing identical results; pass
-``compile=False`` to force the pure path for ablations.
+the numpy kernels of :mod:`repro.fastpath.vectorized` instead of the
+set-based peeling below, producing identical results; pass the
+compiled graph's ``source`` to run the pure path.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ def icore(
     tau: int = 0,
     within: Optional[Set[Node]] = None,
     sign: str = "all",
-    compile: bool = True,
 ) -> Tuple[bool, Set[Node]]:
     """Algorithm 1 (ICore): the maximal tau-core that keeps all *fixed* nodes.
 
@@ -93,19 +92,16 @@ def icore(
     from repro.fastpath.compiled import CompiledGraph
 
     if isinstance(graph, CompiledGraph):
-        if not compile:
-            graph = graph.source
-        else:
-            from repro.fastpath.kernels import icore_fast
+        from repro.fastpath import vectorized
 
-            index = graph.index
-            fixed_list = [node for node in fixed]
-            if any(node not in index for node in fixed_list):
-                return False, set()
-            fixed_mask = graph.mask_from_nodes(fixed_list)
-            within_mask = None if within is None else graph.mask_from_nodes(within)
-            flag, mask = icore_fast(graph, fixed_mask, tau, within_mask, sign)
-            return flag, graph.nodes_from_mask(mask)
+        index = graph.index
+        fixed_list = [node for node in fixed]
+        if any(node not in index for node in fixed_list):
+            return False, set()
+        fixed_mask = graph.mask_from_nodes(fixed_list)
+        within_mask = None if within is None else graph.mask_from_nodes(within)
+        flag, mask = vectorized.icore(graph, fixed_mask, tau, within_mask, sign)
+        return flag, graph.nodes_from_mask(mask)
     neighbors_of = _neighbor_fn(graph, sign)
     if within is None:
         members: Set[Node] = graph.node_set()
@@ -171,7 +167,7 @@ def positive_core(graph: SignedGraph, k: int, within: Optional[Set[Node]] = None
     return k_core(graph, k, within=within, sign="positive")
 
 
-def core_numbers(graph: SignedGraph, sign: str = "all", compile: bool = True) -> Dict[Node, int]:
+def core_numbers(graph: SignedGraph, sign: str = "all") -> Dict[Node, int]:
     """Return the core number of every node via bucket peeling (O(m)).
 
     The core number of ``u`` is the largest ``k`` such that ``u`` belongs
@@ -180,11 +176,9 @@ def core_numbers(graph: SignedGraph, sign: str = "all", compile: bool = True) ->
     from repro.fastpath.compiled import CompiledGraph
 
     if isinstance(graph, CompiledGraph):
-        if compile:
-            from repro.fastpath.kernels import core_numbers_fast
+        from repro.fastpath import vectorized
 
-            return core_numbers_fast(graph, sign)
-        graph = graph.source
+        return vectorized.core_numbers(graph, sign)
     neighbors_of = _neighbor_fn(graph, sign)
     degrees: Dict[Node, int] = {node: len(neighbors_of(node)) for node in graph.nodes()}
     if not degrees:

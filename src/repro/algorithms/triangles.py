@@ -42,23 +42,21 @@ def ego_triangle_degree(
 
 
 def all_ego_triangle_degrees(
-    graph: SignedGraph, within: Optional[Set[Node]] = None, compile: bool = True
+    graph: SignedGraph, within: Optional[Set[Node]] = None
 ) -> Dict[Tuple[Node, Node], int]:
     """Return ``delta`` for every *directed* positive edge ``(u, v)``.
 
     This is the initialisation step of MCNew (lines 5-9 of Algorithm 3):
     each undirected positive edge contributes two directed entries.
-    Accepts a :class:`repro.fastpath.CompiledGraph` for the bitmask
-    kernel (``compile=False`` forces the pure path).
+    Accepts a :class:`repro.fastpath.CompiledGraph` for the numpy
+    kernel.
     """
     from repro.fastpath.compiled import CompiledGraph
 
     if isinstance(graph, CompiledGraph):
-        if compile:
-            from repro.fastpath.kernels import ego_triangle_degrees_fast
+        from repro.fastpath import vectorized
 
-            return ego_triangle_degrees_fast(graph, within)
-        graph = graph.source
+        return vectorized.ego_triangle_degrees(graph, within)
     deltas: Dict[Tuple[Node, Node], int] = {}
     members = within if within is not None else graph.node_set()
     for u in members:
@@ -84,21 +82,18 @@ def iter_triangles(graph: SignedGraph) -> Iterator[Tuple[Node, Node, Node]]:
                     yield (u, v, w)
 
 
-def triangle_count(graph: SignedGraph, compile: bool = True) -> int:
+def triangle_count(graph: SignedGraph) -> int:
     """Return the total number of (sign-blind) triangles.
 
     Accepts a :class:`repro.fastpath.CompiledGraph` for the
-    degeneracy-orientation kernel (``compile=False`` forces the pure
-    ordered-neighbourhood path).
+    degeneracy-orientation kernel.
     """
     from repro.fastpath.compiled import CompiledGraph
 
     if isinstance(graph, CompiledGraph):
-        if compile:
-            from repro.fastpath.kernels import triangle_count_fast
+        from repro.fastpath import vectorized
 
-            return triangle_count_fast(graph)
-        graph = graph.source
+        return vectorized.triangle_count(graph)
     return sum(1 for _ in iter_triangles(graph))
 
 

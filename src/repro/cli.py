@@ -52,7 +52,6 @@ from typing import List, Optional
 
 from repro.core import MSCE, AlphaK, find_mccore, signed_cliques_containing
 from repro.exceptions import ReproError
-from repro.fastpath.backend import BACKENDS
 from repro.fastpath.compiled import source_graph
 from repro.generators import DATASET_BUILDERS, load_dataset
 from repro.graphs import graph_stats
@@ -72,15 +71,6 @@ def _add_alpha_k(parser: argparse.ArgumentParser) -> None:
 
 def _add_graph_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("graph", help="path to a signed edge-list file (src dst sign)")
-
-
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKENDS,
-        help="kernel tier (default: REPRO_BACKEND or auto-detect)",
-    )
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
@@ -235,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="in-memory cache approximate byte bound (default unbounded)",
     )
-    _add_backend(serve_grid)
     _add_model(serve_grid)
     serve_grid.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
@@ -284,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-mem-bytes", type=int, default=None, help="per-tenant memory-cache bytes"
     )
-    _add_backend(serve)
     serve.add_argument(
         "--no-coalesce",
         action="store_true",
@@ -370,16 +358,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.trace_out:
                 write_trace_json(observer.tracer, args.trace_out)
             if args.metrics_out:
-                from repro.fastpath.backend import resolve_backend
                 from repro.models import resolve_model
 
                 write_prometheus(
                     observer.registry,
                     args.metrics_out,
-                    labels={
-                        "kernel_backend": resolve_backend(getattr(args, "backend", None)),
-                        "model": resolve_model(getattr(args, "model", None)),
-                    },
+                    labels={"model": resolve_model(getattr(args, "model", None))},
                 )
             return code
         return _dispatch(args)
@@ -564,7 +548,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             cache_mem_entries=args.cache_mem_entries,
             cache_mem_bytes=args.cache_mem_bytes,
             workers=args.workers,
-            backend=args.backend,
             model=args.model,
         )
         grid = engine.run_grid(
@@ -598,8 +581,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         report = grid.report
         print(
             f"served {report['served_from_cache']}/{report['points']} from cache, "
-            f"computed {report['computed']} with {report['workers']} worker(s) "
-            f"[{report['backend']} kernels]; "
+            f"computed {report['computed']} with {report['workers']} worker(s); "
             f"reduction sharing {report['sharing_ratio']:.0%}; "
             f"{report['elapsed_seconds']:.2f}s"
         )
@@ -653,7 +635,6 @@ def _serve_http(args: argparse.Namespace) -> int:
         cache_mem_entries=args.cache_mem_entries,
         cache_mem_bytes=args.cache_mem_bytes,
         workers=args.workers,
-        backend=args.backend,
     )
     for spec in args.graphs:
         name, sep, path = spec.partition("=")

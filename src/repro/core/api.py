@@ -34,7 +34,6 @@ def enumerate_signed_cliques(
     max_results: Optional[int] = None,
     min_size: Optional[int] = None,
     reducer: Optional[Callable] = None,
-    backend: Optional[str] = None,
     model: Optional[str] = None,
 ) -> List[SignedClique]:
     """Return all maximal (alpha, k)-cliques, largest first.
@@ -55,7 +54,6 @@ def enumerate_signed_cliques(
         max_results=max_results,
         min_size=min_size,
         reducer=reducer,
-        backend=backend,
         model=model,
     ).cliques
 
@@ -72,7 +70,6 @@ def enumerate_with_stats(
     max_results: Optional[int] = None,
     min_size: Optional[int] = None,
     reducer: Optional[Callable] = None,
-    backend: Optional[str] = None,
     model: Optional[str] = None,
 ) -> EnumerationResult:
     """Run the enumerator and return the full :class:`EnumerationResult`.
@@ -80,9 +77,7 @@ def enumerate_with_stats(
     ``reducer`` optionally replaces the coring pass on the compiled
     fastpath (see :class:`~repro.core.bbe.MSCE`); the serving engine
     uses it to share reduction work across an (alpha, k) grid.
-    ``backend`` selects the kernel tier
-    (:data:`repro.fastpath.backend.BACKENDS`); results are bit-identical
-    across tiers. ``model`` selects the signed-cohesion constraint
+    ``model`` selects the signed-cohesion constraint
     (:data:`repro.models.MODELS`, default the paper's ``"msce"``).
     """
     params = AlphaK(alpha=alpha, k=k)
@@ -97,7 +92,6 @@ def enumerate_with_stats(
         max_results=max_results,
         min_size=min_size,
         reducer=reducer,
-        backend=backend,
         model=model,
     )
     return searcher.enumerate_all()
@@ -114,7 +108,6 @@ def top_r_signed_cliques(
     seed: int = 0,
     time_limit: Optional[float] = None,
     reducer: Optional[Callable] = None,
-    backend: Optional[str] = None,
     model: Optional[str] = None,
 ) -> List[SignedClique]:
     """Return the ``r`` largest maximal (alpha, k)-cliques.
@@ -133,7 +126,6 @@ def top_r_signed_cliques(
         seed=seed,
         time_limit=time_limit,
         reducer=reducer,
-        backend=backend,
         model=model,
     )
     return searcher.top_r(r).cliques

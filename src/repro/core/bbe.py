@@ -51,7 +51,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.params import AlphaK
 from repro.exceptions import ParameterError
-from repro.fastpath.backend import resolve_backend
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
 from repro.fastpath.search import SELECTIONS, FrameSearch, search_component_fast
 from repro.graphs.signed_graph import Node, SignedGraph
@@ -106,19 +105,15 @@ class SearchStats:
 
     FIELDS = _STAT_FIELDS
 
-    __slots__ = ("registry", "backend", "model") + tuple(
+    __slots__ = ("registry", "model") + tuple(
         "_c_" + name for name in _STAT_FIELDS
     )
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         #: Backing registry; private to this run unless one was injected.
         self.registry = MetricsRegistry() if registry is None else registry
-        #: Resolved kernel backend the producing run used (metadata only:
-        #: deliberately excluded from :meth:`as_dict` and ``==`` so stats
-        #: from different tiers compare equal — the bit-identity contract).
-        self.backend: Optional[str] = None
-        #: Resolved constraint model the producing run used (metadata,
-        #: excluded from :meth:`as_dict` and ``==`` like ``backend``).
+        #: Resolved constraint model the producing run used (metadata
+        #: only: excluded from :meth:`as_dict` and ``==``).
         self.model: Optional[str] = None
         for name in _STAT_FIELDS:
             setattr(self, "_c_" + name, self.registry.counter(STAT_METRIC_PREFIX + name))
@@ -328,7 +323,6 @@ class MSCE:
         frame_rng: bool = False,
         max_memory_bytes: Optional[int] = None,
         reducer: Optional[Callable[[object, AlphaK, str], int]] = None,
-        backend: Optional[str] = None,
         model: Optional[str] = None,
     ):
         #: The CompiledGraph handed in (``None`` for SignedGraph input).
@@ -375,14 +369,9 @@ class MSCE:
         #: ``ceil(alpha * k)`` ceiling share one coring pass; the result
         #: must be bit-identical to what ``reduce_mask`` would return.
         self.reducer = reducer
-        #: Resolved kernel tier for every fastpath kernel this enumerator
-        #: invokes (see :func:`repro.fastpath.backend.resolve_backend`).
-        #: Resolved once here so a run can never mix tiers mid-flight,
-        #: and so parent processes can ship the concrete name to workers.
-        self.backend = resolve_backend(backend)
         #: Resolved constraint model (see :func:`repro.models.resolve_model`)
-        #: and its instantiated rules. Resolved once for the same reason
-        #: as the backend: one run, one model, workers included.
+        #: and its instantiated rules. Resolved once here so a run can
+        #: never mix models: one run, one model, workers included.
         self.model = resolve_model(model)
         self.constraint = make_constraint(self.model, params)
         #: Effective subspace size floor: the user's ``min_size`` folded
@@ -453,7 +442,6 @@ class MSCE:
         as the floor.
         """
         stats = SearchStats()
-        stats.backend = self.backend
         stats.model = self.model
         found: Dict[FrozenSet[Node], SignedClique] = {}
         size_heap: List[int] = []
@@ -547,7 +535,6 @@ class MSCE:
                 "construct the enumerator from a CompiledGraph"
             )
         stats = SearchStats()
-        stats.backend = self.backend
         stats.model = self.model
         found: Dict[FrozenSet[Node], SignedClique] = {}
         size_heap: List[int] = []
@@ -582,7 +569,6 @@ class MSCE:
 
     def _run(self, top_r: Optional[int]) -> EnumerationResult:
         stats = SearchStats()
-        stats.backend = self.backend
         stats.model = self.model
         found: Dict[FrozenSet[Node], SignedClique] = {}
         size_heap: List[int] = []  # min-heap of the top-r sizes
@@ -604,7 +590,6 @@ class MSCE:
             selection=self.selection,
             reduction=reduction,
             top_r=top_r,
-            backend=self.backend,
             model=self.model,
         ):
             try:
@@ -616,9 +601,7 @@ class MSCE:
                 if self.reducer is not None:
                     survivor_mask = self.reducer(compiled, self.params, reduction)
                 else:
-                    survivor_mask = reduce_mask(
-                        compiled, self.params, method=reduction, backend=self.backend
-                    )
+                    survivor_mask = reduce_mask(compiled, self.params, method=reduction)
                 # Search the re-indexed survivors: every AND and popcount
                 # of the search then spans the MCCore, not the graph.
                 # Sound for the maxtest too, since every (alpha, k)-clique

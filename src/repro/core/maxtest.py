@@ -28,7 +28,7 @@ reference (the brute-force oracle calls them).
 leaf: the common neighbourhood is the AND of the member adjacency rows,
 the negative-budget filter is one
 :func:`~repro.fastpath.kernels.budget_violators` pass, and the
-extension search peels with the tier-0 ``icore_fast`` and branches in
+extension search peels with the big-int mask ``icore_fast`` and branches in
 ``repr`` order, like the node-set version. The mask ports see only the
 compiled graph. That is exact for the exact test whenever every
 (alpha, k)-clique that strictly contains a tested clique lies inside
@@ -48,7 +48,6 @@ from repro.algorithms.kcore import icore
 from repro.core.cliques import is_alpha_k_clique
 from repro.core.params import AlphaK
 from repro.exceptions import ParameterError
-from repro.fastpath.backend import BACKEND_PYTHON
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph
 from repro.fastpath.kernels import budget_violators, icore_fast
@@ -221,7 +220,6 @@ def make_mask_maxtest(
                 threshold,
                 current | candidates,
                 sign="positive",
-                backend=BACKEND_PYTHON,
             )
             if not flag:
                 return False

@@ -49,24 +49,21 @@ def _ego_has_core(graph: SignedGraph, node: Node, alive: Set[Node], core_order: 
     return flag
 
 
-def mccore_basic(graph: SignedGraph, params: AlphaK, compile: bool = True) -> Set[Node]:
+def mccore_basic(graph: SignedGraph, params: AlphaK) -> Set[Node]:
     """Return the node set of the MCCore via Algorithm 2 (MCBasic).
 
     For degenerate parameters (``alpha * k == 0``) the constraint is
     vacuous and the full node set is returned. Accepts a
-    :class:`repro.fastpath.CompiledGraph` for the bitmask kernel
-    (``compile=False`` forces the pure path).
+    :class:`repro.fastpath.CompiledGraph` for the bitmask kernel.
     """
     from repro.fastpath.compiled import CompiledGraph
     from repro.obs import runtime as obs
 
     if isinstance(graph, CompiledGraph):
-        if compile:
-            from repro.fastpath.kernels import mccore_basic_fast
+        from repro.fastpath.kernels import mccore_basic_fast
 
-            with obs.span("mccore", method="mcbasic"):
-                return mccore_basic_fast(graph, params)
-        graph = graph.source
+        with obs.span("mccore", method="mcbasic"):
+            return mccore_basic_fast(graph, params)
     threshold = params.positive_threshold
     if threshold == 0:
         return graph.node_set()

@@ -36,24 +36,22 @@ from repro.graphs.signed_graph import Node, SignedGraph
 _DirectedEdge = Tuple[Node, Node]
 
 
-def mccore_new(graph: SignedGraph, params: AlphaK, compile: bool = True) -> Set[Node]:
+def mccore_new(graph: SignedGraph, params: AlphaK) -> Set[Node]:
     """Return the node set of the MCCore via Algorithm 3 (MCNew).
 
     Produces the same set as :func:`repro.core.mcbasic.mccore_basic`;
     the property-based test-suite cross-validates the two on random
     graphs. Accepts a :class:`repro.fastpath.CompiledGraph` for the
-    bitmask kernel (``compile=False`` forces the pure path).
+    numpy kernel.
     """
     from repro.fastpath.compiled import CompiledGraph
     from repro.obs import runtime as obs
 
     if isinstance(graph, CompiledGraph):
-        if compile:
-            from repro.fastpath.kernels import mccore_new_fast
+        from repro.fastpath import vectorized
 
-            with obs.span("mccore", method="mcnew"):
-                return mccore_new_fast(graph, params)
-        graph = graph.source
+        with obs.span("mccore", method="mcnew"):
+            return graph.nodes_from_mask(vectorized.mccore_new_mask(graph, params))
     threshold = params.positive_threshold
     if threshold == 0:
         return graph.node_set()

@@ -90,7 +90,6 @@ from repro.core.scheduler import (
     WorkStealingScheduler,
 )
 from repro.exceptions import ParameterError
-from repro.fastpath.backend import resolve_backend
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, compile_graph, source_graph
 from repro.fastpath.kernels import component_masks, reduce_mask
@@ -156,7 +155,6 @@ def enumerate_parallel(
     strict: bool = False,
     drain_timeout: float = RESULT_DRAIN_TIMEOUT,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
-    backend: Optional[str] = None,
     model: Optional[str] = None,
     top_r: Optional[int] = None,
 ) -> EnumerationResult:
@@ -192,7 +190,6 @@ def enumerate_parallel(
         strict=strict,
         drain_timeout=drain_timeout,
         progress=progress,
-        backend=backend,
         model=model,
         top_r=top_r,
     )[params]
@@ -219,7 +216,6 @@ def enumerate_grid(
     drain_timeout: float = RESULT_DRAIN_TIMEOUT,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     reducer: Optional[Callable] = None,
-    backend: Optional[str] = None,
     model: Optional[str] = None,
     top_r: Optional[int] = None,
 ) -> Dict[AlphaK, EnumerationResult]:
@@ -305,12 +301,6 @@ def enumerate_grid(
         Replacement for :func:`~repro.fastpath.kernels.reduce_mask`,
         called as ``reducer(compiled, params, method)``; it must return
         the same survivor mask.
-    backend:
-        Kernel tier (:data:`repro.fastpath.backend.BACKENDS`). Resolved
-        once in the parent, before any helper forks, so the whole run
-        uses one consistent tier; recorded in
-        ``result.parallel["backend"]``. Results are bit-identical
-        across tiers.
     model:
         Signed-cohesion model (:data:`repro.models.MODELS`). Resolved
         once (explicit > ``REPRO_MODEL`` env > ``"msce"``) before any
@@ -352,9 +342,6 @@ def enumerate_grid(
     if not param_list:
         return {}
 
-    # Resolve once up front: helpers inherit the concrete tier name, so
-    # a vectorized->python degradation in the parent applies everywhere.
-    backend = resolve_backend(backend)
     model = resolve_model(model)
     # The parent reduces before any MSCE exists, so map the requested
     # reduction through the model's soundness rule here (balanced ->
@@ -369,7 +356,6 @@ def enumerate_grid(
         workers=workers,
         selection=selection,
         reduction=reduction,
-        backend=backend,
         model=model,
     ):
         # The deadline is an absolute time.monotonic timestamp so the parent
@@ -393,7 +379,7 @@ def enumerate_grid(
         survivors = [
             reducer(compiled, params, reduction)
             if reducer is not None
-            else reduce_mask(compiled, params, method=reduction, backend=backend)
+            else reduce_mask(compiled, params, method=reduction)
             for params in param_list
         ]
         union = 0
@@ -428,7 +414,6 @@ def enumerate_grid(
                     maxtest=maxtest,
                     seed=seed,
                     frame_rng=True,
-                    backend=backend,
                     model=model,
                 )
             )
@@ -460,7 +445,6 @@ def enumerate_grid(
         tasks.sort(key=lambda task: (-bit_count(task[1][0]), task[0], task[1]))
 
         report: Dict[str, object] = {
-            "backend": backend,
             "model": model,
             "grid_points": len(param_list),
             "inline_components": len(local),

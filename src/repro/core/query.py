@@ -106,7 +106,6 @@ def query_search(
     max_results: Optional[int] = None,
     reducer: Optional[Callable[[SignedGraph, AlphaK, str], Set[Node]]] = None,
     search_graph: Optional[object] = None,
-    backend: Optional[str] = None,
 ) -> EnumerationResult:
     """Run the seeded search and return the full :class:`EnumerationResult`.
 
@@ -118,8 +117,7 @@ def query_search(
     representation of *graph* (a :class:`~repro.fastpath.compiled.CompiledGraph`)
     so long-lived callers avoid recompiling per query; it must describe
     the same graph. ``reducer`` is forwarded to
-    :func:`query_candidate_space`. ``backend`` selects the kernel tier
-    for the seeded search (results are bit-identical across tiers).
+    :func:`query_candidate_space`.
     """
     params = AlphaK(alpha, k)
     query_set = _validated_query(graph, query)
@@ -133,7 +131,6 @@ def query_search(
         maxtest=maxtest,
         time_limit=time_limit,
         max_results=max_results,
-        backend=backend,
     )
     if space is None:
         return searcher.enumerate_seeded(set(), frozenset())

@@ -47,24 +47,18 @@ def positive_core_reduction(graph: SignedGraph, params: AlphaK) -> Set[Node]:
 _METHODS: Dict[str, Callable[[SignedGraph, AlphaK], Set[Node]]] = {}
 
 
-def reduce_graph(
-    graph: SignedGraph, params: AlphaK, method: str = "mcnew", compile: bool = True
-) -> Set[Node]:
+def reduce_graph(graph: SignedGraph, params: AlphaK, method: str = "mcnew") -> Set[Node]:
     """Return the surviving node set under the requested reduction *method*.
 
     ``method`` is one of ``"none"``, ``"positive-core"``, ``"mcbasic"``,
     ``"mcnew"``. Accepts a :class:`repro.fastpath.CompiledGraph`, in
-    which case the reduction runs on the fastpath kernels
-    (``compile=False`` forces the pure path).
+    which case the reduction runs on the fastpath kernels.
     """
     # Imported lazily to keep module import acyclic (mcbasic/mcnew import
     # this module's positive_core_reduction).
     from repro.core.mcbasic import mccore_basic
     from repro.core.mcnew import mccore_new
     from repro.fastpath.compiled import CompiledGraph
-
-    if isinstance(graph, CompiledGraph) and not compile:
-        graph = graph.source
 
     methods: Dict[str, Callable[[], Set[Node]]] = {
         "none": lambda: set(graph.nodes) if isinstance(graph, CompiledGraph) else graph.node_set(),
@@ -85,7 +79,7 @@ def reduce_graph(
 
 
 def reduction_components(
-    graph: SignedGraph, params: AlphaK, method: str = "mcnew", compile: bool = True
+    graph: SignedGraph, params: AlphaK, method: str = "mcnew"
 ) -> Iterator[Set[Node]]:
     """Yield the connected components of the reduced node set.
 
@@ -94,17 +88,17 @@ def reduction_components(
     "connected component of the core" phrasing; for the degenerate
     threshold-0 case this is simply the components of the graph.
     """
-    from repro.fastpath.compiled import CompiledGraph, source_graph
+    from repro.fastpath.compiled import CompiledGraph
 
-    if isinstance(graph, CompiledGraph) and compile:
+    if isinstance(graph, CompiledGraph):
         from repro.fastpath.kernels import component_masks, reduce_mask
 
         survivor_mask = reduce_mask(graph, params, method=method)
         for mask in component_masks(graph, survivor_mask):
             yield graph.nodes_from_mask(mask)
         return
-    survivors = reduce_graph(graph, params, method=method, compile=compile)
-    yield from connected_components(source_graph(graph), nodes=survivors)
+    survivors = reduce_graph(graph, params, method=method)
+    yield from connected_components(graph, nodes=survivors)
 
 
 def reduction_report(graph: SignedGraph, params: AlphaK) -> Dict[str, int]:

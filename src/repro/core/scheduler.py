@@ -172,7 +172,6 @@ class SearchGroup:
         self.params = searcher.params
         self.searcher = searcher
         self.stats = SearchStats()
-        self.stats.backend = searcher.backend
         self.stats.model = searcher.model
         self.found: Dict[FrozenSet, SignedClique] = {}
         self.size_heap: List[int] = []

@@ -18,10 +18,13 @@ This package provides the flat alternative:
 * :class:`~repro.fastpath.bitset.IntBitset` — a set-of-small-ints over a
   single Python integer, so candidate-set intersection is one C-level
   AND instead of a hashed set intersection;
-* :mod:`~repro.fastpath.kernels` — array/bitset ports of the hot
-  kernels: bucket-queue core decomposition, ICore with fixed nodes,
-  MCNew / MCBasic, orientation-based triangle counting and connected
-  components;
+* :mod:`~repro.fastpath.vectorized` — numpy ports of the whole-graph
+  kernels over packed ``uint64`` bitsets (:mod:`~repro.fastpath.packed`):
+  core numbers, the positive-core peel, MCNew and triangle counts;
+* :mod:`~repro.fastpath.kernels` — CSR and big-int mask kernels: the
+  bucket-queue degeneracy order, ICore on small masks, MCBasic, the
+  negative budget, connected components and :func:`reduce_mask
+  <repro.fastpath.kernels.reduce_mask>`, the reduction entry point;
 * :mod:`~repro.fastpath.search` — MSCE's branch-and-bound component
   search, the repo's one search loop, built around explicit resumable
   frames (:class:`~repro.fastpath.search.FrameSearch`) so the parallel
@@ -30,14 +33,7 @@ This package provides the flat alternative:
   versioned little-endian artifact layout written by
   :meth:`CompiledGraph.save <repro.fastpath.compiled.CompiledGraph.save>`
   and re-attached zero-copy by :meth:`CompiledGraph.mmap
-  <repro.fastpath.compiled.CompiledGraph.mmap>`;
-* :mod:`~repro.fastpath.backend` — the kernel-tier resolver
-  (:func:`~repro.fastpath.backend.resolve_backend`): ``python`` is the
-  pure-Python oracle, ``vectorized`` the numpy packed-uint64 port
-  (:mod:`~repro.fastpath.packed` / :mod:`~repro.fastpath.vectorized`)
-  that degrades silently to ``python`` when numpy is missing. Both
-  tiers return bit-identical cliques and stats; only the wall clock
-  changes.
+  <repro.fastpath.compiled.CompiledGraph.mmap>`.
 
 :class:`~repro.core.bbe.MSCE` runs on this path by default, compiling
 ``SignedGraph`` input itself. To share one compilation across calls,
@@ -46,18 +42,12 @@ This package provides the flat alternative:
 :class:`~repro.core.bbe.MSCE`, :func:`~repro.core.mcnew.mccore_new`,
 :func:`~repro.core.mcbasic.mccore_basic`,
 :func:`~repro.algorithms.kcore.core_numbers`, ... The kernels' results
-are bit-identical to the pure-Python kernels (the cross-validation
-suite in ``tests/test_fastpath.py`` enforces this); pass
-``compile=False`` to the kernel entry points (not to ``MSCE``, whose
-search runs only here) to force the pure kernels for ablations.
+are identical to the pure-Python kernels (the cross-validation suite
+in ``tests/test_fastpath.py`` enforces this); pass
+:attr:`CompiledGraph.source <repro.fastpath.compiled.CompiledGraph.source>`
+to a kernel entry point to run its pure kernel instead.
 """
 
-from repro.fastpath.backend import (
-    BACKENDS,
-    available_backends,
-    default_backend,
-    resolve_backend,
-)
 from repro.fastpath.bitset import IntBitset, bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
 from repro.fastpath.storage import GraphStore, mmap_compiled, save_compiled
@@ -73,8 +63,4 @@ __all__ = [
     "IntBitset",
     "bit_count",
     "iter_bits",
-    "BACKENDS",
-    "available_backends",
-    "default_backend",
-    "resolve_backend",
 ]

@@ -204,9 +204,7 @@ class CompiledGraph:
         The numpy counterpart of :meth:`masks`: row ``i`` is node *i*'s
         adjacency bitmask in the little-endian packed layout of
         :mod:`repro.fastpath.packed`, so ``int.from_bytes(row, "little")
-        == masks(sign)[i]``. Requires numpy; callers route through
-        :func:`repro.fastpath.backend.resolve_backend`, which never
-        selects a packed-consuming tier without it.
+        == masks(sign)[i]``.
         """
         cached = self._packed.get(sign)
         if cached is None:

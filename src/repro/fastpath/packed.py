@@ -1,4 +1,4 @@
-"""Packed-``uint64`` bitset algebra for the vectorized kernel tier.
+"""Packed-``uint64`` bitset algebra for the vectorized kernels.
 
 The pure-Python fastpath stores node sets as Python big-int bitmasks
 (bit *i* = node *i*). This module provides the numpy counterpart: a
@@ -7,7 +7,7 @@ node set over *n* nodes becomes a ``(n_words,)`` ``uint64`` array with
 bit ``j & 63``. The layout is **little-endian across words and bytes**,
 so ``int.from_bytes(arr.tobytes(), "little")`` is exactly the big-int
 mask — conversions between the two worlds are therefore lossless and
-cheap, which is what lets the vectorized tier interoperate with the
+cheap, which is what lets the vectorized kernels interoperate with the
 int-mask search layer while staying bit-identical to it.
 
 An adjacency *matrix* is the row-stacked ``(n, n_words)`` form; rows
@@ -16,10 +16,8 @@ elementwise ``&``/``|``/``&~`` and population counts come from
 :func:`popcount_rows` (``np.bitwise_count`` on numpy >= 2, an 8-bit
 lookup table otherwise — the py3.9 CI leg resolves numpy 1.26).
 
-Everything here is deliberately dependency-light: numpy only, no
-compiled extensions. The module is import-guarded by callers through
-:mod:`repro.fastpath.backend` — it must only be imported when
-``HAS_NUMPY`` is true.
+Everything here is deliberately dependency-light: numpy (a declared
+dependency of the package) only, no compiled extensions.
 """
 
 from __future__ import annotations

@@ -28,8 +28,11 @@ import tempfile
 import weakref
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import ParameterError, StorageError
 from repro.fastpath.compiled import CompiledGraph
+from repro.fastpath.packed import n_words
 
 #: First 8 bytes of every graph artifact ("Repro Signed Graph", layout 1).
 MAGIC = b"RSGRAPH1"
@@ -63,11 +66,6 @@ MMAP_PREFIX = "repro-mmap-"
 def _aligned(offset: int) -> int:
     """Round *offset* up to the next 8-byte boundary (int64 segments)."""
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-def _packed_words(n: int) -> int:
-    """``ceil(n / 64)`` with a 1 floor — :func:`packed.n_words` sans numpy."""
-    return max(1, (n + 63) >> 6)
 
 
 def _check_byteorder() -> None:
@@ -160,7 +158,7 @@ def data_layout(header: StorageHeader) -> Tuple[Dict[str, Tuple[int, int]], int]
         ("signs", header.m_all),
         ("nodes", header.nodes_len),
     ]
-    row_bytes = _packed_words(n) * 8
+    row_bytes = n_words(n) * 8
     for sign in header.packed_signs():
         lengths.append((f"packed_{sign}", n * row_bytes))
     segments: Dict[str, Tuple[int, int]] = {}
@@ -173,19 +171,13 @@ def data_layout(header: StorageHeader) -> Tuple[Dict[str, Tuple[int, int]], int]
 
 
 def _resolve_packed_flags(compiled: CompiledGraph, packed) -> int:
-    """Map the ``packed=`` knob to header flag bits (numpy-gated)."""
+    """Map the ``packed=`` knob to header flag bits."""
     if packed in (False, "none"):
         return 0
     if packed not in (True, "always", "auto"):
         raise ParameterError(
             f"unknown packed mode {packed!r}; expected 'auto', 'always' or 'none'"
         )
-    from repro.fastpath.backend import HAS_NUMPY
-
-    if not HAS_NUMPY:
-        # Mirror the backend ladder: a missing optional accelerator
-        # degrades silently, it never fails the save.
-        return 0
     if packed == "auto" and not (0 < compiled.n <= PACKED_NODE_LIMIT):
         return 0
     return sum(PACKED_FLAGS.values())
@@ -214,10 +206,9 @@ def save_compiled(
     """Write *compiled* to *path* as a graph artifact; return its size.
 
     ``packed`` controls the optional packed-``uint64`` matrices:
-    ``"auto"`` (default) stores all three sign classes when numpy is
-    importable and ``n <= PACKED_NODE_LIMIT``; ``"always"`` stores them
-    regardless of size (still numpy-gated); ``"none"`` stores only the
-    CSR. ``fingerprint`` is the graph's SHA-256 hex digest
+    ``"auto"`` (default) stores all three sign classes when
+    ``n <= PACKED_NODE_LIMIT``; ``"always"`` stores them regardless of
+    size; ``"none"`` stores only the CSR. ``fingerprint`` is the graph's SHA-256 hex digest
     (:func:`repro.io.cache.graph_fingerprint`); when given it is stamped
     into the header so :func:`mmap_compiled` can verify identity without
     rehashing the file.
@@ -252,8 +243,6 @@ def save_compiled(
         "nodes": nodes_blob,
     }
     for sign in header.packed_signs():
-        import numpy as np
-
         payloads[f"packed_{sign}"] = np.ascontiguousarray(
             compiled.packed(sign)
         ).tobytes()
@@ -400,19 +389,12 @@ def mmap_compiled(path, expected_fingerprint: Optional[str] = None) -> CompiledG
     graph._storage = store
     packed_signs = header.packed_signs()
     if packed_signs:
-        from repro.fastpath.backend import HAS_NUMPY
-
-        if HAS_NUMPY:
-            import numpy as np
-
-            words = _packed_words(header.n)
-            for sign in packed_signs:
-                offset, length = segments[f"packed_{sign}"]
-                graph._packed[sign] = np.frombuffer(
-                    buf, dtype=np.uint64, count=length >> 3, offset=offset
-                ).reshape(header.n, words)
-        # Without numpy the matrices are ignored; no consumer asks for
-        # them (the backend resolver never selects a packed tier).
+        words = n_words(header.n)
+        for sign in packed_signs:
+            offset, length = segments[f"packed_{sign}"]
+            graph._packed[sign] = np.frombuffer(
+                buf, dtype=np.uint64, count=length >> 3, offset=offset
+            ).reshape(header.n, words)
     return graph
 
 

@@ -1,17 +1,20 @@
-"""numpy-vectorized kernel tier over packed-``uint64`` bitsets.
+"""numpy kernels over packed-``uint64`` bitsets: whole-graph reductions.
 
-Each function here is a *result-identical* port of a tier-0 kernel in
-:mod:`repro.fastpath.kernels`; the 3-way differential suite in
-``tests/test_fastpath.py`` pins the equivalence across the generator
-suite. The ports trade the sequential peel loops for **wave peeling**:
-instead of popping one violator at a time off a queue, every current
-violator is removed in one numpy step and degrees are recomputed with a
-``bincount`` over the gathered CSR neighbourhoods. That changes the
-*order* of removal but not the *result*:
+These are the kernels the pipeline runs on a whole compiled graph:
+core numbers, the positive-core peel, MCNew and the triangle counts.
+Each is a *result-identical* port of a graph-space oracle
+(:mod:`repro.algorithms.kcore`, :mod:`repro.algorithms.triangles`,
+:mod:`repro.core.mcnew`); ``tests/test_fastpath.py`` pins the
+equivalence across the generator suite. The ports trade the sequential
+peel loops for **wave peeling**: instead of popping one violator at a
+time off a queue, every current violator is removed in one numpy step
+and degrees are recomputed with a ``bincount`` over the gathered CSR
+neighbourhoods. That changes the *order* of removal but not the
+*result*:
 
 * the maximal tau-core is unique (the constraint "degree >= tau within
   the survivors" is monotone), so :func:`icore` converges to exactly
-  the mask tier-0's queue produces, including the fixed-node failure
+  the set a queue peel produces, including the fixed-node failure
   condition (``fixed ⊄ core``);
 * the MC-core of MCNew is the greatest fixpoint of a monotone
   constraint system over (alive nodes, directed surviving-ego edges),
@@ -20,12 +23,8 @@ violator is removed in one numpy step and degrees are recomputed with a
 
 Core *numbers* are likewise unique per node, but the wave peel's order
 is not a valid bucket-queue tie-break, so degeneracy *orders* (used by
-:meth:`CompiledGraph.oriented`) always come from the tier-0
-``core_numbers_csr`` — orientation stays backend-stable.
-
-This module requires numpy and must only be imported behind
-``backend.HAS_NUMPY`` (the :func:`~repro.fastpath.backend.resolve_backend`
-ladder guarantees that).
+:meth:`CompiledGraph.oriented`) always come from the bucket queue of
+:func:`repro.fastpath.kernels.core_numbers_csr`.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def core_values(n: int, xadj: np.ndarray, adj: np.ndarray) -> List[int]:
 
 
 def core_numbers(compiled: CompiledGraph, sign: str = "all") -> Dict[Node, int]:
-    """Vectorized port of :func:`repro.fastpath.kernels.core_numbers_fast`."""
+    """Port of :func:`repro.algorithms.kcore.core_numbers` (one sign class)."""
     xadj, adj = _csr(compiled, sign)
     core = core_values(compiled.n, xadj, adj)
     nodes = compiled.nodes
@@ -180,10 +179,10 @@ def icore(
     within_mask: Optional[int] = None,
     sign: str = "all",
 ) -> Tuple[bool, int]:
-    """Vectorized port of :func:`repro.fastpath.kernels.icore_fast`.
+    """Port of Algorithm 1 (:func:`repro.algorithms.kcore.icore`).
 
     Computes the (unique) maximal tau-core of the induced subgraph by
-    wave peeling, then applies tier-0's failure conditions: a fixed
+    wave peeling, then applies ICore's failure conditions: a fixed
     node outside the survivors, or an empty core, yields ``(False, 0)``.
     """
     if tau < 0:
@@ -225,15 +224,16 @@ def icore(
 # MCNew peeling
 # ----------------------------------------------------------------------
 def mccore_new_mask(compiled: CompiledGraph, params: "AlphaK") -> int:
-    """Vectorized port of :func:`repro.fastpath.kernels.mccore_new_mask`.
+    """Port of Algorithm 3 (:func:`repro.core.mcnew.mccore_new`), mask result.
 
     State is the ``(n, n_words)`` surviving-ego matrix ``OUT`` (row *u*
-    = tier-0's ``out_pos[u]``) plus the alive vector. Each round
+    = the positive neighbours of *u* whose edge still survives) plus
+    the alive vector. Each round
     recomputes every surviving directed edge's Lemma-4 delta
     ``popcount(OUT[u] & N_all(v))`` in one batched popcount, clears the
     violating edge bits, and kills nodes whose surviving positive degree
     dropped below the threshold; the loop stops at the (unique) greatest
-    fixpoint tier-0's queue also reaches.
+    fixpoint the paper's queue also reaches.
     """
     threshold = params.positive_threshold
     if threshold == 0:
@@ -282,8 +282,8 @@ def _oriented_arrays(
     """``(oxadj, tails, heads, packed_rows)`` of the degeneracy DAG.
 
     Orients every undirected edge from the lower to the higher
-    degeneracy rank (the same total order tier-0's
-    :meth:`CompiledGraph.oriented` uses), as flat edge arrays plus the
+    degeneracy rank (the total order of
+    :meth:`CompiledGraph.oriented`), as flat edge arrays plus the
     packed out-neighbour matrix. Cached on the compiled graph next to
     the packed sign-class matrices.
     """
@@ -306,12 +306,12 @@ def _oriented_arrays(
 
 
 def triangle_count(compiled: CompiledGraph, sign: str = "all") -> int:
-    """Vectorized port of :func:`repro.fastpath.kernels.triangle_count_fast`.
+    """Port of :func:`repro.algorithms.triangles.triangle_count` (one sign class).
 
     Every triangle is counted exactly once at its source edge — for any
     acyclic orientation, ``sum(|out(u) & out(v)|)`` over directed edges
     ``(u, v)`` — so probing the degeneracy DAG's packed out-rows with
-    :func:`_wedge_counts` reproduces tier-0's total exactly.
+    :func:`_wedge_counts` counts every triangle exactly once.
     """
     if compiled.n == 0:
         return 0
@@ -324,12 +324,12 @@ def triangle_count(compiled: CompiledGraph, sign: str = "all") -> int:
 def ego_triangle_degrees(
     compiled: CompiledGraph, within: Optional[Set[Node]] = None
 ) -> Dict[Tuple[Node, Node], int]:
-    """Vectorized port of :func:`repro.fastpath.kernels.ego_triangle_degrees_fast`.
+    """Port of :func:`repro.algorithms.triangles.all_ego_triangle_degrees`.
 
     The Lemma-4 delta of a directed positive edge ``(u, v)`` is
     ``|OUT[u] & N_all(v)|`` with ``OUT[u]`` the member-restricted
     positive ego row; each delta is assembled by probing ``OUT`` bits
-    over the wedges ``w in N_all(v)`` (*unrestricted*, as in tier-0),
+    over the wedges ``w in N_all(v)`` (*unrestricted*),
     one word per wedge instead of a full-row AND per edge.
     """
     n = compiled.n

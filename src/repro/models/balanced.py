@@ -39,7 +39,7 @@ balanced (an even number of negative edges), which is exactly
 counted as ``clique_pruned_candidates`` (non-adjacent) and
 ``negative_pruned_candidates`` (sign-inconsistent), reusing the MSCE
 counter schema so stats plumbing, cache payloads and the bit-identity
-contract across backends and worker counts are unchanged. No reduction
+contract across worker counts are unchanged. No reduction
 is sound for this model (MSCE's cores assume the (alpha, k)
 constraints), so :meth:`BalancedConstraint.reduction_rule` degrades
 every method to ``"none"``; component decomposition still applies

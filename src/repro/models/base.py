@@ -27,9 +27,8 @@ The graph-level predicates (:meth:`SignedConstraint.feasible`, the
 node-set form of :meth:`SignedConstraint.make_maxtest`) stay over node
 sets: they are what the brute-force oracle and the audit check against.
 
-Model selection flows through one resolver, :func:`resolve_model`,
-mirroring :func:`repro.fastpath.backend.resolve_backend`: an explicit
-``model=`` argument wins over the ``REPRO_MODEL`` environment variable,
+Model selection flows through one resolver, :func:`resolve_model`: an
+explicit ``model=`` argument wins over the ``REPRO_MODEL`` environment variable,
 which wins over the default (``"msce"``). The resolved name is part of
 the serve-cache entry key and is shipped to scheduler workers, so a
 parallel run always applies one consistent model.

@@ -111,7 +111,7 @@ class TenantRegistry:
         Per-tenant memory-tier budgets (every tenant gets its own
         :class:`~repro.serve.lru.MemoryLRU` with these bounds, unless
         overridden at :meth:`create` time).
-    workers / backend / seed:
+    workers / seed:
         Engine configuration shared by all tenants.
     """
 
@@ -121,14 +121,12 @@ class TenantRegistry:
         cache_mem_entries: int = DEFAULT_CACHE_MEM_ENTRIES,
         cache_mem_bytes: Optional[int] = DEFAULT_CACHE_MEM_BYTES,
         workers: int = 1,
-        backend: Optional[str] = None,
         seed: int = 0,
     ):
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._cache_mem_entries = cache_mem_entries
         self._cache_mem_bytes = cache_mem_bytes
         self._workers = workers
-        self._backend = backend
         self._seed = seed
         self._tenants: Dict[str, Tenant] = {}
 
@@ -183,7 +181,6 @@ class TenantRegistry:
                 self._cache_mem_bytes if cache_mem_bytes == "inherit" else cache_mem_bytes
             ),
             workers=self._workers,
-            backend=self._backend,
             seed=self._seed,
             tenant=name,
         )

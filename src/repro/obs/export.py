@@ -90,7 +90,7 @@ def prometheus_text(
     labels ending in ``+Inf``. Instruments are emitted in sorted name
     order so the export is deterministic. ``labels`` attaches constant
     labels to every sample — the CLI uses it to stamp the run's
-    ``kernel_backend`` on the export.
+    ``model`` on the export.
 
     Counter and gauge names may carry inline labels
     (:func:`split_inline_labels`): every ``base|key=value`` series of

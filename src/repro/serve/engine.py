@@ -61,10 +61,9 @@ from repro.core.bbe import MSCE, EnumerationResult, SearchStats
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.dynamic import closed_neighborhood, refresh_region
 from repro.core.params import AlphaK
-from repro.core.parallel import enumerate_grid
+from repro.core.parallel import _require_positive_int, enumerate_grid
 from repro.core.query import query_search
 from repro.exceptions import GraphError, ParameterError, StorageError
-from repro.fastpath.backend import resolve_backend
 from repro.fastpath.compiled import CompiledGraph, compile_graph
 from repro.fastpath.kernels import reduce_mask
 from repro.graphs.signed_graph import Node, SignedGraph
@@ -173,16 +172,12 @@ class SignedCliqueEngine:
         ``cache_mem_bytes=None`` disables the byte bound.
     workers:
         Default worker-process count for :meth:`run_grid` (``1`` runs
-        grids inline, still sharing compilation and coring).
+        grids inline, still sharing compilation and coring); values
+        below 1 raise :class:`ValueError`.
     selection / reduction / maxtest / seed:
         Enumerator configuration, as in :class:`~repro.core.bbe.MSCE`;
         the defaults match :mod:`repro.core.api`, which is what the
         differential harness compares against.
-    backend:
-        Kernel tier for every search the engine runs
-        (:data:`repro.fastpath.backend.BACKENDS`); resolved once at
-        construction, so cache keys and results are identical across
-        tiers — only the wall clock changes.
     model:
         Default signed-cohesion model (:data:`repro.models.MODELS`);
         resolved once at construction. Enumeration requests may
@@ -211,7 +206,6 @@ class SignedCliqueEngine:
         maxtest: str = "exact",
         seed: int = 0,
         record_requests: bool = False,
-        backend: Optional[str] = None,
         model: Optional[str] = None,
         tenant: Optional[str] = None,
     ):
@@ -230,9 +224,8 @@ class SignedCliqueEngine:
         self._reduction = reduction
         self._maxtest = maxtest
         self._seed = seed
-        self._backend = resolve_backend(backend)
         self._model = resolve_model(model)
-        self._workers = max(1, workers)
+        self._workers = _require_positive_int("workers", workers)
         #: (method, positive_threshold) -> survivor bitmask of the
         #: current compiled graph. Cleared on every mutation.
         self._reduction_masks: Dict[Tuple[str, int], int] = {}
@@ -372,7 +365,7 @@ class SignedCliqueEngine:
         key = (method, params.positive_threshold)
         mask = self._reduction_masks.get(key)
         if mask is None:
-            mask = reduce_mask(compiled, params, method=method, backend=self._backend)
+            mask = reduce_mask(compiled, params, method=method)
             self._reduction_masks[key] = mask
             self._bump("reduce_computed")
         else:
@@ -508,7 +501,6 @@ class SignedCliqueEngine:
             # The ceiling memo reduces by the (alpha, k) positive
             # threshold — only sound for the MSCE constraint.
             reducer=self._reducer if live else None,
-            backend=self._backend,
             model=model,
         )
         self._bump("computes")
@@ -607,7 +599,6 @@ class SignedCliqueEngine:
             seed=self._seed,
             time_limit=time_limit,
             reducer=self._reducer if model == "msce" else None,
-            backend=self._backend,
             model=model,
         ).top_r(r)
         self._bump("computes")
@@ -726,7 +717,6 @@ class SignedCliqueEngine:
                     time_limit=time_limit,
                     reducer=self._node_reducer,
                     search_graph=self._compiled(),
-                    backend=self._backend,
                 )
                 self._bump("computes")
                 if not (result.timed_out or result.truncated or result.interrupted):
@@ -780,8 +770,12 @@ class SignedCliqueEngine:
 
         Each returned result is bit-identical (cliques and stats) to a
         one-shot enumeration of that setting; settings interrupted by
-        *time_limit* are returned partial and not cached.
+        *time_limit* are returned partial and not cached. *workers*
+        defaults to the engine's count; values below 1 raise
+        :class:`ValueError`.
         """
+        if workers is not None:
+            _require_positive_int("workers", workers)
         grid = [AlphaK(alpha, k) for alpha in alphas for k in ks]
         points = list(dict.fromkeys(grid))
         model = self._resolve_model(model)
@@ -794,11 +788,13 @@ class SignedCliqueEngine:
                 time_limit,
                 model,
             )
+            if workers is None:
+                workers = self._workers
             started = time.perf_counter()
             with obs.span(
                 "serve_grid",
                 points=len(points),
-                workers=workers or self._workers,
+                workers=workers,
                 model=model,
             ):
                 self._bump("requests")
@@ -822,14 +818,13 @@ class SignedCliqueEngine:
                     computed = enumerate_grid(
                         self._compiled(),
                         missing,
-                        workers=workers or self._workers,
+                        workers=workers,
                         selection=self._selection,
                         reduction=self._reduction,
                         maxtest=self._maxtest,
                         seed=self._seed,
                         time_limit=time_limit,
                         reducer=self._reducer if live else None,
-                        backend=self._backend,
                         model=model,
                     )
                     self._bump("grid_computed", len(missing))
@@ -848,8 +843,7 @@ class SignedCliqueEngine:
                     "points": len(points),
                     "served_from_cache": len(points) - len(missing),
                     "computed": len(missing),
-                    "workers": workers or self._workers,
-                    "backend": self._backend,
+                    "workers": workers,
                     "model": model,
                     "sharing_ratio": self.sharing_ratio,
                     "elapsed_seconds": time.perf_counter() - started,
@@ -1006,7 +1000,6 @@ class SignedCliqueEngine:
         return {
             "memory": self.memory.stats(),
             "disk": str(self.disk._dir) if self.disk is not None else None,
-            "backend": self._backend,
             "model": self._model,
             "counters": dict(self.counters),
             "sharing_ratio": self.sharing_ratio,

@@ -3,13 +3,13 @@
 Pins the tentpole contracts of ``repro.models``:
 
 * **resolution** — ``resolve_model`` precedence (explicit > env >
-  default) mirrors the kernel-backend resolver, unknown names raise;
+  default), unknown names raise;
 * **oracle parity** — balanced enumeration matches the model-generic
   brute-force oracle (:func:`repro.core.naive.brute_force_constraint`)
   on hundreds of generated graphs, for ``SignedGraph`` *and*
   ``CompiledGraph`` input, with auditing on;
 * **bit-identity** — balanced cliques and ``SearchStats`` are identical
-  across worker counts {1, 2, 4} and every kernel backend, like MSCE;
+  across worker counts {1, 2, 4}, like MSCE;
 * **cache isolation** — the serve cache keys carry the model, so a
   balanced answer is never served for an MSCE request (or vice versa)
   across the memory and disk tiers;
@@ -32,7 +32,6 @@ from repro.core import MSCE, AlphaK
 from repro.core.naive import brute_force_constraint, brute_force_maximal
 from repro.core.parallel import enumerate_parallel
 from repro.exceptions import ParameterError
-from repro.fastpath.backend import BACKENDS, resolve_backend
 from repro.fastpath.compiled import compile_graph
 from repro.generators import gnp_signed
 from repro.graphs import SignedGraph
@@ -193,7 +192,7 @@ class TestBalancedOracleParity:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity across workers and kernel backends
+# Bit-identity across workers
 # ---------------------------------------------------------------------------
 class TestBalancedParallel:
     @pytest.fixture(scope="class")
@@ -216,21 +215,6 @@ class TestBalancedParallel:
         assert result.stats.as_dict() == baseline.stats.as_dict()
         assert result.stats.model == "balanced"
         assert result.parallel["model"] == "balanced"
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_bit_identical(self, medium, backend):
-        graph, params, baseline = medium
-        result = enumerate_parallel(
-            graph,
-            params.alpha,
-            params.k,
-            workers=2,
-            backend=backend,
-            model="balanced",
-        )
-        assert _nodes(result) == _nodes(baseline)
-        assert result.stats.as_dict() == baseline.stats.as_dict()
-        assert result.parallel["backend"] == resolve_backend(backend)
 
     def test_env_model_reaches_the_scheduler(self, monkeypatch, medium):
         graph, params, baseline = medium

@@ -307,6 +307,18 @@ class TestRunGrid:
             reference = enumerate_with_stats(random_graph, params.alpha, params.k)
             assert_result_equal(result, reference, f"restart {params}")
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_engine_rejects_workers_below_one(self, paper_graph, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            SignedCliqueEngine(paper_graph, workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_grid_rejects_workers_below_one(self, paper_graph, workers):
+        engine = SignedCliqueEngine(paper_graph, workers=2)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            engine.run_grid([2.0], [1], workers=workers)
+        assert engine.counters["requests"] == 0
+
     def test_grid_deduplicates_equal_settings(self, paper_graph):
         engine = SignedCliqueEngine(paper_graph)
         grid = engine.run_grid([2, 2], [1, 1])
