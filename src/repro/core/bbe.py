@@ -163,11 +163,12 @@ class EnumerationResult:
     ``max_memory_bytes`` ceiling stopped the search cooperatively, and
     ``incomplete_frames`` counts the unexpanded search frames that were
     abandoned — ``0`` means the answer is exhaustive. ``parallel`` is
-    filled only by :func:`repro.core.parallel.enumerate_parallel`:
-    scheduling counters (tasks seeded/completed, frames re-split,
-    shared-memory payload bytes) plus the fault-tolerance report
-    (retries, respawns, quarantined frames, degradation reason) that
-    describe how the run was distributed.
+    filled only by :func:`repro.core.parallel.enumerate_grid` (and its
+    one-point form :func:`~repro.core.parallel.enumerate_parallel`):
+    scheduling counters (helpers forked, tasks seeded/completed, frames
+    re-split) plus the fault-tolerance report (retries, workers lost,
+    quarantined frames, degradation reason) that describe how the run
+    was distributed.
     """
 
     cliques: List[SignedClique]
@@ -496,7 +497,6 @@ class MSCE:
         frames: Sequence[Tuple[int, int]],
         budget: Optional[int] = None,
         offload: Optional[Callable[[Tuple[int, int]], None]] = None,
-        max_offload: int = 16,
         deadline: Optional[float] = None,
         max_memory_bytes: Optional[int] = None,
         tick: Optional[Callable[[], None]] = None,
@@ -545,7 +545,6 @@ class MSCE:
             [(candidates, included, None) for candidates, included in frames],
             budget=budget,
             offload=offload,
-            max_offload=max_offload,
         )
         cliques = sort_cliques(found.values())
         stats.maximal_found = len(cliques)

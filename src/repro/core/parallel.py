@@ -39,10 +39,11 @@ frames with work still queued does it fork ``workers - 1`` helper
 processes, which inherit the extracted graph and every point's
 :class:`~repro.core.bbe.MSCE` through ``fork``; tasks on the wire are
 four integers. Load balances adaptively across the whole grid even
-when the presplit guessed wrong, and a helper that *dies* has its
-frames retried elsewhere (bounded per frame, then quarantined) without
-perturbing results. Components below :data:`SMALL_COMPONENT` nodes
-never ship at all: the parent sweeps them while the helpers finish.
+when the root split guessed wrong, and a helper that *dies* has its
+frames re-run by the parent or a surviving helper (bounded per frame,
+then quarantined) without perturbing results. Components below
+:data:`SMALL_COMPONENT` nodes never ship at all: the parent sweeps them
+while the helpers finish.
 
 Robustness: the driver degrades rather than dies. If helpers cannot
 fork or the pool collapses mid-run, the parent finishes the remaining
@@ -81,13 +82,11 @@ from repro.core.bbe import MSCE, EnumerationResult, compile_floor
 from repro.core.cliques import sort_cliques
 from repro.core.params import AlphaK
 from repro.core.scheduler import (
-    DEFAULT_FRAME_RETRIES,
-    DEFAULT_MAX_OFFLOAD,
     DEFAULT_TASK_BUDGET,
-    RESULT_DRAIN_TIMEOUT,
     GroupedTask,
     SearchGroup,
     WorkStealingScheduler,
+    _require_positive_int,
 )
 from repro.exceptions import ParameterError
 from repro.fastpath.bitset import bit_count, iter_bits
@@ -108,16 +107,9 @@ SMALL_COMPONENT = 32
 #: into multiple tasks instead of shipping as one frame.
 SPLIT_COMPONENT = 128
 
-
-def _require_positive_int(name: str, value) -> int:
-    """Reject bools, non-ints and values below 1 with a clear message."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(
-            f"{name} must be a positive integer, got {value!r} ({type(value).__name__})"
-        )
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
+#: Root branches carved per worker out of each giant component before
+#: scheduling; the residual spine frame becomes the final task either way.
+ROOT_BRANCHES_PER_WORKER = 4
 
 
 def _within(mask: int, union: int) -> int:
@@ -145,15 +137,9 @@ def enumerate_parallel(
     seed: int = 0,
     small_component: int = SMALL_COMPONENT,
     split_component: int = SPLIT_COMPONENT,
-    presplit: Optional[int] = None,
     task_budget: int = DEFAULT_TASK_BUDGET,
-    max_offload: int = DEFAULT_MAX_OFFLOAD,
     time_limit: Optional[float] = None,
     max_memory_bytes: Optional[int] = None,
-    frame_retries: int = DEFAULT_FRAME_RETRIES,
-    max_respawns: Optional[int] = None,
-    strict: bool = False,
-    drain_timeout: float = RESULT_DRAIN_TIMEOUT,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     model: Optional[str] = None,
     top_r: Optional[int] = None,
@@ -180,15 +166,9 @@ def enumerate_parallel(
         seed=seed,
         small_component=small_component,
         split_component=split_component,
-        presplit=presplit,
         task_budget=task_budget,
-        max_offload=max_offload,
         time_limit=time_limit,
         max_memory_bytes=max_memory_bytes,
-        frame_retries=frame_retries,
-        max_respawns=max_respawns,
-        strict=strict,
-        drain_timeout=drain_timeout,
         progress=progress,
         model=model,
         top_r=top_r,
@@ -205,15 +185,9 @@ def enumerate_grid(
     seed: int = 0,
     small_component: int = SMALL_COMPONENT,
     split_component: int = SPLIT_COMPONENT,
-    presplit: Optional[int] = None,
     task_budget: int = DEFAULT_TASK_BUDGET,
-    max_offload: int = DEFAULT_MAX_OFFLOAD,
     time_limit: Optional[float] = None,
     max_memory_bytes: Optional[int] = None,
-    frame_retries: int = DEFAULT_FRAME_RETRIES,
-    max_respawns: Optional[int] = None,
-    strict: bool = False,
-    drain_timeout: float = RESULT_DRAIN_TIMEOUT,
     progress: Optional[Callable[[ProgressEvent], None]] = None,
     reducer: Optional[Callable] = None,
     model: Optional[str] = None,
@@ -246,7 +220,7 @@ def enumerate_grid(
     when the search stayed under the threshold) and
     ``helpers_started_after`` (frames the parent had searched by then,
     ``None`` without helpers), plus the fault-tolerance report:
-    ``retries``, ``respawns``, ``workers_lost``, ``quarantined_frames``,
+    ``retries``, ``workers_lost``, ``quarantined_frames``,
     ``degraded`` (the fallback reason, or ``None``), the point's
     interruption fields mirrored from its result, and ``metrics`` — the
     point's aggregated :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
@@ -262,15 +236,12 @@ def enumerate_grid(
     small_component / split_component:
         Node-count thresholds selecting, per reduced component, between
         the parent's local sweep, a single task, and root-branch
-        decomposition.
-    presplit:
-        Root branches carved per giant component before scheduling
-        (default ``4 * workers``); the residual spine frame becomes the
-        final task either way.
-    task_budget / max_offload:
-        Work-stealing re-split knobs, see
-        :mod:`repro.core.scheduler`. Scheduling granularity only —
-        results and stats are invariant. ``task_budget`` also sets when
+        decomposition (``4 * workers`` root branches, see
+        :data:`ROOT_BRANCHES_PER_WORKER`).
+    task_budget:
+        Frames a task processes before it sheds branches back to the
+        queue, see :mod:`repro.core.scheduler`. Scheduling granularity
+        only — results and stats are invariant. It also sets when
         helpers fork: after ``HELPER_START_BUDGETS * task_budget``
         frames searched by the parent.
     time_limit / max_memory_bytes:
@@ -281,17 +252,6 @@ def enumerate_grid(
         or ``"memory"``, and ``incomplete_frames`` counting abandoned
         subtrees; points that completed stay exact. The call never
         raises for it.
-    frame_retries / max_respawns:
-        Fault-tolerance budgets: failed attempts one frame survives
-        before quarantine, and total helper respawns across the run
-        (default ``2 * workers``).
-    strict:
-        Disable graceful degradation: a collapsed helper pool raises
-        :class:`~repro.exceptions.WorkerCrashError` instead of the
-        parent finishing the remaining frames itself.
-    drain_timeout:
-        Shutdown salvage window forwarded to the scheduler (see
-        :data:`repro.core.scheduler.RESULT_DRAIN_TIMEOUT`).
     progress:
         Callback receiving throttled
         :class:`~repro.obs.progress.ProgressEvent` samples (completed
@@ -323,19 +283,11 @@ def enumerate_grid(
     Raises
     ------
     ValueError
-        If ``workers``, ``task_budget`` or ``max_offload`` is not a
-        positive integer, or ``frame_retries`` / ``max_respawns`` is
-        negative (bools are rejected too).
+        If ``workers`` or ``task_budget`` is not a positive integer
+        (bools are rejected too).
     """
     _require_positive_int("workers", workers)
     _require_positive_int("task_budget", task_budget)
-    _require_positive_int("max_offload", max_offload)
-    if isinstance(frame_retries, bool) or not isinstance(frame_retries, int) or frame_retries < 0:
-        raise ValueError(f"frame_retries must be a non-negative integer, got {frame_retries!r}")
-    if max_respawns is not None and (
-        isinstance(max_respawns, bool) or not isinstance(max_respawns, int) or max_respawns < 0
-    ):
-        raise ValueError(f"max_respawns must be a non-negative integer or None, got {max_respawns!r}")
     if top_r is not None and top_r <= 0:
         raise ParameterError(f"top_r must be positive, got {top_r}")
     param_list = list(dict.fromkeys(points))
@@ -402,7 +354,7 @@ def enumerate_grid(
         groups: List[SearchGroup] = []
         local: List[GroupedTask] = []
         tasks: List[GroupedTask] = []
-        presplit_cap = presplit if presplit is not None else max(4 * workers, 4)
+        root_branches = ROOT_BRANCHES_PER_WORKER * workers
         split_components = 0
         for index, (params, survivor_mask) in enumerate(zip(param_list, survivors)):
             group = SearchGroup(
@@ -435,7 +387,7 @@ def enumerate_grid(
                             group.stats,
                             group.found,
                             group.size_heap,
-                            presplit_cap,
+                            root_branches,
                             guard=guard,
                             top_r=top_r,
                         )
@@ -456,13 +408,8 @@ def enumerate_grid(
                 groups,
                 workers,
                 task_budget=task_budget,
-                max_offload=max_offload,
                 deadline=deadline_ts,
                 max_memory_bytes=max_memory_bytes,
-                frame_retries=frame_retries,
-                max_respawns=max_respawns,
-                strict=strict,
-                drain_timeout=drain_timeout,
                 progress=reporter.update if reporter is not None else None,
                 top_r=top_r,
             )

@@ -44,11 +44,13 @@ and frames *will* misbehave on long production runs:
 * **Ownership tracking + retry.** Tasks are assigned to a specific
   helper through a per-helper queue, so the parent always knows which
   frames are riding on which process. When a helper dies (nonzero exit,
-  unexpected exit, or a ``fatal`` message), its outstanding frames are
-  re-queued and the slot is respawned with a bumped *epoch*. A frame
-  whose attempts exceed ``frame_retries`` is **quarantined** —
-  reported in :attr:`quarantined`, never retried forever. Parent-run
-  tasks that raise take the same retry / quarantine path.
+  unexpected exit, or a ``fatal`` message), its outstanding frames go
+  back to the backlog, and the parent or a surviving helper re-runs
+  them. That is the only recovery rule: a lost helper is not replaced,
+  so a slot names one process for the whole run. A frame whose failed
+  attempts exceed :data:`FRAME_RETRIES` is **quarantined** — reported
+  in :attr:`quarantined`, never retried forever. Parent-run tasks that
+  raise take the same retry / quarantine path.
 * **Exactly-once accounting under retry.** A helper streams its shed
   frames as ``spawn`` messages tagged with a per-task index, but its
   rows and stats ride only on the final ``done`` message — a crashed
@@ -65,11 +67,10 @@ and frames *will* misbehave on long production runs:
   return partial ``interrupted`` results for in-flight tasks, the
   parent stops searching and assigning, and the unfinished frames are
   counted against their groups instead of raising.
-* **Graceful degradation.** If the pool collapses (spawn failures,
-  repeated crashes past the respawn budget) the parent keeps draining
-  the backlog itself — same frames, same answers — and the report's
-  ``degraded`` names why. ``strict=True`` raises
-  :class:`~repro.exceptions.WorkerCrashError` instead.
+* **Graceful degradation.** If the pool collapses (the helpers failed
+  to start, or every helper was lost) the parent keeps draining the
+  backlog itself — same frames, same answers — and the report's
+  ``degraded`` names why.
 * **Leak-proof shutdown.** Every path — exhaustion, interruption,
   collapse, ``KeyboardInterrupt`` — drains the result queue for rows
   healthy helpers already completed, cancels the task queues' feeder
@@ -97,7 +98,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.bbe import SearchStats
 from repro.core.cliques import SignedClique
-from repro.exceptions import WorkerCrashError
 from repro.fastpath.search import FrameSearch
 from repro.limits import make_guard
 from repro.obs import runtime as obs
@@ -106,12 +106,9 @@ from repro.testing import faults
 #: Frames processed by a task before it sheds its deepest branches.
 DEFAULT_TASK_BUDGET = 512
 
-#: Maximum frames shed per budget overrun.
-DEFAULT_MAX_OFFLOAD = 16
-
-#: Failed attempts a frame survives before it is quarantined
-#: (``frame_retries = 2`` means three attempts total).
-DEFAULT_FRAME_RETRIES = 2
+#: Failed attempts a frame survives before it is quarantined (three
+#: attempts in total).
+FRAME_RETRIES = 2
 
 #: Task budgets of frames the parent searches alone before it forks
 #: helpers (8 x 512 = 4,096 frames at the default budget). Two
@@ -124,8 +121,7 @@ HELPER_START_BUDGETS = 8
 #: only bounds the *salvage* sweep that runs when some helper was lost,
 #: terminated or exited nonzero — a clean exit drains without waiting —
 #: so it trades a small worst-case shutdown delay against losing
-#: finished work; ``drain_timeout`` on :class:`WorkStealingScheduler`
-#: overrides it per run.
+#: finished work.
 RESULT_DRAIN_TIMEOUT = 0.5
 
 #: Slot of the parent in task records and journal events; helper slots
@@ -145,6 +141,17 @@ GroupedTask = Tuple[int, TaskFrame]
 
 # Task lifecycle states (parent-side bookkeeping).
 _QUEUED, _ASSIGNED, _COMPLETED, _QUARANTINED = range(4)
+
+
+def _require_positive_int(name: str, value) -> int:
+    """Reject bools, non-ints and values below 1 with a clear message."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(
+            f"{name} must be a positive integer, got {value!r} ({type(value).__name__})"
+        )
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _fork_context():
@@ -209,8 +216,9 @@ class _Task:
         #: Spawns accepted for this task across all attempts.
         self.spawns_credited = 0
         self.state = _QUEUED
-        #: ``(slot, epoch)`` currently holding the task, or ``None``.
-        self.assigned: Optional[Tuple[int, int]] = None
+        #: Slot currently holding the task (:data:`PARENT_SLOT` for the
+        #: parent), or ``None``.
+        self.assigned: Optional[int] = None
         #: Slot that shed this frame (``None`` for seeded tasks);
         #: assignment to any *other* slot is a steal, journalled as such.
         self.origin = origin
@@ -219,14 +227,13 @@ class _Task:
 class _Worker:
     """One helper slot: a process, its private task queue, its cargo."""
 
-    __slots__ = ("slot", "epoch", "process", "queue", "in_flight")
+    __slots__ = ("slot", "process", "queue", "in_flight")
 
-    def __init__(self, slot: int, epoch: int, process, queue):
+    def __init__(self, slot: int, process, queue):
         self.slot = slot
-        self.epoch = epoch
         self.process = process
         self.queue = queue
-        #: Tasks assigned to this incarnation, by task id.
+        #: Tasks assigned to this helper, by task id.
         self.in_flight: Dict[int, _Task] = {}
 
 
@@ -242,29 +249,17 @@ class WorkStealingScheduler:
     workers:
         Processes in the pool, the parent included: at most
         ``workers - 1`` helpers are forked.
-    task_budget, max_offload:
-        Re-splitting knobs: frames processed before shedding, and how
-        many bottom-of-stack frames one shed may move. Both only change
-        scheduling granularity — never results or stats.
-        ``task_budget`` also sets the helper threshold,
+    task_budget:
+        Frames a task processes before it sheds up to
+        :data:`~repro.fastpath.search.MAX_OFFLOAD` bottom-of-stack
+        frames. It only changes scheduling granularity — never results
+        or stats — and also sets the helper threshold,
         ``HELPER_START_BUDGETS * task_budget`` parent-searched frames.
     deadline:
         Absolute ``time.monotonic`` timestamp after which the run stops
         cooperatively and unfinished frames are counted as incomplete.
     max_memory_bytes:
         Peak-RSS ceiling enforced in the parent *and* every helper.
-    frame_retries:
-        Failed attempts a frame survives before quarantine.
-    max_respawns:
-        Total helper respawns allowed across the run (default
-        ``2 * workers``); past the budget, dead slots stay empty.
-    strict:
-        When ``True``, a collapsed pool raises
-        :class:`~repro.exceptions.WorkerCrashError` instead of the
-        parent finishing the frames alone.
-    drain_timeout:
-        Seconds the graceful shutdown drains the result queue for rows
-        completed by healthy helpers (see :data:`RESULT_DRAIN_TIMEOUT`).
     progress:
         Optional ``callback(completed, outstanding)`` invoked after
         every parent-run task and every handled helper message —
@@ -281,29 +276,19 @@ class WorkStealingScheduler:
         groups: Sequence[SearchGroup],
         workers: int,
         task_budget: int = DEFAULT_TASK_BUDGET,
-        max_offload: int = DEFAULT_MAX_OFFLOAD,
         deadline: Optional[float] = None,
         max_memory_bytes: Optional[int] = None,
-        frame_retries: int = DEFAULT_FRAME_RETRIES,
-        max_respawns: Optional[int] = None,
-        strict: bool = False,
-        drain_timeout: float = RESULT_DRAIN_TIMEOUT,
         progress: Optional[Callable[[int, int], None]] = None,
         top_r: Optional[int] = None,
     ):
         self.groups: Tuple[SearchGroup, ...] = tuple(groups)
         if not self.groups:
             raise ValueError("groups must name at least one (alpha, k) setting")
-        self.workers = max(1, workers)
-        self.task_budget = task_budget
-        self.max_offload = max_offload
+        self.workers = _require_positive_int("workers", workers)
+        self.task_budget = _require_positive_int("task_budget", task_budget)
         self.helper_threshold = HELPER_START_BUDGETS * task_budget
         self.deadline = deadline
         self.max_memory_bytes = max_memory_bytes
-        self.frame_retries = frame_retries
-        self.max_respawns = 2 * self.workers if max_respawns is None else max_respawns
-        self.strict = strict
-        self.drain_timeout = drain_timeout
         self.progress = progress
         self.top_r = top_r
         #: Filled by :meth:`run_grouped`: scheduling + fault-tolerance
@@ -337,7 +322,6 @@ class WorkStealingScheduler:
         self._helpers_started_after: Optional[int] = None
         self._collapsed = False
         self._retries = 0
-        self._respawns = 0
         self._workers_lost = 0
         self._spawn_failures: List[str] = []
         self._corrupt_messages = 0
@@ -400,7 +384,6 @@ class WorkStealingScheduler:
             "interrupted_reason": self._interrupted_reason,
             "incomplete_frames": sum(group.incomplete for group in self.groups),
             "retries": self._retries,
-            "respawns": self._respawns,
             "workers_lost": self._workers_lost,
             "quarantined_frames": len(self.quarantined),
             "spawn_failures": len(self._spawn_failures),
@@ -437,12 +420,6 @@ class WorkStealingScheduler:
                     self._interrupted_reason = self._interrupted_reason or reason
                     break
             self._service()
-            if self._collapsed and self.strict:
-                raise WorkerCrashError(
-                    f"worker pool collapsed with {self._pending} unfinished frames "
-                    f"({self._workers_lost} workers lost, "
-                    f"{len(self._spawn_failures)} spawn failures)"
-                )
             record = self._next_queued()
             if record is not None:
                 self._run_here(record)
@@ -457,7 +434,7 @@ class WorkStealingScheduler:
         self._sweep(local)
 
     def _service(self) -> None:
-        """Merge helper messages, replace dead helpers, feed idle ones.
+        """Merge helper messages, reap dead helpers, feed idle ones.
 
         Never blocks. Before the helpers exist it only checks the
         threshold: the parent has searched ``helper_threshold`` frames
@@ -515,7 +492,7 @@ class WorkStealingScheduler:
         group = self.groups[record.group]
         search = self._search(record.group)
         record.state = _ASSIGNED
-        record.assigned = (PARENT_SLOT, 0)
+        record.assigned = PARENT_SLOT
         recursions = group.stats.counter("recursions")
         start = recursions.value
         self._running = (recursions, start)
@@ -543,7 +520,6 @@ class WorkStealingScheduler:
                     [(record.frame[0], record.frame[1], None)],
                     budget=self.task_budget,
                     offload=offload,
-                    max_offload=self.max_offload,
                 )
         except Exception:
             record.assigned = None
@@ -618,7 +594,7 @@ class WorkStealingScheduler:
             if record is None:
                 return
             record.state = _ASSIGNED
-            record.assigned = (worker.slot, worker.epoch)
+            record.assigned = worker.slot
             worker.in_flight[record.task_id] = record
             if record.origin is not None and record.origin != worker.slot:
                 obs.journal_event(
@@ -656,12 +632,12 @@ class WorkStealingScheduler:
     def _handle(self, message) -> None:
         kind = message[0]
         if kind == "spawn":
-            _, slot, _epoch, task_id, index, frame = message
+            _, slot, task_id, index, frame = message
             parent = self._records.get(task_id)
             if parent is not None:
                 self._credit_spawn(parent, index, frame, slot)
         elif kind in ("done", "interrupted"):
-            task_id, rows, metrics = message[3], message[4], message[5]
+            task_id, rows, metrics = message[2], message[3], message[4]
             record = self._records.get(task_id)
             if record is None or record.state in (_COMPLETED, _QUARANTINED):
                 return  # duplicate terminal message from a stale attempt
@@ -679,23 +655,19 @@ class WorkStealingScheduler:
                 )
             group.stats.merge_snapshot(metrics)
             if kind == "interrupted":
-                group.interrupt(message[7], message[6])
-                self._interrupted_reason = self._interrupted_reason or message[7]
+                group.interrupt(message[6], message[5])
+                self._interrupted_reason = self._interrupted_reason or message[6]
         elif kind == "task_error":
-            _, slot, epoch, task_id, tb = message
+            _, slot, task_id, tb = message
             record = self._records.get(task_id)
-            if (
-                record is None
-                or record.state != _ASSIGNED
-                or record.assigned != (slot, epoch)
-            ):
+            if record is None or record.state != _ASSIGNED or record.assigned != slot:
                 return  # stale report from a superseded attempt
             self._release(record)
             self._retry_or_quarantine(record, tb)
         elif kind == "fatal":
-            _, slot, epoch, tb = message
+            _, slot, tb = message
             worker = self._pool.get(slot)
-            if worker is not None and worker.epoch == epoch:
+            if worker is not None:
                 self._fail_worker(worker, f"worker reported fatal error:\n{tb}")
         else:  # pragma: no cover - protocol bug
             raise RuntimeError(f"unknown worker message kind {kind!r}")
@@ -704,14 +676,14 @@ class WorkStealingScheduler:
         """Detach *record* from whichever helper currently holds it."""
         if record.assigned is None:
             return
-        worker = self._pool.get(record.assigned[0])
+        worker = self._pool.get(record.assigned)
         if worker is not None:
             worker.in_flight.pop(record.task_id, None)
         record.assigned = None
 
     def _retry_or_quarantine(self, record: _Task, why: str, retry: bool = True) -> None:
         record.attempts += 1
-        if not retry or record.attempts > self.frame_retries:
+        if not retry or record.attempts > FRAME_RETRIES:
             record.state = _QUARANTINED
             self._pending -= 1
             last_line = why.strip().splitlines()[-1] if why.strip() else "unknown"
@@ -738,7 +710,7 @@ class WorkStealingScheduler:
         self._helpers_started_after = self._frames_searched()
         self._result_queue = self._ctx.Queue()
         for slot in range(self.workers - 1):
-            self._try_spawn(slot, 0)
+            self._try_spawn(slot)
         self._helpers = len(self._pool)
         obs.journal_event(
             "helpers_start",
@@ -747,7 +719,7 @@ class WorkStealingScheduler:
             queued=len(self._backlog),
         )
 
-    def _helper_loop(self, slot: int, epoch: int, task_queue) -> None:
+    def _helper_loop(self, slot: int, task_queue) -> None:
         """Helper process body: drain frames against the inherited groups.
 
         Runs in a child forked from the parent, so this scheduler — its
@@ -759,18 +731,18 @@ class WorkStealingScheduler:
         the parent's pending count conservative. Terminal messages per
         task:
 
-        * ``("done", slot, epoch, task_id, rows, metrics)`` — exhausted;
-        * ``("interrupted", slot, epoch, task_id, rows, metrics, dropped,
+        * ``("done", slot, task_id, rows, metrics)`` — exhausted;
+        * ``("interrupted", slot, task_id, rows, metrics, dropped,
           reason)`` — the deadline / memory guard tripped mid-task;
-        * ``("task_error", slot, epoch, task_id, traceback)`` — the frame
+        * ``("task_error", slot, task_id, traceback)`` — the frame
           raised; the helper survives and moves to its next task.
 
-        ``("fatal", slot, epoch, traceback)`` reports an unrecoverable
+        ``("fatal", slot, traceback)`` reports an unrecoverable
         helper-level failure.
         """
         result_queue = self._result_queue
-        tick = faults.worker_tick(slot, epoch, result_queue)
-        spawn_tick = faults.worker_tick(slot, epoch, result_queue, spawns=True)
+        tick = faults.worker_tick(slot, result_queue)
+        spawn_tick = faults.worker_tick(slot, result_queue, spawns=True)
         try:
             while True:
                 task = task_queue.get()
@@ -782,7 +754,7 @@ class WorkStealingScheduler:
                 def offload(frame, _task_id=task_id):
                     nonlocal spawn_index
                     faults.message_delay()
-                    result_queue.put(("spawn", slot, epoch, _task_id, spawn_index, frame))
+                    result_queue.put(("spawn", slot, _task_id, spawn_index, frame))
                     spawn_index += 1
                     if spawn_tick is not None:
                         spawn_tick()
@@ -793,7 +765,6 @@ class WorkStealingScheduler:
                         [(candidates, included)],
                         budget=self.task_budget,
                         offload=offload,
-                        max_offload=self.max_offload,
                         deadline=self.deadline,
                         max_memory_bytes=self.max_memory_bytes,
                         tick=tick,
@@ -803,11 +774,11 @@ class WorkStealingScheduler:
                         (clique.nodes, clique.positive_edges, clique.negative_edges)
                         for clique in result.cliques
                     ]
-                    # The task's metrics ride only on its terminal message,
-                    # keyed by (slot, epoch): a crashed attempt contributes
-                    # nothing, so the parent's credit dedup gives exactly-once
-                    # aggregation. The per-task extras match the parent's
-                    # (one tasks tick, one recursions observation per task).
+                    # The task's metrics ride only on its terminal message:
+                    # a crashed attempt contributes nothing, so the parent's
+                    # credit dedup gives exactly-once aggregation. The
+                    # per-task extras match the parent's (one tasks tick,
+                    # one recursions observation per task).
                     registry = result.stats.registry
                     registry.counter("worker_tasks").inc()
                     registry.histogram("task_recursions").observe(result.stats.recursions)
@@ -818,7 +789,6 @@ class WorkStealingScheduler:
                             (
                                 "interrupted",
                                 slot,
-                                epoch,
                                 task_id,
                                 rows,
                                 metrics,
@@ -827,42 +797,37 @@ class WorkStealingScheduler:
                             )
                         )
                     else:
-                        result_queue.put(("done", slot, epoch, task_id, rows, metrics))
+                        result_queue.put(("done", slot, task_id, rows, metrics))
                 except Exception:
                     # The frame failed but the helper is healthy: report and
                     # keep draining — the parent decides retry vs quarantine.
                     faults.message_delay()
-                    result_queue.put(("task_error", slot, epoch, task_id, traceback.format_exc()))
+                    result_queue.put(("task_error", slot, task_id, traceback.format_exc()))
         except BaseException:
-            result_queue.put(("fatal", slot, epoch, traceback.format_exc()))
+            result_queue.put(("fatal", slot, traceback.format_exc()))
 
-    def _try_spawn(self, slot: int, epoch: int) -> bool:
+    def _try_spawn(self, slot: int) -> None:
         queue = None
         try:
-            faults.check_worker_spawn(slot, epoch)
+            faults.check_worker_spawn(slot)
             queue = self._ctx.Queue()
-            process = self._ctx.Process(
-                target=self._helper_loop, args=(slot, epoch, queue), daemon=True
-            )
+            process = self._ctx.Process(target=self._helper_loop, args=(slot, queue), daemon=True)
             process.start()
         except Exception as exc:
             # Whatever stops a helper from starting (no processes left, a
             # daemonic caller, an injected fault), the parent carries on
             # alone: this runs inside the parent's search, whose own
             # failure handling must not see it.
-            self._spawn_failures.append(f"slot {slot} epoch {epoch}: {exc}")
-            obs.journal_event(
-                "worker_spawn_failed", slot=slot, epoch=epoch, why=str(exc)
-            )
+            self._spawn_failures.append(f"slot {slot}: {exc}")
+            obs.journal_event("worker_spawn_failed", slot=slot, why=str(exc))
             if queue is not None:
                 self._retired_queues.append(queue)
-            return False
-        self._pool[slot] = _Worker(slot, epoch, process, queue)
-        obs.journal_event("worker_spawn", slot=slot, epoch=epoch, pid=process.pid)
-        return True
+            return
+        self._pool[slot] = _Worker(slot, process, queue)
+        obs.journal_event("worker_spawn", slot=slot, pid=process.pid)
 
     def _reap_dead(self) -> None:
-        """Detect crashed helpers; requeue their cargo and respawn."""
+        """Detect crashed helpers and requeue their cargo."""
         for worker in list(self._pool.values()):
             code = worker.process.exitcode
             if code is not None:
@@ -876,7 +841,6 @@ class WorkStealingScheduler:
         obs.journal_event(
             "worker_lost",
             slot=worker.slot,
-            epoch=worker.epoch,
             in_flight=len(worker.in_flight),
             why=why.strip().splitlines()[0] if why.strip() else "unknown",
         )
@@ -891,12 +855,6 @@ class WorkStealingScheduler:
         self._retired_queues.append(worker.queue)
         if not worker.process.is_alive():
             worker.process.join(timeout=0.5)
-        if self._respawns < self.max_respawns:
-            self._respawns += 1
-            if self._try_spawn(worker.slot, worker.epoch + 1):
-                obs.journal_event(
-                    "worker_respawn", slot=worker.slot, epoch=worker.epoch + 1
-                )
 
     # ------------------------------------------------------------------
     # Shutdown
@@ -923,12 +881,13 @@ class WorkStealingScheduler:
         sentinels and joins briefly. If every helper then exited with
         code 0 and none was lost during the run, it drains what is
         already readable without waiting. Otherwise it drains for up to
-        ``drain_timeout`` seconds, so rows completed by healthy helpers
-        while another one failed are still merged. The emergency path
-        (unexpected parent exception, ``KeyboardInterrupt``) terminates
-        children immediately. Both paths ``cancel_join_thread()`` every
-        task queue — the parent is their only writer, and a full queue
-        must not block interpreter exit — and close all queues.
+        :data:`RESULT_DRAIN_TIMEOUT` seconds, so rows completed by
+        healthy helpers while another one failed are still merged. The
+        emergency path (unexpected parent exception,
+        ``KeyboardInterrupt``) terminates children immediately. Both
+        paths ``cancel_join_thread()`` every task queue — the parent is
+        their only writer, and a full queue must not block interpreter
+        exit — and close all queues.
         """
         workers = list(self._pool.values())
         self._pool.clear()
@@ -955,7 +914,7 @@ class WorkStealingScheduler:
                 # Salvage completed rows that were still in flight (a
                 # crashed sibling must not cost a healthy helper its
                 # finished tasks).
-                deadline = time.monotonic() + self.drain_timeout
+                deadline = time.monotonic() + RESULT_DRAIN_TIMEOUT
                 while time.monotonic() < deadline:
                     try:
                         message = self._result_queue.get(timeout=0.05)

@@ -43,10 +43,6 @@ class ExperimentError(ReproError):
     """An experiment driver was configured inconsistently."""
 
 
-class ExecutionError(ReproError):
-    """The parallel execution layer failed at runtime (not a user input error)."""
-
-
 class StorageError(ReproError):
     """An on-disk :class:`~repro.fastpath.compiled.CompiledGraph` artifact
     could not be written, opened, or validated.
@@ -54,13 +50,4 @@ class StorageError(ReproError):
     Raised by :mod:`repro.fastpath.storage` on magic/version mismatches,
     truncated files, fingerprint mismatches, and big-endian hosts (the
     layout is little-endian on disk and attached zero-copy).
-    """
-
-
-class WorkerCrashError(ExecutionError):
-    """The worker pool collapsed and strict mode forbids degradation.
-
-    Only raised by :meth:`repro.core.scheduler.WorkStealingScheduler.run_grouped`
-    when constructed with ``strict=True``; the default behaviour is for
-    the parent to finish the remaining frames itself.
     """

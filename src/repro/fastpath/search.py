@@ -235,12 +235,11 @@ class FrameSearch:
         frames: List[Frame],
         budget: Optional[int] = None,
         offload: Optional[Callable[[Tuple[int, int]], None]] = None,
-        max_offload: int = MAX_OFFLOAD,
     ) -> Optional[str]:
         """DFS over *frames* (include branch explored first).
 
         With a *budget*, every ``budget`` processed frames up to
-        *max_offload* frames are taken **from the bottom of the stack**
+        :data:`MAX_OFFLOAD` frames are taken **from the bottom of the stack**
         (the largest unexplored subtrees) and passed to *offload* as
         plain ``(candidates, included)`` pairs — threaded state
         is dropped, which changes nothing observable: the receiving
@@ -295,7 +294,7 @@ class FrameSearch:
                 and processed >= budget
                 and len(stack) > 1
             ):
-                take = min(max_offload, len(stack) - 1)
+                take = min(MAX_OFFLOAD, len(stack) - 1)
                 for candidates, included, _state in stack[:take]:
                     offload((candidates, included))
                 del stack[:take]

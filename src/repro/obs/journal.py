@@ -1,9 +1,8 @@
 """JSONL event journal for scheduler and guard lifecycle events.
 
 Counters say *how much*; the journal says *what happened, in order*:
-worker spawns and deaths, frame spawns / steals / retries / quarantines,
-worker respawns, shared-memory and spawn-failure degradations, resource
-guard trips. Each event is one flat JSON object with a monotonic
+helper starts, spawns and deaths, spawn failures, frame spawns / steals
+/ retries / quarantines, degradations and resource guard trips. Each event is one flat JSON object with a monotonic
 ``ts`` and an ``event`` name, held in memory (bounded) and optionally
 appended to a JSONL file as it happens.
 

@@ -24,6 +24,7 @@ no-op call when observability is off.
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +68,21 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self.value!r})"
+
+
+def _reset_inc_lock() -> None:
+    """Give a forked child its own, unheld :attr:`Counter._inc_lock`.
+
+    A thread of the parent (a serving request, say) may hold the lock
+    at fork time. The child inherits it held, with no thread left to
+    release it, so its first :meth:`Counter.inc` — a scheduler helper's
+    first finished task — would block forever.
+    """
+    Counter._inc_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_inc_lock)
 
 
 class Gauge:

@@ -61,7 +61,8 @@ from repro.core.bbe import MSCE, EnumerationResult, SearchStats
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.dynamic import closed_neighborhood, refresh_region
 from repro.core.params import AlphaK
-from repro.core.parallel import _require_positive_int, enumerate_grid
+from repro.core.parallel import enumerate_grid
+from repro.core.scheduler import _require_positive_int
 from repro.core.query import query_search
 from repro.exceptions import GraphError, ParameterError, StorageError
 from repro.fastpath.compiled import CompiledGraph, compile_graph

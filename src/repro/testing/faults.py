@@ -7,13 +7,15 @@ its seams:
 
 * **helper death** — :func:`worker_tick` returns a per-frame callback
   that hard-kills a helper process (``os._exit``) once it has
-  processed a chosen number of frames. Only first-incarnation helpers
-  (``epoch == 0``) are killed, so a respawned helper never re-dies and
-  tests terminate; the parent, which searches as worker 0, is never
-  killed. The same callback can instead fire on a helper's spawn
-  messages, killing it mid-task right after it shed a frame. The queue feeder is flushed before exiting so the
-  death is abrupt for the scheduler (no ``done`` message) but does not
-  leave a torn message in the pipe.
+  processed a chosen number of frames. A lost helper is never
+  replaced, so each planned kill fires at most once per run; the
+  parent, which searches as worker 0, is never killed. The same
+  callback can instead fire on a helper's spawn messages, killing it
+  mid-task right after it shed a frame.
+
+  The queue feeder is flushed before exiting, so the death is abrupt
+  for the scheduler (no ``done`` message) but leaves no torn message in
+  the pipe.
 * **poisoned tasks** — :func:`check_task` raises :class:`InjectedFault`
   for chosen task ids on *every* attempt, in a helper or the parent,
   driving the retry budget to exhaustion and the frame into quarantine.
@@ -61,11 +63,11 @@ class FaultPlan:
     Attributes
     ----------
     kill_at_frame:
-        ``{helper slot: frame count}`` — hard-kill the slot's first
-        incarnation once it has processed that many search frames.
+        ``{helper slot: frame count}`` — hard-kill the slot's helper
+        once it has processed that many search frames.
     kill_after_spawns:
-        ``{helper slot: spawn count}`` — hard-kill the slot's first
-        incarnation right after it has sent that many spawn messages,
+        ``{helper slot: spawn count}`` — hard-kill the slot's helper
+        right after it has sent that many spawn messages,
         so the task it dies in has credited spawns to replay.
     poison_tasks:
         Task ids whose processing always raises :class:`InjectedFault`
@@ -120,12 +122,10 @@ def injected(plan: FaultPlan):
 # ---------------------------------------------------------------------------
 # Hooks consulted by the production code
 # ---------------------------------------------------------------------------
-def check_worker_spawn(slot: int, epoch: int) -> None:
+def check_worker_spawn(slot: int) -> None:
     """Raise :class:`InjectedFault` when worker spawn failure is planned."""
     if _PLAN is not None and _PLAN.fail_worker_spawn:
-        raise InjectedFault(
-            f"injected fault: spawn of worker slot {slot} (epoch {epoch}) refused"
-        )
+        raise InjectedFault(f"injected fault: spawn of worker slot {slot} refused")
 
 
 def check_task(task_id: int) -> None:
@@ -135,22 +135,21 @@ def check_task(task_id: int) -> None:
 
 
 def worker_tick(
-    slot: int, epoch: int, result_queue, spawns: bool = False
+    slot: int, result_queue, spawns: bool = False
 ) -> Optional[Callable[[], None]]:
     """Per-frame kill callback for a helper, or ``None`` when unplanned.
 
     With *spawns* the callback counts spawn messages instead of frames.
     The returned callable ``os._exit(1)``s the process once the slot's
-    frame (spawn) count is reached — but only for the first incarnation
-    (``epoch == 0``), so the respawned worker finishes the work. The
-    result queue's feeder thread is flushed first: messages already sent
-    (task spawns) reach the parent, while the in-progress task's
-    ``done`` never will — exactly the abrupt-death scenario the
-    scheduler's retry accounting must absorb. Flushing also releases the
+    frame (spawn) count is reached; the parent or a surviving helper
+    then re-runs its task. The result queue's feeder thread is flushed
+    first: messages already sent (task spawns) reach the parent, while
+    the in-progress task's ``done`` never will — exactly the
+    abrupt-death scenario the scheduler's retry accounting must absorb. Flushing also releases the
     queue's shared write lock, which a raw ``os._exit`` could leave
     held, deadlocking sibling workers.
     """
-    if _PLAN is None or epoch != 0:
+    if _PLAN is None:
         return None
     limit = (_PLAN.kill_after_spawns if spawns else _PLAN.kill_at_frame).get(slot)
     if limit is None:
