@@ -4,11 +4,6 @@ Subcommands
 -----------
 stats
     Print Table-I style statistics of a signed edge-list file.
-compile
-    Compile a graph into a mmap-able storage artifact
-    (:mod:`repro.fastpath.storage`); other subcommands accept the
-    artifact anywhere a graph path is expected and re-attach it
-    zero-copy instead of re-reading and re-compiling the edge list.
 mccore
     Print the maximal constrained ceil(alpha*k)-core of a graph.
 enumerate
@@ -38,9 +33,7 @@ report
     Regenerate the full evaluation report as markdown.
 
 Graphs are read with :func:`repro.io.read_signed_edgelist` (``src dst
-sign`` lines, ``#``/``%`` comments), or — when the file starts with the
-storage magic — mmapped back as a
-:class:`~repro.fastpath.compiled.CompiledGraph` artifact.
+sign`` lines, ``#``/``%`` comments).
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ from typing import List, Optional
 
 from repro.core import MSCE, AlphaK, find_mccore, signed_cliques_containing
 from repro.exceptions import ReproError
-from repro.fastpath.compiled import source_graph
 from repro.generators import DATASET_BUILDERS, load_dataset
 from repro.graphs import graph_stats
 from repro.io import read_signed_edgelist, write_signed_edgelist
@@ -112,19 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="print dataset statistics (Table I columns)")
     _add_graph_argument(stats)
-
-    compile_cmd = sub.add_parser(
-        "compile", help="compile a graph into a mmap-able storage artifact"
-    )
-    _add_graph_argument(compile_cmd)
-    compile_cmd.add_argument("output", help="artifact output path")
-    compile_cmd.add_argument(
-        "--packed",
-        choices=("auto", "always", "none"),
-        default="auto",
-        help="embed packed-uint64 adjacency matrices (default auto: "
-        "when numpy is available and the graph is small enough)",
-    )
 
     mccore = sub.add_parser("mccore", help="compute the maximal constrained core")
     _add_graph_argument(mccore)
@@ -311,27 +290,9 @@ def _print_cliques(cliques, as_json: bool) -> None:
 
 
 def _load_graph(path: str):
-    """Read a graph inside a ``load`` span (the phase tree's root-most phase).
-
-    Files beginning with the storage magic (written by the ``compile``
-    subcommand / :meth:`CompiledGraph.save
-    <repro.fastpath.compiled.CompiledGraph.mmap>`) are mmapped back as a
-    :class:`~repro.fastpath.compiled.CompiledGraph` — zero parsing, zero
-    compilation; anything else is read as a signed edge list.
-    """
-    from repro.fastpath.storage import MAGIC
+    """Read a signed edge list inside a ``load`` span (the phase tree's root-most phase)."""
     from repro.obs import runtime as obs
 
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(len(MAGIC))
-    except OSError:
-        head = b""
-    if head == MAGIC:
-        from repro.fastpath.compiled import CompiledGraph
-
-        with obs.span("load", path=str(path), format="storage"):
-            return CompiledGraph.mmap(path)
     with obs.span("load", path=str(path)):
         return read_signed_edgelist(path)
 
@@ -378,7 +339,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
         return 1
     if args.command == "stats":
-        stats = graph_stats(source_graph(_load_graph(args.graph)))
+        stats = graph_stats(_load_graph(args.graph))
         print(stats.as_table_row(args.graph))
         print(
             f"negative fraction: {stats.negative_fraction:.3f}, "
@@ -392,23 +353,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         nodes = find_mccore(graph, args.alpha, args.k, method=args.method)
         print(f"{len(nodes)} nodes in the maximal constrained core:")
         print(" ".join(str(node) for node in sorted(nodes, key=repr)))
-        return 0
-
-    if args.command == "compile":
-        from repro.fastpath.compiled import CompiledGraph, compile_graph
-        from repro.io.cache import graph_fingerprint
-
-        graph = _load_graph(args.graph)
-        if isinstance(graph, CompiledGraph):
-            compiled, fingerprint = graph, None
-        else:
-            fingerprint = graph_fingerprint(graph)
-            compiled = compile_graph(graph)
-        written = compiled.save(args.output, packed=args.packed, fingerprint=fingerprint)
-        print(
-            f"wrote {args.output}: n={compiled.n} m={len(compiled.adj) // 2} "
-            f"({written} bytes, packed={args.packed})"
-        )
         return 0
 
     if args.command == "enumerate":
@@ -477,7 +421,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "balance":
-        graph = source_graph(_load_graph(args.graph))
+        graph = _load_graph(args.graph)
         partition = balanced_partition(graph)
         census = triangle_sign_census(graph)
         if partition is not None:
@@ -505,7 +449,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.core import signed_clique_percolation
         from repro.io.dot import save_dot
 
-        graph = source_graph(_load_graph(args.graph))
+        graph = _load_graph(args.graph)
         communities = signed_clique_percolation(
             graph, args.alpha, args.k, overlap=args.overlap, time_limit=args.time_limit
         )
@@ -524,7 +468,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             suggest_parameters,
         )
 
-        graph = source_graph(_load_graph(args.graph))
+        graph = _load_graph(args.graph)
         points = parameter_map(
             graph, alphas=args.alphas, ks=args.ks, time_limit=args.time_limit
         )
@@ -541,7 +485,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "serve-grid":
         from repro.serve import SignedCliqueEngine
 
-        graph = source_graph(_load_graph(args.graph))
+        graph = _load_graph(args.graph)
         engine = SignedCliqueEngine(
             graph,
             cache_dir=args.cache_dir,
@@ -640,7 +584,7 @@ def _serve_http(args: argparse.Namespace) -> int:
         name, sep, path = spec.partition("=")
         if not sep:
             name, path = Path(spec).stem, spec
-        registry.create(name, source_graph(_load_graph(path)))
+        registry.create(name, _load_graph(path))
     config = ServerConfig(
         host=args.host,
         port=args.port,

@@ -41,13 +41,3 @@ class ParseError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment driver was configured inconsistently."""
-
-
-class StorageError(ReproError):
-    """An on-disk :class:`~repro.fastpath.compiled.CompiledGraph` artifact
-    could not be written, opened, or validated.
-
-    Raised by :mod:`repro.fastpath.storage` on magic/version mismatches,
-    truncated files, fingerprint mismatches, and big-endian hosts (the
-    layout is little-endian on disk and attached zero-copy).
-    """

@@ -28,12 +28,7 @@ This package provides the flat alternative:
 * :mod:`~repro.fastpath.search` — MSCE's branch-and-bound component
   search, the repo's one search loop, built around explicit resumable
   frames (:class:`~repro.fastpath.search.FrameSearch`) so the parallel
-  enumerator can split, budget and offload subtrees;
-* :mod:`~repro.fastpath.storage` — the durable storage tier: a
-  versioned little-endian artifact layout written by
-  :meth:`CompiledGraph.save <repro.fastpath.compiled.CompiledGraph.save>`
-  and re-attached zero-copy by :meth:`CompiledGraph.mmap
-  <repro.fastpath.compiled.CompiledGraph.mmap>`.
+  enumerator can split, budget and offload subtrees.
 
 :class:`~repro.core.bbe.MSCE` runs on this path by default, compiling
 ``SignedGraph`` input itself. To share one compilation across calls,
@@ -50,16 +45,12 @@ to a kernel entry point to run its pure kernel instead.
 
 from repro.fastpath.bitset import IntBitset, bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
-from repro.fastpath.storage import GraphStore, mmap_compiled, save_compiled
 
 __all__ = [
     "CompiledGraph",
     "compile_graph",
     "as_compiled",
     "source_graph",
-    "GraphStore",
-    "save_compiled",
-    "mmap_compiled",
     "IntBitset",
     "bit_count",
     "iter_bits",

@@ -72,7 +72,6 @@ class CompiledGraph:
         "_oriented",
         "_repr_rank",
         "_packed",
-        "_storage",
     )
 
     def __init__(
@@ -100,8 +99,6 @@ class CompiledGraph:
         self._oriented: Dict[str, Tuple[List[int], List[List[int]]]] = {}
         self._repr_rank: Optional[List[int]] = None
         self._packed: Dict[str, object] = {}
-        #: The open GraphStore when this graph is an mmap view, else None.
-        self._storage: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Mapping between nodes and indices
@@ -329,34 +326,6 @@ class CompiledGraph:
                 if j > i:  # each undirected edge once
                     graph.add_edge(u, nodes[j], signs[t])
         return graph
-
-    # ------------------------------------------------------------------
-    # Durable storage (see repro.fastpath.storage)
-    # ------------------------------------------------------------------
-    def save(self, path, packed: object = "auto", fingerprint=None) -> int:
-        """Write this graph to *path* as a versioned on-disk artifact.
-
-        Delegates to :func:`repro.fastpath.storage.save_compiled`;
-        returns the artifact size in bytes. The artifact re-attaches
-        with :meth:`mmap` as a zero-copy view — no pickle, no array
-        copies — in any process that can see the file.
-        """
-        from repro.fastpath.storage import save_compiled
-
-        return save_compiled(self, path, packed=packed, fingerprint=fingerprint)
-
-    @classmethod
-    def mmap(cls, path, expected_fingerprint=None) -> "CompiledGraph":
-        """Attach a saved artifact as a read-only zero-copy graph.
-
-        Delegates to :func:`repro.fastpath.storage.mmap_compiled`. The
-        CSR slots are ``memoryview`` casts into the file mapping and any
-        stored packed matrices arrive as read-only numpy views; mutation
-        through either raises. The mapping lives as long as the graph.
-        """
-        from repro.fastpath.storage import mmap_compiled
-
-        return mmap_compiled(path, expected_fingerprint=expected_fingerprint)
 
     def __getstate__(self):
         # Ship only the compact arrays; the source graph, masks,

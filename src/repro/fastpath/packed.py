@@ -125,7 +125,7 @@ def pack_csr(n: int, xadj, adj) -> np.ndarray:
 
 
 def as_int64(buffer) -> np.ndarray:
-    """View a CSR buffer (``array('q')`` or mmap memoryview) as int64."""
+    """View a CSR buffer (``array('q')`` or ndarray) as int64."""
     if isinstance(buffer, np.ndarray):
         return buffer.astype(np.int64, copy=False)
     if len(buffer) == 0:

@@ -106,24 +106,6 @@ def entry_key(
     )
 
 
-def storage_artifact_path(directory: PathLike, fingerprint: str) -> Path:
-    """Canonical path of a compiled-graph storage artifact under *directory*.
-
-    The serving engine persists :class:`~repro.fastpath.compiled.CompiledGraph`
-    artifacts (see :mod:`repro.fastpath.storage`) next to the result cache,
-    keyed like :func:`entry_key`: the graph-content fingerprint plus the
-    storage-layout revision, so a layout bump simply misses instead of
-    mis-attaching old bytes.
-    """
-    from repro.fastpath.storage import STORAGE_VERSION
-
-    return (
-        Path(directory)
-        / "graphs"
-        / f"graph-{fingerprint[:32]}-s{STORAGE_VERSION}.graph"
-    )
-
-
 class ResultCache:
     """Filesystem cache of clique results under one directory.
 

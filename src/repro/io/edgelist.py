@@ -18,7 +18,7 @@ from __future__ import annotations
 import gzip
 import io
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Tuple, Union
+from typing import Iterable, Iterator, Optional, TextIO, Tuple, Union
 
 from repro.exceptions import ParseError
 from repro.graphs.builder import SignedGraphBuilder
@@ -85,11 +85,32 @@ def read_signed_edgelist(
     builder = SignedGraphBuilder(on_duplicate=on_duplicate)
     if isinstance(source, (str, Path)):
         opener = gzip.open if str(source).endswith(".gz") else open
-        with opener(source, "rt", encoding="utf-8") as handle:
-            builder.add_all(iter_signed_edges(handle))
+        try:
+            with opener(source, "rt", encoding="utf-8") as handle:
+                builder.add_all(iter_signed_edges(handle))
+        except UnicodeDecodeError as error:
+            raise ParseError(
+                f"not UTF-8 text ({error.reason}); expected a signed edge list",
+                line_number=_first_undecodable_line(opener, source),
+            ) from None
     else:
         builder.add_all(iter_signed_edges(source))
     return builder.build()
+
+
+def _first_undecodable_line(opener, source: PathLike) -> Optional[int]:
+    """Number of the first line of *source* that is not valid UTF-8.
+
+    Re-reads the file with the same line splitting as the failed read;
+    undecodable bytes come back as lone surrogates, which do not encode.
+    """
+    with opener(source, "rt", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_number
+    return None
 
 
 def read_signed_edgelist_string(text: str, on_duplicate: str = "last") -> SignedGraph:

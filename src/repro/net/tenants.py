@@ -5,8 +5,8 @@ product surface, per customer, per dataset snapshot. Each tenant owns a
 full :class:`~repro.serve.engine.SignedCliqueEngine`: its own resident
 graph, compiled fastpath, ceiling-keyed reduction memo, and — the part
 that matters for isolation — its own :class:`~repro.serve.lru.MemoryLRU`
-budget and disk/artifact directory. A tenant that thrashes its cache
-evicts its *own* entries; a tenant whose artifact directory rots
+budget and disk cache directory. A tenant that thrashes its cache
+evicts its *own* entries; a tenant whose cache directory rots
 self-heals (or degrades) without touching its neighbours. Per-tenant
 LRU traffic reaches Prometheus as ``serve_lru_*{tenant="..."}`` series
 (see :mod:`repro.serve.lru`).
@@ -105,8 +105,8 @@ class TenantRegistry:
     ----------
     cache_dir:
         Optional base directory; each tenant gets the subdirectory
-        ``<cache_dir>/<name>`` as its private disk cache + compiled
-        artifact store. ``None`` serves every tenant memory-only.
+        ``<cache_dir>/<name>`` as its private disk result cache.
+        ``None`` serves every tenant memory-only.
     cache_mem_entries / cache_mem_bytes:
         Per-tenant memory-tier budgets (every tenant gets its own
         :class:`~repro.serve.lru.MemoryLRU` with these bounds, unless

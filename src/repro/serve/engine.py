@@ -64,16 +64,11 @@ from repro.core.params import AlphaK
 from repro.core.parallel import enumerate_grid
 from repro.core.scheduler import _require_positive_int
 from repro.core.query import query_search
-from repro.exceptions import GraphError, ParameterError, StorageError
+from repro.exceptions import GraphError, ParameterError
 from repro.fastpath.compiled import CompiledGraph, compile_graph
 from repro.fastpath.kernels import reduce_mask
 from repro.graphs.signed_graph import Node, SignedGraph
-from repro.io.cache import (
-    ResultCache,
-    entry_key,
-    graph_fingerprint,
-    storage_artifact_path,
-)
+from repro.io.cache import ResultCache, entry_key, graph_fingerprint
 from repro.models import get_model, resolve_model
 from repro.obs import runtime as obs
 from repro.serve.lru import MemoryLRU, approximate_size
@@ -100,8 +95,6 @@ COUNTER_NAMES = (
     "grid_points",
     "grid_cache_hits",
     "grid_computed",
-    "storage_saves",
-    "storage_attaches",
 )
 
 GridKey = Union[AlphaK, Tuple[float, int]]
@@ -165,9 +158,11 @@ class SignedCliqueEngine:
         The signed graph to serve (copied; mutate it only through the
         engine's update methods).
     cache_dir:
-        Optional directory for the persistent disk tier. Without it the
-        engine still runs the memory tier; with it, results survive
-        process restarts and LRU evictions fall back to disk.
+        Optional directory for the persistent disk tier of results.
+        Without it the engine still runs the memory tier; with it,
+        results survive process restarts and LRU evictions fall back to
+        disk. The compiled graph is never persisted: each engine
+        compiles its graph in memory on first use.
     cache_mem_entries / cache_mem_bytes:
         Bounds of the in-memory tier (entries / approximate bytes);
         ``cache_mem_bytes=None`` disables the byte bound.
@@ -236,9 +231,6 @@ class SignedCliqueEngine:
         self.disk: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
-        #: Whether the current compiled graph was mmap-attached from the
-        #: persisted storage artifact (vs compiled in-process).
-        self._storage_attached = False
         #: The live locality index: for every (alpha, k) whose full
         #: answer set is known for the *current* graph, the maximal
         #: cliques by node set. This is what mutations repair in place
@@ -295,55 +287,8 @@ class SignedCliqueEngine:
 
     def _compiled(self) -> CompiledGraph:
         if self._compiled_graph is None:
-            self._compiled_graph = self._compile_or_attach()
+            self._compiled_graph = compile_graph(self._graph)
         return self._compiled_graph
-
-    def _storage_path(self):
-        """Artifact path of the current graph, or ``None`` without a disk tier."""
-        if self.disk is None:
-            return None
-        return storage_artifact_path(self.disk._dir, graph_fingerprint(self._graph))
-
-    def _compile_or_attach(self) -> CompiledGraph:
-        """Compile the current graph, or re-attach its persisted artifact.
-
-        With a disk tier configured, the compiled CSR form is itself
-        persisted under ``<cache_dir>/graphs/`` in the storage layout of
-        :mod:`repro.fastpath.storage`, keyed by graph fingerprint and
-        layout revision. A restarted engine then mmaps the artifact
-        back zero-copy instead of re-hashing and re-compiling the whole
-        graph — the serve layer's cold-start cost drops to one header
-        read. Stale or corrupt artifacts (fingerprint mismatch,
-        truncation) are deleted and recompiled; artifact I/O failures
-        degrade to plain compilation.
-        """
-        path = self._storage_path()
-        if path is None:
-            return compile_graph(self._graph)
-        fingerprint = graph_fingerprint(self._graph)
-        if path.exists():
-            try:
-                compiled = CompiledGraph.mmap(path, expected_fingerprint=fingerprint)
-            except (StorageError, OSError):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            else:
-                compiled._source = self._graph
-                self._storage_attached = True
-                self._bump("storage_attaches")
-                return compiled
-        compiled = compile_graph(self._graph)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            compiled.save(path, fingerprint=fingerprint)
-        except (StorageError, OSError):
-            pass  # artifact persistence is best-effort; serving continues
-        else:
-            self._bump("storage_saves")
-        self._storage_attached = False
-        return compiled
 
     def _bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
@@ -939,7 +884,6 @@ class SignedCliqueEngine:
         with obs.span("serve_update", region=len(region)):
             self._bump("updates")
             self._compiled_graph = None
-            self._storage_attached = False
             self._reduction_masks.clear()
             self._fingerprint = graph_fingerprint(self._graph)
             fingerprint_prefix = self._fingerprint[:32]
@@ -980,7 +924,7 @@ class SignedCliqueEngine:
     # Introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> Dict[str, object]:
-        """Snapshot of both tiers, the storage tier and the engine counters.
+        """Snapshot of both cache tiers and the engine counters.
 
         Deliberately taken *without* the engine lock: introspection
         (the network layer's ``/stats`` endpoint runs this on its event
@@ -990,14 +934,6 @@ class SignedCliqueEngine:
         sizes and counter reads are atomic), but counters mid-request
         may be one step apart — best effort, by design.
         """
-        storage_dir = (
-            self.disk._dir / "graphs" if self.disk is not None else None
-        )
-        artifacts = (
-            sorted(p.name for p in storage_dir.glob("graph-*.graph"))
-            if storage_dir is not None and storage_dir.is_dir()
-            else []
-        )
         return {
             "memory": self.memory.stats(),
             "disk": str(self.disk._dir) if self.disk is not None else None,
@@ -1006,11 +942,6 @@ class SignedCliqueEngine:
             "sharing_ratio": self.sharing_ratio,
             "live_settings": len(self._live),
             "reduction_memo": len(self._reduction_masks),
-            "storage": {
-                "dir": str(storage_dir) if storage_dir is not None else None,
-                "artifacts": artifacts,
-                "attached": self._storage_attached,
-            },
         }
 
     def __repr__(self) -> str:

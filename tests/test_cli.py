@@ -137,6 +137,14 @@ class TestErrors:
         assert main(["stats", str(bogus)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_binary_input_reports_error_without_traceback(self, tmp_path, capsys):
+        binary = tmp_path / "net.graph"
+        binary.write_bytes(b"\xff\xfe" + bytes(range(256)))
+        assert main(["enumerate", str(binary), "--alpha", "2", "-k", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: not UTF-8")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flag, value",
         [

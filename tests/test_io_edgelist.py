@@ -126,3 +126,32 @@ class TestGzipSupport:
         with gzip.open(path, "rt") as handle:
             assert "1 2 1" in handle.read()
         assert read_signed_edgelist(path) == paper_graph
+
+
+class TestUndecodableInput:
+    def test_binary_file_raises_parse_error_naming_line_one(self, tmp_path):
+        path = tmp_path / "graph.bin"
+        path.write_bytes(b"\xff\xfe1\x00 \x002\x00")
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            read_signed_edgelist(path)
+        assert info.value.line_number == 1
+        assert str(info.value).startswith("line 1:")
+
+    def test_bad_byte_past_the_first_chunk_names_its_line(self, tmp_path):
+        # 3,000 valid lines (well past one decode chunk), then a bad byte.
+        valid = b"".join(b"%d %d 1\n" % (i, i + 1) for i in range(3000))
+        path = tmp_path / "graph.txt"
+        path.write_bytes(valid + b"7 \xe9 1\n8 9 1\n")
+        with pytest.raises(ParseError) as info:
+            read_signed_edgelist(path)
+        assert info.value.line_number == 3001
+
+    def test_gzipped_binary_raises_parse_error(self, tmp_path):
+        import gzip
+
+        path = tmp_path / "graph.txt.gz"
+        with gzip.open(path, "wb") as handle:
+            handle.write(b"1 2 1\n\x80\x81 3 -1\n")
+        with pytest.raises(ParseError) as info:
+            read_signed_edgelist(path)
+        assert info.value.line_number == 2

@@ -561,7 +561,29 @@ class TestObservability:
         assert info["disk"] is not None
         assert info["counters"]["requests"] == 1
         assert 0.0 <= info["sharing_ratio"] <= 1.0
+        assert set(info) == {
+            "memory",
+            "disk",
+            "model",
+            "counters",
+            "sharing_ratio",
+            "live_settings",
+            "reduction_memo",
+        }
         assert "SignedCliqueEngine" in repr(engine)
+
+    def test_disk_tier_holds_results_only(self, random_graph, tmp_path):
+        """Edits against a disk-backed engine leave no compiled-graph
+        files behind, and a restarted engine answers from disk."""
+        cache = tmp_path / "c"
+        engine = SignedCliqueEngine(random_graph, cache_dir=cache)
+        for u, v, sign in sorted(random_graph.edges())[:3]:
+            engine.flip_sign(u, v, -sign)
+            expected = engine.enumerate_with_stats(2, 2)
+        assert not (cache / "graphs").exists()
+        restarted = SignedCliqueEngine(engine.snapshot(), cache_dir=cache)
+        assert_result_equal(restarted.enumerate_with_stats(2, 2), expected, "after restart")
+        assert restarted.counters["computes"] == 0
 
 
 class TestEntryKeys:
