@@ -17,12 +17,10 @@ candidate subspace without materialising an induced subgraph, and a
 ``sign`` selector (``"all"`` or ``"positive"``) so the same code serves
 the sign-blind graph and the positive-edge graph ``G+``.
 
-Fastpath dispatch: :func:`icore` and :func:`core_numbers` (and through
-them :func:`k_core`, :func:`positive_core`, :func:`core_decomposition`,
-...) also accept a :class:`repro.fastpath.CompiledGraph` and then run
-the numpy kernels of :mod:`repro.fastpath.vectorized` instead of the
-set-based peeling below, producing identical results; pass the
-compiled graph's ``source`` to run the pure path.
+These set-based peels are the references the compiled kernels are held
+to: :func:`repro.fastpath.vectorized.icore` is the mask-space ICore the
+pipeline runs, and ``tests/test_fastpath.py`` checks it against
+:func:`icore` and :func:`core_numbers` by name.
 """
 
 from __future__ import annotations
@@ -89,19 +87,6 @@ def icore(
     """
     if tau < 0:
         raise ParameterError(f"tau must be non-negative, got {tau}")
-    from repro.fastpath.compiled import CompiledGraph
-
-    if isinstance(graph, CompiledGraph):
-        from repro.fastpath import vectorized
-
-        index = graph.index
-        fixed_list = [node for node in fixed]
-        if any(node not in index for node in fixed_list):
-            return False, set()
-        fixed_mask = graph.mask_from_nodes(fixed_list)
-        within_mask = None if within is None else graph.mask_from_nodes(within)
-        flag, mask = vectorized.icore(graph, fixed_mask, tau, within_mask, sign)
-        return flag, graph.nodes_from_mask(mask)
     neighbors_of = _neighbor_fn(graph, sign)
     if within is None:
         members: Set[Node] = graph.node_set()
@@ -173,12 +158,6 @@ def core_numbers(graph: SignedGraph, sign: str = "all") -> Dict[Node, int]:
     The core number of ``u`` is the largest ``k`` such that ``u`` belongs
     to a k-core. ``sign="positive"`` computes core numbers of ``G+``.
     """
-    from repro.fastpath.compiled import CompiledGraph
-
-    if isinstance(graph, CompiledGraph):
-        from repro.fastpath import vectorized
-
-        return vectorized.core_numbers(graph, sign)
     neighbors_of = _neighbor_fn(graph, sign)
     degrees: Dict[Node, int] = {node: len(neighbors_of(node)) for node in graph.nodes()}
     if not degrees:

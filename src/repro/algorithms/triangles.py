@@ -48,15 +48,7 @@ def all_ego_triangle_degrees(
 
     This is the initialisation step of MCNew (lines 5-9 of Algorithm 3):
     each undirected positive edge contributes two directed entries.
-    Accepts a :class:`repro.fastpath.CompiledGraph` for the numpy
-    kernel.
     """
-    from repro.fastpath.compiled import CompiledGraph
-
-    if isinstance(graph, CompiledGraph):
-        from repro.fastpath import vectorized
-
-        return vectorized.ego_triangle_degrees(graph, within)
     deltas: Dict[Tuple[Node, Node], int] = {}
     members = within if within is not None else graph.node_set()
     for u in members:
@@ -83,17 +75,7 @@ def iter_triangles(graph: SignedGraph) -> Iterator[Tuple[Node, Node, Node]]:
 
 
 def triangle_count(graph: SignedGraph) -> int:
-    """Return the total number of (sign-blind) triangles.
-
-    Accepts a :class:`repro.fastpath.CompiledGraph` for the
-    degeneracy-orientation kernel.
-    """
-    from repro.fastpath.compiled import CompiledGraph
-
-    if isinstance(graph, CompiledGraph):
-        from repro.fastpath import vectorized
-
-        return vectorized.triangle_count(graph)
+    """Return the total number of (sign-blind) triangles."""
     return sum(1 for _ in iter_triangles(graph))
 
 

@@ -39,7 +39,6 @@ Python's recursion limit.
 
 from __future__ import annotations
 
-import random
 import time
 import zlib
 from collections import Counter
@@ -52,7 +51,7 @@ from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.params import AlphaK
 from repro.exceptions import ParameterError
 from repro.fastpath.compiled import CompiledGraph, as_compiled, compile_graph, source_graph
-from repro.fastpath.search import SELECTIONS, FrameSearch, search_component_fast
+from repro.fastpath.search import SELECTIONS, FrameSearch
 from repro.graphs.signed_graph import Node, SignedGraph
 from repro.limits import ResourceGuard, make_guard
 from repro.models import make_constraint, resolve_model
@@ -277,16 +276,12 @@ class MSCE:
     core_pruning:
         Disable only for the pruning-rule ablation benchmark.
     seed:
-        RNG seed for the random selection strategy.
-    frame_rng:
-        When ``True``, the ``"random"`` strategy derives each branch
-        choice from a stable hash of the frame's free candidates
-        (:func:`frame_draw`) instead of one sequential RNG stream. The
-        search tree then no longer depends on the order frames are
-        processed in, which is what the parallel enumerator
-        (:mod:`repro.core.parallel`) relies on for bit-identical
-        results and stats across worker counts. No effect on the
-        deterministic ``"greedy"``/``"first"`` strategies.
+        Seed of the ``"random"`` selection strategy, which derives each
+        branch choice from a stable hash of the seed and the frame's
+        free candidates (:func:`frame_draw`). The search tree is then a
+        pure function of the graph and the settings: repeated runs, and
+        the parallel enumerator (:mod:`repro.core.parallel`) at any
+        worker count, walk the same tree.
     audit:
         When ``True``, every emitted clique is re-verified against all
         three constraints and duplicate emission raises.
@@ -321,7 +316,6 @@ class MSCE:
         time_limit: Optional[float] = None,
         max_results: Optional[int] = None,
         min_size: Optional[int] = None,
-        frame_rng: bool = False,
         max_memory_bytes: Optional[int] = None,
         reducer: Optional[Callable[[object, AlphaK, str], int]] = None,
         model: Optional[str] = None,
@@ -362,7 +356,6 @@ class MSCE:
         #: make the search dramatically cheaper.
         self.min_size = min_size
         self.seed = seed
-        self.frame_rng = frame_rng
         #: Optional replacement for :func:`~repro.fastpath.kernels.reduce_mask`
         #: on the compiled path, called as ``reducer(compiled, params,
         #: method) -> survivor mask``. The serving engine injects a
@@ -379,7 +372,6 @@ class MSCE:
         #: with any model-implied bound. Pruning only — emission gating
         #: stays with ``min_size`` and the constraint's reportable().
         self._search_min_size = self.constraint.search_min_size(self.min_size)
-        self._rng = random.Random(seed)
         # Resolve the maxtest kind now, so an unknown name fails here.
         self.constraint.make_maxtest(maxtest)
 
@@ -460,19 +452,16 @@ class MSCE:
                 compiled = compile_graph(
                     self.graph, nodes=seeded_slice(self.graph, space, floor)
                 )
-            tripped = search_component_fast(
-                self,
-                compiled.mask_from_nodes(space),
-                stats,
-                found,
-                size_heap,
-                None,
-                guard,
-                seed_mask=compiled.mask_from_nodes(included),
-                compiled=compiled,
+            searcher = FrameSearch(
+                self, stats, found, size_heap, None, guard, compiled=compiled
             )
-            if tripped is not None:
-                interrupted_reason, incomplete = tripped
+            frame = (
+                compiled.mask_from_nodes(space),
+                compiled.mask_from_nodes(included),
+                None,
+            )
+            interrupted_reason = searcher.run([frame])
+            incomplete = len(searcher.incomplete)
         except _StopSearch as stop:
             reason = stop.args[0] if stop.args else ""
             if reason in ("timeout", "deadline", "memory"):
@@ -612,9 +601,8 @@ class MSCE:
                 with obs.span("enumerate"):
                     for mask in component_masks(search_graph):
                         stats.components += 1
-                        tripped = search_component_fast(
+                        searcher = FrameSearch(
                             self,
-                            mask,
                             stats,
                             found,
                             size_heap,
@@ -622,11 +610,11 @@ class MSCE:
                             guard,
                             compiled=search_graph,
                         )
-                        if tripped is not None:
+                        interrupted_reason = searcher.run([(mask, 0, None)])
+                        if interrupted_reason is not None:
                             # Cooperative stop: keep everything emitted so
                             # far, skip the remaining components.
-                            interrupted_reason, dropped = tripped
-                            incomplete += dropped
+                            incomplete += len(searcher.incomplete)
                             break
             except _StopSearch as stop:
                 reason = stop.args[0] if stop.args else ""

@@ -21,8 +21,10 @@ Two tests are provided:
   honoured exactly (and so the brute-force cross-validation tests can
   pass); ``maxtest="paper"`` selects the heuristic for ablations.
 
-Both tests exist twice. The versions above take node sets and are the
-reference (the brute-force oracle calls them).
+Both tests exist twice. The versions above take a ``SignedGraph`` and
+node sets, peel with the set-based :func:`~repro.algorithms.kcore.icore`,
+and are the reference (the brute-force oracle calls them, and
+``tests/test_maxtest.py`` holds the mask ports to them).
 :func:`make_mask_maxtest` returns their ports over a
 :class:`~repro.fastpath.CompiledGraph`, which the search calls on every
 leaf: the common neighbourhood is the AND of the member adjacency rows,

@@ -53,17 +53,12 @@ def mccore_basic(graph: SignedGraph, params: AlphaK) -> Set[Node]:
     """Return the node set of the MCCore via Algorithm 2 (MCBasic).
 
     For degenerate parameters (``alpha * k == 0``) the constraint is
-    vacuous and the full node set is returned. Accepts a
-    :class:`repro.fastpath.CompiledGraph` for the bitmask kernel.
+    vacuous and the full node set is returned. It is the reference for
+    :func:`repro.fastpath.kernels.mccore_basic_mask`, the kernel the
+    compiled pipeline runs.
     """
-    from repro.fastpath.compiled import CompiledGraph
     from repro.obs import runtime as obs
 
-    if isinstance(graph, CompiledGraph):
-        from repro.fastpath.kernels import mccore_basic_fast
-
-        with obs.span("mccore", method="mcbasic"):
-            return mccore_basic_fast(graph, params)
     threshold = params.positive_threshold
     if threshold == 0:
         return graph.node_set()

@@ -41,17 +41,12 @@ def mccore_new(graph: SignedGraph, params: AlphaK) -> Set[Node]:
 
     Produces the same set as :func:`repro.core.mcbasic.mccore_basic`;
     the property-based test-suite cross-validates the two on random
-    graphs. Accepts a :class:`repro.fastpath.CompiledGraph` for the
-    numpy kernel.
+    graphs. It is the reference for
+    :func:`repro.fastpath.vectorized.mccore_new_mask`, the kernel the
+    compiled pipeline runs.
     """
-    from repro.fastpath.compiled import CompiledGraph
     from repro.obs import runtime as obs
 
-    if isinstance(graph, CompiledGraph):
-        from repro.fastpath import vectorized
-
-        with obs.span("mccore", method="mcnew"):
-            return graph.nodes_from_mask(vectorized.mccore_new_mask(graph, params))
     threshold = params.positive_threshold
     if threshold == 0:
         return graph.node_set()

@@ -57,11 +57,10 @@ set on the affected points instead of raising.
 Determinism: every frame is processed exactly once somewhere, with
 branch selection a pure function of the frame (the random strategy
 hashes the frame instead of consuming a sequential stream — see
-``frame_rng`` on :class:`~repro.core.bbe.MSCE`). The merged cliques
-*and* the summed :class:`~repro.core.bbe.SearchStats` are therefore
+:func:`~repro.core.bbe.frame_draw`). The merged cliques *and* the
+summed :class:`~repro.core.bbe.SearchStats` are therefore
 bit-identical across ``workers`` counts, repeated runs, and injected
-worker crashes, and — for the deterministic selection strategies —
-bit-identical to the sequential enumerator.
+worker crashes, and bit-identical to the sequential enumerator.
 
 Observability: the run is wrapped in an ``msce_parallel`` span with
 ``enumerate`` / ``merge`` children; helper metrics ride back as
@@ -151,9 +150,9 @@ def enumerate_parallel(
     :class:`~repro.core.bbe.EnumerationResult` for ``AlphaK(alpha, k)``.
     Its cliques are exactly the sequential answer (sorted largest-first)
     and its :class:`~repro.core.bbe.SearchStats` equal the sequential
-    run's counters bit-for-bit for the deterministic selection
-    strategies. Accepts a :class:`repro.fastpath.CompiledGraph` for
-    *graph* to skip recompilation.
+    run's counters bit-for-bit. Accepts a
+    :class:`repro.fastpath.CompiledGraph` for *graph* to skip
+    recompilation.
     """
     params = AlphaK(alpha, k)
     return enumerate_grid(
@@ -365,7 +364,6 @@ def enumerate_grid(
                     reduction="none",  # reduced above
                     maxtest=maxtest,
                     seed=seed,
-                    frame_rng=True,
                     model=model,
                 )
             )

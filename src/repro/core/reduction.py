@@ -16,7 +16,7 @@ enumerator calls first.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Set
+from typing import Callable, Dict, Iterator, Set
 
 from repro.algorithms.kcore import icore
 from repro.core.params import AlphaK
@@ -35,33 +35,26 @@ def positive_core_reduction(graph: SignedGraph, params: AlphaK) -> Set[Node]:
     """
     threshold = params.positive_threshold
     if threshold == 0:
-        from repro.fastpath.compiled import CompiledGraph
-
-        if isinstance(graph, CompiledGraph):
-            return set(graph.nodes)
         return graph.node_set()
     _flag, nodes = icore(graph, fixed=(), tau=threshold, sign="positive")
     return nodes
-
-
-_METHODS: Dict[str, Callable[[SignedGraph, AlphaK], Set[Node]]] = {}
 
 
 def reduce_graph(graph: SignedGraph, params: AlphaK, method: str = "mcnew") -> Set[Node]:
     """Return the surviving node set under the requested reduction *method*.
 
     ``method`` is one of ``"none"``, ``"positive-core"``, ``"mcbasic"``,
-    ``"mcnew"``. Accepts a :class:`repro.fastpath.CompiledGraph`, in
-    which case the reduction runs on the fastpath kernels.
+    ``"mcnew"``. The reference for
+    :func:`repro.fastpath.kernels.reduce_mask`, the compiled pipeline's
+    reduction.
     """
     # Imported lazily to keep module import acyclic (mcbasic/mcnew import
     # this module's positive_core_reduction).
     from repro.core.mcbasic import mccore_basic
     from repro.core.mcnew import mccore_new
-    from repro.fastpath.compiled import CompiledGraph
 
     methods: Dict[str, Callable[[], Set[Node]]] = {
-        "none": lambda: set(graph.nodes) if isinstance(graph, CompiledGraph) else graph.node_set(),
+        "none": graph.node_set,
         "positive-core": lambda: positive_core_reduction(graph, params),
         "mcbasic": lambda: mccore_basic(graph, params),
         "mcnew": lambda: mccore_new(graph, params),
@@ -88,15 +81,6 @@ def reduction_components(
     "connected component of the core" phrasing; for the degenerate
     threshold-0 case this is simply the components of the graph.
     """
-    from repro.fastpath.compiled import CompiledGraph
-
-    if isinstance(graph, CompiledGraph):
-        from repro.fastpath.kernels import component_masks, reduce_mask
-
-        survivor_mask = reduce_mask(graph, params, method=method)
-        for mask in component_masks(graph, survivor_mask):
-            yield graph.nodes_from_mask(mask)
-        return
     survivors = reduce_graph(graph, params, method=method)
     yield from connected_components(graph, nodes=survivors)
 

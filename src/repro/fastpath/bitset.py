@@ -6,7 +6,7 @@ through CPython's C big-integer kernels — intersection is one ``&`` over
 packed 30-bit digits instead of a hashed probe per element — which is
 what makes the fastpath pruning loops cheap.
 
-Three layers are provided:
+Two layers are provided:
 
 * module functions (:func:`bit_count`, :func:`iter_bits`,
   :func:`mask_of`) operating on raw ``int`` masks — these are what the
@@ -16,10 +16,7 @@ Three layers are provided:
   with bit ``b`` of node ``v``'s count in ``planes[b]``, lowest bit
   first. Comparing every counter against a constant, taking the
   minimum or decrementing a whole set of counters then costs
-  O(log(max count)) big-int operations instead of one per node;
-* :class:`IntBitset`, a small mutable set-like wrapper used by the BBE
-  search frames where readability matters more than the last few
-  nanoseconds.
+  O(log(max count)) big-int operations instead of one per node.
 """
 
 from __future__ import annotations
@@ -161,107 +158,3 @@ def sliced_min(planes: Sequence[int], scope: int) -> int:
 def sliced_total(planes: Sequence[int]) -> int:
     """The sum of all counters."""
     return sum(bit_count(plane) << b for b, plane in enumerate(planes))
-
-
-class IntBitset:
-    """A mutable set of small non-negative integers over one ``int``.
-
-    Implements enough of the ``set`` protocol for the BBE search frames:
-    membership, iteration (ascending), length, and the binary operators
-    ``& | - ^`` against other bitsets or raw masks.
-
-    >>> s = IntBitset([1, 5, 9])
-    >>> 5 in s, 4 in s
-    (True, False)
-    >>> sorted(s & IntBitset([5, 9, 10]))
-    [5, 9]
-    >>> len(s)
-    3
-    """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, members: Iterable[int] = (), bits: int = 0):
-        self.bits = bits
-        for member in members:
-            self.bits |= 1 << member
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "IntBitset":
-        """Wrap a raw integer *mask* without copying."""
-        new = cls.__new__(cls)
-        new.bits = mask
-        return new
-
-    @classmethod
-    def full(cls, n: int) -> "IntBitset":
-        """Return the set ``{0, ..., n-1}``."""
-        return cls.from_mask((1 << n) - 1)
-
-    # -- set protocol --------------------------------------------------
-    def __contains__(self, index: int) -> bool:
-        return (self.bits >> index) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
-
-    def __len__(self) -> int:
-        return bit_count(self.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def add(self, index: int) -> None:
-        """Insert *index*."""
-        self.bits |= 1 << index
-
-    def discard(self, index: int) -> None:
-        """Remove *index* if present."""
-        self.bits &= ~(1 << index)
-
-    def copy(self) -> "IntBitset":
-        """Return a copy (O(words))."""
-        return IntBitset.from_mask(self.bits)
-
-    def isdisjoint(self, other: "IntBitset") -> bool:
-        """Return ``True`` when no index is shared."""
-        return (self.bits & _mask(other)) == 0
-
-    def issubset(self, other: "IntBitset") -> bool:
-        """Return ``True`` when every member is also in *other*."""
-        return (self.bits & ~_mask(other)) == 0
-
-    def intersection_count(self, other: "IntBitset") -> int:
-        """Return ``len(self & other)`` without materialising the set."""
-        return bit_count(self.bits & _mask(other))
-
-    # -- algebra -------------------------------------------------------
-    def __and__(self, other) -> "IntBitset":
-        return IntBitset.from_mask(self.bits & _mask(other))
-
-    def __or__(self, other) -> "IntBitset":
-        return IntBitset.from_mask(self.bits | _mask(other))
-
-    def __sub__(self, other) -> "IntBitset":
-        return IntBitset.from_mask(self.bits & ~_mask(other))
-
-    def __xor__(self, other) -> "IntBitset":
-        return IntBitset.from_mask(self.bits ^ _mask(other))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntBitset):
-            return self.bits == other.bits
-        if isinstance(other, int):
-            return self.bits == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.bits)
-
-    def __repr__(self) -> str:
-        return f"IntBitset({sorted(self)})"
-
-
-def _mask(value) -> int:
-    """Return the raw mask of an :class:`IntBitset` or a raw ``int``."""
-    return value.bits if isinstance(value, IntBitset) else value

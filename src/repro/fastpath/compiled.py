@@ -10,15 +10,13 @@ neighbours by integer indexing with no hashing at all.
 
 Besides the CSR arrays the compilation carries:
 
-* a stable node<->index mapping (``nodes`` list / :meth:`index_of`);
+* a stable node<->index mapping (``nodes`` list / :attr:`index`);
 * edge signs aligned with the combined adjacency, which is enough to
   reconstruct an equal ``SignedGraph`` (:meth:`to_signed_graph`) — this
   is what makes a ``CompiledGraph`` a *compact pickle* for shipping
   subgraphs to worker processes;
 * lazily-built per-node adjacency bitmasks (:meth:`masks`) used by the
   bitset kernels, one ``mask_of`` per CSR row;
-* lazily-built degeneracy orders and degeneracy-oriented adjacency
-  (:meth:`oriented`), the substrate of the triangle kernels;
 * a lazily-built ``repr``-rank permutation used to replicate the pure
   path's deterministic tie-breaking exactly.
 
@@ -40,9 +38,9 @@ _SIGN_SELECTORS = ("all", "positive", "negative")
 class CompiledGraph:
     """A read-only CSR compilation of a :class:`SignedGraph`.
 
-    Build one with :func:`compile_graph`; hand it to any fastpath-aware
-    entry point (``MSCE``, ``mccore_new``, ``core_numbers``, ...) in
-    place of the source graph.
+    Build one with :func:`compile_graph`; hand it to ``MSCE``, the
+    parallel enumerators or the kernels of :mod:`repro.fastpath.kernels`
+    and :mod:`repro.fastpath.vectorized` in place of the source graph.
 
     Attributes
     ----------
@@ -69,9 +67,7 @@ class CompiledGraph:
         "_index",
         "_source",
         "_masks",
-        "_oriented",
         "_repr_rank",
-        "_packed",
     )
 
     def __init__(
@@ -96,9 +92,7 @@ class CompiledGraph:
         self._index: Optional[Dict[Node, int]] = None
         self._source = source
         self._masks: Dict[str, List[int]] = {}
-        self._oriented: Dict[str, Tuple[List[int], List[List[int]]]] = {}
         self._repr_rank: Optional[List[int]] = None
-        self._packed: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Mapping between nodes and indices
@@ -109,14 +103,6 @@ class CompiledGraph:
         if self._index is None:
             self._index = {node: i for i, node in enumerate(self.nodes)}
         return self._index
-
-    def index_of(self, node: Node) -> int:
-        """Return the compiled index of *node* (KeyError when absent)."""
-        return self.index[node]
-
-    def node_of(self, index: int) -> Node:
-        """Return the original node at compiled *index*."""
-        return self.nodes[index]
 
     def mask_from_nodes(self, members: Iterable[Node]) -> int:
         """Return the bitmask of the compiled indices of *members*.
@@ -175,11 +161,6 @@ class CompiledGraph:
             f"unknown sign selector {sign!r}; expected one of {_SIGN_SELECTORS}"
         )
 
-    def degree(self, i: int, sign: str = "all") -> int:
-        """Return the degree of compiled node *i* in the sign class."""
-        xadj, _adj = self.csr(sign)
-        return xadj[i + 1] - xadj[i]
-
     def masks(self, sign: str = "all") -> List[int]:
         """Return per-node adjacency bitmasks for the sign class (cached).
 
@@ -193,57 +174,6 @@ class CompiledGraph:
             xadj, adj = self.csr(sign)
             cached = [mask_of(adj[xadj[i] : xadj[i + 1]]) for i in range(self.n)]
             self._masks[sign] = cached
-        return cached
-
-    def packed(self, sign: str = "all"):
-        """Return the ``(n, n_words)`` packed-``uint64`` adjacency (cached).
-
-        The numpy counterpart of :meth:`masks`: row ``i`` is node *i*'s
-        adjacency bitmask in the little-endian packed layout of
-        :mod:`repro.fastpath.packed`, so ``int.from_bytes(row, "little")
-        == masks(sign)[i]``.
-        """
-        cached = self._packed.get(sign)
-        if cached is None:
-            from repro.fastpath import packed as packed_mod
-
-            xadj, adj = self.csr(sign)
-            cached = packed_mod.pack_csr(self.n, xadj, adj)
-            self._packed[sign] = cached
-        return cached
-
-    def degeneracy_order(self, sign: str = "all") -> List[int]:
-        """Return a degeneracy (smallest-remaining-degree) peel order."""
-        return self.oriented(sign)[0]
-
-    def oriented(self, sign: str = "all") -> Tuple[List[int], List[List[int]]]:
-        """Return ``(order, rows)``: degeneracy-oriented adjacency (cached).
-
-        ``order`` is a degeneracy peel order of the sign-class graph;
-        ``rows[i]`` lists the neighbours of ``i`` that appear *later* in
-        that order. Orienting every edge from earlier to later bounds
-        each out-degree by the degeneracy, which is what makes the
-        triangle kernels O(degeneracy * m).
-        """
-        cached = self._oriented.get(sign)
-        if cached is None:
-            from repro.fastpath.kernels import core_numbers_csr
-
-            xadj, adj = self.csr(sign)
-            order = core_numbers_csr(self.n, xadj, adj)[1]
-            position = [0] * self.n
-            for rank, i in enumerate(order):
-                position[i] = rank
-            rows: List[List[int]] = [[] for _ in range(self.n)]
-            for i in range(self.n):
-                pos_i = position[i]
-                row = rows[i]
-                for t in range(xadj[i], xadj[i + 1]):
-                    j = adj[t]
-                    if position[j] > pos_i:
-                        row.append(j)
-            cached = (order, rows)
-            self._oriented[sign] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -296,10 +226,6 @@ class CompiledGraph:
             split=(pxadj, padj, nxadj, nadj),
         )
 
-    def extract_nodes(self, members: Iterable[Node]) -> "CompiledGraph":
-        """Node-set convenience wrapper over :meth:`extract`."""
-        return self.extract(self.mask_from_nodes(members))
-
     # ------------------------------------------------------------------
     # Round trips
     # ------------------------------------------------------------------
@@ -328,8 +254,8 @@ class CompiledGraph:
         return graph
 
     def __getstate__(self):
-        # Ship only the compact arrays; the source graph, masks,
-        # orientations and ranks are all derivable on the far side.
+        # Ship only the compact arrays; the source graph, masks and
+        # ranks are all derivable on the far side.
         return (self.nodes, self.xadj, self.adj, self.signs)
 
     def __setstate__(self, state):

@@ -1,14 +1,14 @@
 """CSR and bitmask kernels over a :class:`CompiledGraph`.
 
-Each kernel here is a semantics-preserving port of a pure-Python
-counterpart (named in each docstring); the cross-validation suite in
-``tests/test_fastpath.py`` asserts the outputs are identical across the
-generator suite. Whole-graph reductions (the positive core, MCNew) run
-on the numpy kernels of :mod:`repro.fastpath.vectorized`; the kernels
-defined here use two data layouts:
+Each kernel here is a semantics-preserving port of a set-based
+reference (named in each docstring); ``tests/test_fastpath.py`` holds
+each one to its reference by name across the generator suite.
+Whole-graph reductions (the positive core, MCNew) run on the numpy
+kernels of :mod:`repro.fastpath.vectorized`; the kernels defined here
+use two data layouts:
 
-* **CSR scans** (the degeneracy order, components): flat integer
-  arrays, no per-probe hashing, O(m) extra memory;
+* **CSR scans** (connected components): flat integer arrays, no
+  per-probe hashing, O(m) extra memory;
 * **bitmask peeling** (ICore on small masks, MCBasic's ego probes, the
   negative budget): per-node adjacency bitmasks from
   :meth:`CompiledGraph.masks`, so a candidate set is one big integer
@@ -18,72 +18,15 @@ defined here use two data layouts:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.exceptions import ParameterError
 from repro.fastpath import vectorized
 from repro.fastpath.bitset import bit_count, iter_bits
 from repro.fastpath.compiled import CompiledGraph
-from repro.graphs.signed_graph import Node
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep repro.core acyclic
     from repro.core.params import AlphaK
-
-# ----------------------------------------------------------------------
-# Core decomposition (port of repro.algorithms.kcore.core_numbers)
-# ----------------------------------------------------------------------
-
-
-def core_numbers_csr(n: int, xadj, adj) -> Tuple[List[int], List[int]]:
-    """Matula–Beck bucket peeling over a CSR pair.
-
-    Returns ``(core, order)``: the core number of every index plus the
-    peel order (a degeneracy order, smallest remaining degree first).
-    This is the flat-array port of the dict/set bucket implementation in
-    :func:`repro.algorithms.kcore.core_numbers`; the swap-based bucket
-    queue does O(1) work per peeled edge with zero hashing.
-    """
-    if n == 0:
-        return [], []
-    degree = [xadj[i + 1] - xadj[i] for i in range(n)]
-    max_degree = max(degree)
-    # bucket_start[d] = first slot of the nodes of current degree d in `vert`.
-    bucket_start = [0] * (max_degree + 2)
-    for d in degree:
-        bucket_start[d + 1] += 1
-    for d in range(1, max_degree + 2):
-        bucket_start[d] += bucket_start[d - 1]
-    vert = [0] * n
-    position = [0] * n
-    fill = bucket_start[:-1]
-    for v in range(n):
-        slot = fill[degree[v]]
-        vert[slot] = v
-        position[v] = slot
-        fill[degree[v]] += 1
-
-    core = degree[:]
-    for slot in range(n):
-        v = vert[slot]
-        dv = core[v]
-        for t in range(xadj[v], xadj[v + 1]):
-            u = adj[t]
-            du = core[u]
-            if du > dv:
-                # Swap u with the first node of its bucket, shrink the
-                # bucket from the left, and decrement u's degree.
-                pu = position[u]
-                pw = bucket_start[du]
-                w = vert[pw]
-                if u != w:
-                    vert[pu] = w
-                    position[w] = pu
-                    vert[pw] = u
-                    position[u] = pw
-                bucket_start[du] += 1
-                core[u] = du - 1
-    return core, vert
-
 
 # ----------------------------------------------------------------------
 # ICore (port of repro.algorithms.kcore.icore)
@@ -216,13 +159,8 @@ def mask_has_core(masks: List[int], member_mask: int, tau: int) -> bool:
 # ----------------------------------------------------------------------
 
 
-def mccore_basic_fast(compiled: CompiledGraph, params: AlphaK) -> Set[Node]:
-    """Bitmask port of Algorithm 2 (:func:`repro.core.mcbasic.mccore_basic`)."""
-    return compiled.nodes_from_mask(mccore_basic_mask(compiled, params))
-
-
 def mccore_basic_mask(compiled: CompiledGraph, params: AlphaK) -> int:
-    """Mask-returning core of :func:`mccore_basic_fast`.
+    """Bitmask port of Algorithm 2 (:func:`repro.core.mcbasic.mccore_basic`).
 
     MCBasic is the paper's superseded baseline (kept for ablations), so
     only its initial positive-core peel is vectorized; the per-node

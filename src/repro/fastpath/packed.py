@@ -10,10 +10,10 @@ mask — conversions between the two worlds are therefore lossless and
 cheap, which is what lets the vectorized kernels interoperate with the
 int-mask search layer while staying bit-identical to it.
 
-An adjacency *matrix* is the row-stacked ``(n, n_words)`` form; rows
-are node masks, so set algebra over whole neighbourhoods is plain
-elementwise ``&``/``|``/``&~`` and population counts come from
-:func:`popcount_rows` (``np.bitwise_count`` on numpy >= 2, an 8-bit
+An adjacency *matrix* is the row-stacked ``(n, n_words)`` form
+(:func:`pack_csr`); rows are node masks, so set algebra over whole
+neighbourhoods is plain elementwise numpy ``&`` and population counts
+come from :func:`popcount_rows` (``np.bitwise_count`` on numpy >= 2, an 8-bit
 lookup table otherwise — the py3.9 CI leg resolves numpy 1.26).
 
 Everything here is deliberately dependency-light: numpy (a declared
@@ -21,8 +21,6 @@ dependency of the package) only, no compiled extensions.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -58,26 +56,6 @@ def unpack_mask(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
 
 
-def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:
-    """Pack a sequence of big-int masks into a ``(len, n_words)`` matrix."""
-    words = n_words(n)
-    out = np.empty((len(masks), words), dtype=np.uint64)
-    for row, mask in enumerate(masks):
-        out[row] = np.frombuffer(
-            mask.to_bytes(words * _WORD_BYTES, "little"), dtype=np.uint64
-        )
-    return out
-
-
-def unpack_rows(matrix: np.ndarray) -> List[int]:
-    """Each row of a packed matrix as a big-int mask."""
-    contiguous = np.ascontiguousarray(matrix)
-    return [
-        int.from_bytes(contiguous[row].tobytes(), "little")
-        for row in range(contiguous.shape[0])
-    ]
-
-
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
@@ -97,16 +75,16 @@ def unpack_bool(words: np.ndarray, n: int) -> np.ndarray:
     return bits[:n].astype(bool)
 
 
-def pack_edges(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Build a ``(n, n_words)`` matrix with bit ``cols[i]`` set in row
-    ``rows[i]`` for every edge *i*.
+def pack_csr(n: int, xadj, adj) -> np.ndarray:
+    """Pack a CSR adjacency (row per node) into a ``(n, n_words)`` matrix.
 
     Works byte-wise through ``np.bitwise_or.at`` so the intermediate is
     the final 12.5%-density byte matrix, never an O(n^2) boolean dense
-    form (100 MB at n = 10k); duplicate edges are harmless.
+    form (100 MB at n = 10k).
     """
-    words = n_words(n)
-    bytes_matrix = np.zeros((n, words * _WORD_BYTES), dtype=np.uint8)
+    cols = as_int64(adj)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(as_int64(xadj)))
+    bytes_matrix = np.zeros((n, n_words(n) * _WORD_BYTES), dtype=np.uint8)
     if rows.size:
         np.bitwise_or.at(
             bytes_matrix,
@@ -114,14 +92,6 @@ def pack_edges(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             np.left_shift(np.uint8(1), (cols & 7).astype(np.uint8)),
         )
     return bytes_matrix.view(np.uint64)
-
-
-def pack_csr(n: int, xadj, adj) -> np.ndarray:
-    """Pack a CSR adjacency (row per node) into a ``(n, n_words)`` matrix."""
-    xadj_np = as_int64(xadj)
-    adj_np = as_int64(adj)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj_np))
-    return pack_edges(n, rows, adj_np)
 
 
 def as_int64(buffer) -> np.ndarray:
@@ -136,30 +106,6 @@ def as_int64(buffer) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Algebra
 # ----------------------------------------------------------------------
-def and_(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise intersection."""
-    return np.bitwise_and(a, b)
-
-
-def or_(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise union."""
-    return np.bitwise_or(a, b)
-
-
-def andnot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise difference ``a & ~b``."""
-    return np.bitwise_and(a, np.bitwise_not(b))
-
-
-def popcount(words: np.ndarray) -> int:
-    """Total number of set bits in a packed array (any shape)."""
-    if _HAS_BITWISE_COUNT:
-        return int(np.bitwise_count(words).sum(dtype=np.int64))
-    return int(
-        _POPCOUNT_LUT[np.ascontiguousarray(words).view(np.uint8)].sum(dtype=np.int64)
-    )
-
-
 def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     """Per-row population count of a ``(rows, n_words)`` matrix."""
     if _HAS_BITWISE_COUNT:
@@ -168,30 +114,12 @@ def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     return _POPCOUNT_LUT[view].sum(axis=1, dtype=np.int64)
 
 
-def indices(words: np.ndarray, n: int) -> np.ndarray:
-    """Sorted indices of the set bits, as int64 (vectorized unpack)."""
-    bits = np.unpackbits(
-        np.ascontiguousarray(words).view(np.uint8), bitorder="little"
-    )
-    return np.flatnonzero(bits[:n]).astype(np.int64)
-
-
-def iter_bits(words: np.ndarray) -> Iterator[int]:
-    """Yield set-bit indices in ascending order (matches bitset.iter_bits)."""
-    for word_index, word in enumerate(np.ascontiguousarray(words).tolist()):
-        base = word_index << 6
-        while word:
-            low = word & -word
-            yield base + low.bit_length() - 1
-            word ^= low
-
-
 def test_bit(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Boolean vector: is bit ``cols[i]`` set in ``matrix[rows[i]]``?
 
     Probes single *bytes* of the (contiguous) packed matrix — an 8x
-    smaller gather than whole words, which matters at wedge-probe
-    volumes (millions of lookups per triangle kernel call).
+    smaller gather than whole words; MCNew probes one bit per surviving
+    directed edge every round.
     """
     view = matrix.view(np.uint8)
     probed = view[rows, cols >> 3]

@@ -302,34 +302,6 @@ class FrameSearch:
         return None
 
 
-def search_component_fast(
-    msce: "MSCE",
-    component_mask: int,
-    stats: "SearchStats",
-    found,
-    size_heap: List[int],
-    top_r: Optional[int],
-    guard: Optional[ResourceGuard],
-    seed_mask: int = 0,
-    compiled=None,
-) -> Optional[Tuple[str, int]]:
-    """Run the BBE search over one component given as an index bitmask.
-
-    Thin wrapper over :class:`FrameSearch` kept for the sequential
-    entry points in :mod:`repro.core.bbe`; *compiled* is the graph the
-    masks index (default: the enumerator's). Returns ``None`` on
-    exhaustion, or ``(reason, dropped_frames)`` when the *guard*
-    tripped and the component's remaining subtrees were abandoned.
-    """
-    searcher = FrameSearch(
-        msce, stats, found, size_heap, top_r, guard, compiled=compiled
-    )
-    reason = searcher.run([(component_mask, seed_mask, None)])
-    if reason is None:
-        return None
-    return reason, len(searcher.incomplete)
-
-
 def decompose_root(
     msce: "MSCE",
     component_mask: int,
@@ -390,18 +362,21 @@ def _make_selector(msce: "MSCE", ops, compiled):
     """The branch-node selector named by ``msce.selection``.
 
     ``"greedy"`` picks the free candidate of minimum model degree,
-    ``"first"`` the smallest by node ``repr``, ``"random"`` a uniform
-    draw. The model names the greedy candidates,
+    ``"first"`` the smallest by node ``repr``, ``"random"`` a seeded
+    pseudo-random draw. The model names the greedy candidates,
     :meth:`~repro.models.base.FrameOps.min_degree_set` (MSCE: minimum
     positive degree inside ``R``; balanced: sign-blind degree).
     Tie-breaking goes through the compiled ``repr``-rank permutation, so
-    the chosen node does not depend on the index space. With
-    ``frame_rng`` the random strategy hashes the frame's free candidates
-    (by node ``repr``, so the draw is independent of the compiled index
-    space) instead of consuming a sequential RNG stream; see
-    :func:`repro.core.bbe.frame_draw`.
+    the chosen node does not depend on the index space. The random
+    strategy hashes the frame's free candidates by node ``repr``
+    (:func:`repro.core.bbe.frame_draw`), so the draw is a pure function
+    of the frame and the seed: independent of the compiled index space,
+    of the order frames are processed in, and of earlier runs.
     """
+    from repro.core.bbe import frame_draw
+
     repr_rank = compiled.repr_rank
+    nodes = compiled.nodes
     min_degree_set = ops.min_degree_set
 
     def greedy(candidates: int, included: int, state) -> int:
@@ -415,12 +390,7 @@ def _make_selector(msce: "MSCE", ops, compiled):
 
     def randomized(candidates: int, included: int, state) -> int:
         free = sorted(iter_bits(candidates & ~included), key=repr_rank.__getitem__)
-        if msce.frame_rng:
-            from repro.core.bbe import frame_draw
-
-            nodes = compiled.nodes
-            return free[frame_draw(msce.seed, [repr(nodes[i]) for i in free])]
-        return msce._rng.choice(free)
+        return free[frame_draw(msce.seed, [repr(nodes[i]) for i in free])]
 
     selectors = {"greedy": greedy, "random": randomized, "first": first}
     return selectors[msce.selection]

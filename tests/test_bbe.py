@@ -8,6 +8,7 @@ import pytest
 from repro.algorithms import maximal_cliques
 from repro.core import MSCE, AlphaK, enumerate_signed_cliques
 from repro.exceptions import ParameterError
+from repro.generators.datasets import load_dataset
 from repro.graphs import SignedGraph
 from tests.conftest import make_random_signed_graph
 
@@ -63,6 +64,16 @@ class TestSelectionStrategies:
         params = AlphaK(1, 1)
         first = MSCE(graph, params, selection="random", seed=9).enumerate_all()
         second = MSCE(graph, params, selection="random", seed=9).enumerate_all()
+        assert [c.nodes for c in first.cliques] == [c.nodes for c in second.cliques]
+
+    def test_random_strategy_repeats_on_one_enumerator(self):
+        # The draw hashes the seed and the frame, so a second run of the
+        # same enumerator walks the same tree as the first.
+        graph = load_dataset("slashdot").graph
+        searcher = MSCE(graph, AlphaK(4, 3), selection="random", seed=3)
+        first = searcher.enumerate_all()
+        second = searcher.enumerate_all()
+        assert first.stats.as_dict() == second.stats.as_dict()
         assert [c.nodes for c in first.cliques] == [c.nodes for c in second.cliques]
 
     def test_unknown_strategy_rejected(self, paper_graph):

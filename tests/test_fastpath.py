@@ -1,13 +1,17 @@
 """Cross-validation of the fastpath CSR/bitset kernels and search.
 
-The fastpath subsystem (``repro.fastpath``) re-implements the hot
-kernels — core decomposition, ICore, ego-triangle counting and MCCore
-peeling — on compact CSR arrays and big-int bitmasks. Correctness is
-argued by *bit-identical* agreement with the pure-Python kernels on the
-generator suite (random, planted-community, LFR-like) and on arbitrary
-hypothesis graphs. The MSCE branch-and-bound runs only on the fastpath;
-its cliques are held to the brute-force and Bron–Kerbosch oracles of
-:mod:`repro.core.naive`, and identical
+The fastpath subsystem (``repro.fastpath``) re-implements the kernels
+the pipeline runs — ICore (whole-graph and on small masks), the
+Lemma-4 ego-triangle deltas, MCNew and MCBasic, the reduction entry
+point and connected components — on compact CSR arrays, packed
+``uint64`` matrices and big-int bitmasks. Each kernel is called by name
+and held to its set-based reference (``repro.algorithms.kcore``,
+``repro.algorithms.triangles``, ``repro.core.mcnew`` / ``mcbasic`` /
+``reduction``), which take a ``SignedGraph`` only: *bit-identical*
+agreement on the generator suite (random, planted-community, LFR-like)
+and on arbitrary hypothesis graphs. The MSCE branch-and-bound runs only
+on the fastpath; its cliques are held to the brute-force and
+Bron–Kerbosch oracles of :mod:`repro.core.naive`, and identical
 :class:`repro.core.bbe.SearchStats` across index spaces show the tree
 does not depend on how the nodes were compiled.
 """
@@ -16,27 +20,37 @@ import itertools
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.cliques import common_neighbors
 from repro.algorithms.kcore import core_numbers, icore
 from repro.algorithms.triangles import all_ego_triangle_degrees, triangle_count
 from repro.core import MSCE, AlphaK, mccore_basic, mccore_new
 from repro.core.cliques import sort_cliques
-from repro.core.maxtest import single_extension_test
+from repro.core.maxtest import _viable_single_extensions, single_extension_test
 from repro.core.naive import brute_force_constraint, reference_enumerate
 from repro.core.reduction import reduce_graph, reduction_components
 from repro.exceptions import ParameterError
 from repro.fastpath import (
     CompiledGraph,
-    IntBitset,
     as_compiled,
     bit_count,
     compile_graph,
     iter_bits,
+    packed,
+    vectorized,
 )
 from repro.fastpath.bitset import _bit_count_fallback
+from repro.fastpath.kernels import (
+    budget_violators,
+    component_masks,
+    icore_fast,
+    mccore_basic_mask,
+    reduce_mask,
+)
 from repro.generators import (
     CommunitySpec,
     gnp_signed,
@@ -111,19 +125,21 @@ class TestCompiledGraph:
         compiled = compile_graph(graph)
         assert as_compiled(compiled) is compiled
 
+    def test_holds_no_packed_matrix_after_search(self):
+        # The packed (n, n/64) matrices of MCNew's kernel live only for
+        # the kernel call: a compiled graph an MSCE or a serving engine
+        # keeps must not hold them for its lifetime.
+        graph = dict(GRAPHS)["lfr-like"]
+        searcher = MSCE(graph, AlphaK(2, 1))
+        assert searcher.enumerate_all().cliques
+        compiled = searcher.compiled
+        for slot in CompiledGraph.__slots__:
+            value = getattr(compiled, slot, None)
+            held = value.values() if isinstance(value, dict) else [value]
+            assert not any(isinstance(item, np.ndarray) for item in held), slot
+
 
 class TestBitset:
-    def test_basic_set_operations(self):
-        a = IntBitset([0, 2, 5])
-        b = IntBitset([2, 5, 9])
-        assert sorted(a & b) == [2, 5]
-        assert sorted(a | b) == [0, 2, 5, 9]
-        assert sorted(a - b) == [0]
-        assert len(a) == 3 and 5 in a and 1 not in a
-        assert a.intersection_count(b) == 2
-        assert not a.isdisjoint(b)
-        assert IntBitset([2]).issubset(a)
-
     def test_iter_bits_matches_membership(self):
         rng = random.Random(3)
         indices = sorted(rng.sample(range(200), 40))
@@ -145,11 +161,20 @@ class TestBitset:
 
 
 class TestKernelCrossValidation:
+    """Each kernel the pipeline runs, by name, against its set-based reference."""
+
     @pytest.mark.parametrize("graph", _cases())
     @pytest.mark.parametrize("sign", ["all", "positive", "negative"])
     def test_core_numbers_match(self, graph, sign):
+        # The tau-core is the set of nodes of core number >= tau, so the
+        # whole-graph ICore kernel at every tau is held to core_numbers.
         compiled = compile_graph(graph)
-        assert core_numbers(compiled, sign=sign) == core_numbers(graph, sign=sign)
+        numbers = core_numbers(graph, sign=sign)
+        for tau in range(1, max(numbers.values(), default=0) + 2):
+            expected = {node for node, core in numbers.items() if core >= tau}
+            flag, mask = vectorized.icore(compiled, 0, tau, sign=sign)
+            assert flag == bool(expected)
+            assert compiled.nodes_from_mask(mask) == expected
 
     @pytest.mark.parametrize("graph", _cases())
     def test_icore_matches(self, graph):
@@ -159,8 +184,10 @@ class TestKernelCrossValidation:
             for sign in ("all", "positive"):
                 for fixed in ((), (nodes[0],), tuple(nodes[:2])):
                     pure = icore(graph, fixed=fixed, tau=tau, sign=sign)
-                    fast = icore(compiled, fixed=fixed, tau=tau, sign=sign)
-                    assert fast == pure
+                    fixed_mask = compiled.mask_from_nodes(fixed)
+                    for kernel in (vectorized.icore, icore_fast):
+                        flag, mask = kernel(compiled, fixed_mask, tau, None, sign)
+                        assert (flag, compiled.nodes_from_mask(mask)) == pure
 
     @pytest.mark.parametrize("graph", _cases())
     def test_icore_within_matches(self, graph):
@@ -168,30 +195,54 @@ class TestKernelCrossValidation:
         nodes = sorted(graph.nodes(), key=repr)
         within = set(nodes[: max(4, len(nodes) // 2)])
         pure = icore(graph, fixed=(), tau=2, within=within, sign="all")
-        fast = icore(compiled, fixed=(), tau=2, within=within, sign="all")
-        assert fast == pure
+        within_mask = compiled.mask_from_nodes(within)
+        for kernel in (vectorized.icore, icore_fast):
+            flag, mask = kernel(compiled, 0, 2, within_mask, "all")
+            assert (flag, compiled.nodes_from_mask(mask)) == pure
 
     def test_icore_unknown_fixed_node(self):
-        compiled = compile_graph(SignedGraph(PAPER_EDGES))
-        assert icore(compiled, fixed=["nope"], tau=1) == (False, set())
+        graph = SignedGraph(PAPER_EDGES)
+        assert icore(graph, fixed=["nope"], tau=1) == (False, set())
+        compiled = compile_graph(graph)
+        outside = compiled.mask_from_nodes([1])
+        within = compiled.full_mask & ~outside
+        for kernel in (vectorized.icore, icore_fast):
+            assert kernel(compiled, outside, 1, within) == (False, 0)
 
     @pytest.mark.parametrize("graph", _cases())
     def test_triangle_count_matches(self, graph):
+        # The batched intersection primitive over packed sign-blind rows:
+        # each triangle is counted once per ordered pair of its corners.
         compiled = compile_graph(graph)
-        assert triangle_count(compiled) == triangle_count(graph)
+        rows = packed.pack_csr(compiled.n, compiled.xadj, compiled.adj)
+        tails, heads = _directed_edges(compiled.xadj, compiled.adj)
+        common = vectorized.pair_popcounts(rows, rows, tails, heads)
+        assert int(common.sum()) == 6 * triangle_count(graph)
 
     @pytest.mark.parametrize("graph", _cases())
     def test_ego_triangle_degrees_match(self, graph):
+        # MCNew's Lemma-4 deltas: popcount(pos-row(u) & all-row(v)) per
+        # directed positive edge, as mccore_new_mask computes them.
         compiled = compile_graph(graph)
-        assert all_ego_triangle_degrees(compiled) == all_ego_triangle_degrees(graph)
+        n = compiled.n
+        positive = packed.pack_csr(n, compiled.pxadj, compiled.padj)
+        sign_blind = packed.pack_csr(n, compiled.xadj, compiled.adj)
+        tails, heads = _directed_edges(compiled.pxadj, compiled.padj)
+        deltas = vectorized.pair_popcounts(positive, sign_blind, tails, heads)
+        nodes = compiled.nodes
+        got = {
+            (nodes[u], nodes[v]): delta
+            for u, v, delta in zip(tails.tolist(), heads.tolist(), deltas.tolist())
+        }
+        assert got == all_ego_triangle_degrees(graph)
 
     @pytest.mark.parametrize("graph", _cases())
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     def test_mccore_matches(self, graph, params):
         compiled = compile_graph(graph)
         pure = mccore_new(graph, params)
-        assert mccore_new(compiled, params) == pure
-        assert mccore_basic(compiled, params) == pure
+        assert compiled.nodes_from_mask(vectorized.mccore_new_mask(compiled, params)) == pure
+        assert compiled.nodes_from_mask(mccore_basic_mask(compiled, params)) == pure
         assert mccore_basic(graph, params) == pure
 
     @pytest.mark.parametrize("graph", _cases())
@@ -199,9 +250,9 @@ class TestKernelCrossValidation:
     def test_reduce_graph_matches(self, graph, method):
         compiled = compile_graph(graph)
         params = AlphaK(2, 1)
-        assert reduce_graph(compiled, params, method=method) == reduce_graph(
-            graph, params, method=method
-        )
+        assert compiled.nodes_from_mask(
+            reduce_mask(compiled, params, method=method)
+        ) == reduce_graph(graph, params, method=method)
 
     @pytest.mark.parametrize("graph", _cases())
     def test_reduction_components_match(self, graph):
@@ -210,10 +261,38 @@ class TestKernelCrossValidation:
         pure = sorted(
             (frozenset(c) for c in reduction_components(graph, params)), key=sorted
         )
+        survivors = reduce_mask(compiled, params)
         fast = sorted(
-            (frozenset(c) for c in reduction_components(compiled, params)), key=sorted
+            (
+                frozenset(compiled.nodes_from_mask(mask))
+                for mask in component_masks(compiled, survivors)
+            ),
+            key=sorted,
         )
         assert fast == pure
+
+    @pytest.mark.parametrize("graph", _cases())
+    def test_budget_violators_match(self, graph):
+        # The maxtest's negative-budget filter against its node-set form.
+        compiled = compile_graph(graph)
+        neg_masks = compiled.masks("negative")
+        nodes = sorted(graph.nodes(), key=repr)
+        for size in (1, 2, 3):
+            members = set(nodes[:size])
+            scope = compiled.mask_from_nodes(common_neighbors(graph, members))
+            for budget in (0, 1, 2):
+                viable = _viable_single_extensions(graph, members, AlphaK(1, budget))
+                violators = budget_violators(
+                    neg_masks, compiled.mask_from_nodes(members), scope, budget
+                )
+                assert compiled.nodes_from_mask(scope & ~violators) == set(viable)
+
+
+def _directed_edges(xadj, adj):
+    """``(tails, heads)`` int64 arrays of every CSR entry."""
+    xadj = packed.as_int64(xadj)
+    tails = np.repeat(np.arange(xadj.shape[0] - 1, dtype=np.int64), np.diff(xadj))
+    return tails, packed.as_int64(adj)
 
 
 def _oracle(graph, params):
@@ -312,29 +391,16 @@ class TestBackendSweep:
     @pytest.mark.parametrize("path", ["python", "vectorized"])
     @pytest.mark.parametrize("graph", _cases())
     def test_kernel_outputs_identical(self, graph, path):
-        # ``vectorized`` feeds the CompiledGraph itself, so the numpy
-        # kernels run; ``python`` feeds a SignedGraph rebuilt from the CSR
-        # arrays, so the set-based implementations must give the same
-        # answers after the compile round trip.
+        # ``vectorized`` runs the kernels by name on the CompiledGraph;
+        # ``python`` runs the set-based references on a SignedGraph
+        # rebuilt from the CSR arrays, so they must give the same answers
+        # after the compile round trip.
         compiled = compile_graph(graph)
-        source = compiled.source
-        subject = compiled if path == "vectorized" else compiled.to_signed_graph()
-        for sign in ("all", "positive", "negative"):
-            assert core_numbers(subject, sign) == core_numbers(source, sign)
-            for tau in (1, 2, 3):
-                assert icore(subject, tau=tau, sign=sign) == icore(source, tau=tau, sign=sign)
-        assert triangle_count(subject) == triangle_count(source)
-        nodes = sorted(graph.nodes(), key=repr)
-        for within in (None, set(nodes[: max(3, len(nodes) // 2)])):
-            assert all_ego_triangle_degrees(
-                subject, within=within
-            ) == all_ego_triangle_degrees(source, within=within)
-        for params in PARAM_GRID:
-            assert mccore_new(subject, params) == mccore_new(source, params)
-        for method in ("none", "positive-core", "mcbasic", "mcnew"):
-            assert reduce_graph(subject, AlphaK(2, 1), method=method) == reduce_graph(
-                source, AlphaK(2, 1), method=method
-            )
+        if path == "vectorized":
+            outputs = _kernel_outputs(compiled)
+        else:
+            outputs = _reference_outputs(compiled.to_signed_graph())
+        assert outputs == _reference_outputs(compiled.source)
 
     @pytest.mark.parametrize("params", PARAM_GRID, ids=str)
     @pytest.mark.parametrize("graph", _cases())
@@ -350,6 +416,35 @@ class TestBackendSweep:
         result = MSCE(compiled, params).enumerate_all()
         assert [c.nodes for c in result.cliques] == [c.nodes for c in oracle.cliques]
         assert result.stats.as_dict() == oracle.stats.as_dict()
+
+
+def _kernel_outputs(compiled):
+    """ICore, MCCore and reduction node sets from the kernels, by name."""
+    outputs = {}
+    for sign in ("all", "positive", "negative"):
+        for tau in (1, 2, 3):
+            flag, mask = vectorized.icore(compiled, 0, tau, None, sign)
+            outputs["icore", sign, tau] = (flag, compiled.nodes_from_mask(mask))
+    for params in PARAM_GRID:
+        mask = vectorized.mccore_new_mask(compiled, params)
+        outputs["mccore", str(params)] = compiled.nodes_from_mask(mask)
+    for method in ("none", "positive-core", "mcbasic", "mcnew"):
+        mask = reduce_mask(compiled, AlphaK(2, 1), method=method)
+        outputs["reduce", method] = compiled.nodes_from_mask(mask)
+    return outputs
+
+
+def _reference_outputs(graph):
+    """The same node sets from the set-based references."""
+    outputs = {}
+    for sign in ("all", "positive", "negative"):
+        for tau in (1, 2, 3):
+            outputs["icore", sign, tau] = icore(graph, tau=tau, sign=sign)
+    for params in PARAM_GRID:
+        outputs["mccore", str(params)] = mccore_new(graph, params)
+    for method in ("none", "positive-core", "mcbasic", "mcnew"):
+        outputs["reduce", method] = reduce_graph(graph, AlphaK(2, 1), method=method)
+    return outputs
 
 
 # -- hypothesis: arbitrary small graphs, arbitrary (alpha, k) ----------------
@@ -402,14 +497,23 @@ def test_hypothesis_mccore_identical(spec, param_spec):
     alpha, k = param_spec
     params = AlphaK(alpha, k)
     compiled = compile_graph(graph)
-    assert mccore_new(compiled, params) == mccore_new(graph, params)
-    assert mccore_basic(compiled, params) == mccore_basic(graph, params)
+    pure = mccore_new(graph, params)
+    assert compiled.nodes_from_mask(vectorized.mccore_new_mask(compiled, params)) == pure
+    assert compiled.nodes_from_mask(mccore_basic_mask(compiled, params)) == pure
+    assert mccore_basic(graph, params) == pure
 
 
 @settings(max_examples=60, deadline=None)
 @given(graph_specs)
 def test_hypothesis_core_numbers_identical(spec):
+    # The tau-core is the set of nodes of core number >= tau.
     graph = _build(spec)
     compiled = compile_graph(graph)
     for sign in ("all", "positive", "negative"):
-        assert core_numbers(compiled, sign=sign) == core_numbers(graph, sign=sign)
+        numbers = core_numbers(graph, sign=sign)
+        for tau in range(1, max(numbers.values(), default=0) + 2):
+            expected = {node for node, core in numbers.items() if core >= tau}
+            for kernel in (vectorized.icore, icore_fast):
+                flag, mask = kernel(compiled, 0, tau, None, sign)
+                assert flag == bool(expected)
+                assert compiled.nodes_from_mask(mask) == expected

@@ -126,7 +126,7 @@ class TestSchedulerFixedCosts:
             for _, nodes in sorted(by_component.items())
         ]
         params = AlphaK(1.5, 1)
-        searcher = MSCE(compiled, params, reduction="none", frame_rng=True)
+        searcher = MSCE(compiled, params, reduction="none")
         group = SearchGroup(searcher)
         scheduler = WorkStealingScheduler([group], WORKERS, task_budget=20)
         fed = []

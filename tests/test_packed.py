@@ -1,11 +1,13 @@
 """Property tests for the packed-uint64 bitset algebra (``fastpath.packed``).
 
-The vectorized tier interoperates with the int-mask search layer through
+The numpy kernels interoperate with the int-mask search layer through
 the conversions in :mod:`repro.fastpath.packed`; the whole bit-identity
 contract rests on those conversions being lossless and on the packed
-algebra agreeing operation-for-operation with Python big-int arithmetic.
-Hypothesis drives both directions of the round-trip and the algebra
-parity over arbitrary masks and widths (word-boundary widths included).
+operations the kernels run (CSR packing, batched row intersections,
+bit probes and clears, row popcounts) agreeing with Python big-int
+arithmetic. Hypothesis drives both directions of the round-trip and
+the algebra parity over arbitrary masks and widths (word-boundary
+widths included).
 """
 
 import pytest
@@ -16,6 +18,7 @@ np = pytest.importorskip("numpy")
 
 from repro.fastpath import packed  # noqa: E402  (needs numpy first)
 from repro.fastpath.bitset import bit_count, iter_bits  # noqa: E402
+from repro.fastpath.vectorized import pair_popcounts  # noqa: E402
 
 # Widths straddle the uint64 word boundary on purpose: 1..200 covers
 # 1-4 words including the exact-multiple edge cases 64 and 128.
@@ -31,6 +34,30 @@ mask_pairs = widths.flatmap(
 )
 
 
+def pack_rows(masks, n):
+    """The ``(len(masks), n_words)`` matrix of *masks*, via :func:`packed.pack_csr`.
+
+    Rows are the masks read as a CSR adjacency over ``size`` nodes (at
+    least *n*, so every bit has a column); only the first ``len(masks)``
+    rows of the packed matrix are kept.
+    """
+    size = max(n, len(masks))
+    xadj = [0]
+    adj = []
+    for mask in masks:
+        adj.extend(iter_bits(mask))
+        xadj.append(len(adj))
+    xadj.extend([len(adj)] * (size - len(masks)))
+    matrix = packed.pack_csr(
+        size, np.array(xadj, dtype=np.int64), np.array(adj, dtype=np.int64)
+    )
+    return np.ascontiguousarray(matrix[: len(masks)])
+
+
+def unpack_rows(matrix):
+    return [packed.unpack_mask(row) for row in matrix]
+
+
 @settings(max_examples=200, deadline=None)
 @given(widths.flatmap(lambda n: st.tuples(st.just(n), masks_for(n))))
 def test_pack_unpack_roundtrip(spec):
@@ -44,22 +71,26 @@ def test_pack_unpack_roundtrip(spec):
 @settings(max_examples=200, deadline=None)
 @given(mask_pairs)
 def test_algebra_matches_int_masks(spec):
+    # The batched row intersection MCNew's deltas come from.
     n, a, b = spec
-    pa, pb = packed.pack_mask(a, n), packed.pack_mask(b, n)
-    assert packed.unpack_mask(packed.and_(pa, pb)) == a & b
-    assert packed.unpack_mask(packed.or_(pa, pb)) == a | b
-    assert packed.unpack_mask(packed.andnot(pa, pb)) == a & ~b
-    assert packed.popcount(pa) == bit_count(a)
+    matrix = pack_rows([a, b], n)
+    rows = np.array([0, 0, 1, 1], dtype=np.int64)
+    cols = np.array([0, 1, 0, 1], dtype=np.int64)
+    assert pair_popcounts(matrix, matrix, rows, cols).tolist() == [
+        bit_count(a),
+        bit_count(a & b),
+        bit_count(a & b),
+        bit_count(b),
+    ]
 
 
 @settings(max_examples=150, deadline=None)
 @given(widths.flatmap(lambda n: st.tuples(st.just(n), masks_for(n))))
 def test_bit_enumeration_matches_int_layer(spec):
+    # The alive vector the kernels peel is the unpacked member mask.
     n, mask = spec
-    words = packed.pack_mask(mask, n)
-    expected = list(iter_bits(mask))
-    assert list(packed.iter_bits(words)) == expected
-    assert packed.indices(words, n).tolist() == expected
+    alive = packed.unpack_bool(packed.pack_mask(mask, n), n)
+    assert np.flatnonzero(alive).tolist() == list(iter_bits(mask))
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,21 +106,20 @@ def test_bool_vector_roundtrip(spec):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(masks_for(200), min_size=0, max_size=8))
 def test_pack_masks_rows_roundtrip(masks):
-    matrix = packed.pack_masks(masks, 200)
-    assert packed.unpack_rows(matrix) == list(masks)
+    assert unpack_rows(pack_rows(masks, 200)) == list(masks)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mask_pairs)
 def test_test_and_clear_bits_match_int_ops(spec):
     n, a, b = spec
-    matrix = packed.pack_masks([a, b], n)
+    matrix = pack_rows([a, b], n)
     positions = np.arange(n, dtype=np.int64)
     rows = np.zeros(n, dtype=np.int64)
     got = packed.test_bit(np.ascontiguousarray(matrix), rows, positions)
     assert got.tolist() == [bool((a >> i) & 1) for i in range(n)]
     # Clearing the set bits of b from row 0 must equal a & ~b.
-    hits = packed.indices(packed.pack_mask(b, n), n)
+    hits = np.array(list(iter_bits(b)), dtype=np.int64)
     packed.clear_bits(matrix, np.zeros(hits.shape[0], dtype=np.int64), hits)
     assert packed.unpack_mask(matrix[0]) == a & ~b
     assert packed.unpack_mask(matrix[1]) == b
@@ -99,7 +129,7 @@ def test_test_and_clear_bits_match_int_ops(spec):
 @given(mask_pairs)
 def test_popcount_rows_matches_bit_count(spec):
     n, a, b = spec
-    matrix = packed.pack_masks([a, b, a & b], n)
+    matrix = pack_rows([a, b, a & b], n)
     assert packed.popcount_rows(matrix).tolist() == [
         bit_count(a),
         bit_count(b),
@@ -115,5 +145,5 @@ def test_popcount_lut_fallback_matches_bitwise_count():
         axis=1, dtype=np.int64
     )
     assert with_lut.tolist() == packed.popcount_rows(matrix).tolist()
-    expected = [bit_count(m) for m in packed.unpack_rows(matrix)]
+    expected = [bit_count(m) for m in unpack_rows(matrix)]
     assert packed.popcount_rows(matrix).tolist() == expected

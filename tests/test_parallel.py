@@ -2,9 +2,8 @@
 
 The determinism tests are the contract of the parallel enumerator: the
 clique *list* (order included) and the aggregated ``SearchStats`` must
-be bit-identical across worker counts and repeated runs — and, for the
-deterministic selection strategies, bit-identical to the sequential
-enumerator. The hypothesis test checks the underlying invariant that
+be bit-identical across worker counts and repeated runs, and
+bit-identical to the sequential enumerator. The hypothesis test checks the underlying invariant that
 makes merging dedup-free: root-branch decomposition *partitions* the
 set of maximal cliques across tasks.
 """
@@ -256,7 +255,7 @@ class TestRunFrames:
         compiled = compile_graph(graph)
         params = AlphaK(1.5, 1)
         sequential = MSCE(compiled, params, reduction="none").enumerate_all()
-        searcher = MSCE(compiled, params, reduction="none", frame_rng=True)
+        searcher = MSCE(compiled, params, reduction="none")
         frames = [(compiled.full_mask, 0)]
         nodes_seen = []
         counters = {}
@@ -359,7 +358,7 @@ def test_hypothesis_root_decomposition_partitions_cliques(spec, param_spec, max_
     sequential = {
         c.nodes for c in MSCE(compiled, params, reduction="none").enumerate_all().cliques
     }
-    searcher = MSCE(compiled, params, reduction="none", frame_rng=True)
+    searcher = MSCE(compiled, params, reduction="none")
     stats, found, heap = SearchStats(), {}, []
     tasks = decompose_root(searcher, compiled.full_mask, stats, found, heap, max_tasks)
     assert len(tasks) <= max_tasks

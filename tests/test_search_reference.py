@@ -85,8 +85,7 @@ def test_parallel_matches_reference(run, workers):
     held to the reference, the counters are not.
     """
     graph = _stand_in(run["dataset"])
-    # enumerate_parallel always draws the random strategy per frame.
-    options = {key: value for key, value in run["options"].items() if key != "frame_rng"}
+    options = run["options"]
     result = enumerate_parallel(graph, run["alpha"], run["k"], workers=workers, **options)
     assert summary(result) == run["enumerate_all"]
     ranked = enumerate_parallel(
