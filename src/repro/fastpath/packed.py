@@ -13,8 +13,9 @@ int-mask search layer while staying bit-identical to it.
 An adjacency *matrix* is the row-stacked ``(n, n_words)`` form
 (:func:`pack_csr`); rows are node masks, so set algebra over whole
 neighbourhoods is plain elementwise numpy ``&`` and population counts
-come from :func:`popcount_rows` (``np.bitwise_count`` on numpy >= 2, an 8-bit
-lookup table otherwise — the py3.9 CI leg resolves numpy 1.26).
+come from :func:`popcount_rows` (``np.bitwise_count`` on numpy >= 2, a SWAR
+popcount over the uint64 words otherwise — the py3.9 CI leg resolves
+numpy 1.26).
 
 Everything here is deliberately dependency-light: numpy (a declared
 dependency of the package) only, no compiled extensions.
@@ -27,10 +28,14 @@ import numpy as np
 WORD_BITS = 64
 _WORD_BYTES = 8
 
-#: 8-bit population-count lookup table for numpy < 2 (no bitwise_count).
-_POPCOUNT_LUT = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.uint8
-)
+#: Masks of the SWAR popcount for numpy < 2 (no bitwise_count): every
+#: other bit, every other bit pair, every other nibble, and the byte
+#: multiplier that sums the eight byte counts into the top byte.
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+_SHIFTS = tuple(np.uint64(shift) for shift in (1, 2, 4, 56))
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -110,8 +115,19 @@ def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     """Per-row population count of a ``(rows, n_words)`` matrix."""
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
-    view = np.ascontiguousarray(matrix).view(np.uint8)
-    return _POPCOUNT_LUT[view].sum(axis=1, dtype=np.int64)
+    one, two, four, top = _SHIFTS
+    # Bit counts per 2 bits, then per nibble, then per byte; the multiply
+    # (wrapping, as uint64 arithmetic does) adds the bytes into the top one.
+    x = matrix - ((matrix >> one) & _M1)
+    pairs = x >> two
+    pairs &= _M2
+    x &= _M2
+    x += pairs
+    x += x >> four
+    x &= _M4
+    x *= _H01
+    x >>= top
+    return x.sum(axis=1, dtype=np.int64)
 
 
 def test_bit(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -30,7 +30,19 @@ work. Per request the server:
    with a 503 + ``Retry-After`` *before* it costs a search;
 6. **awaits within the deadline**: a request whose budget runs out
    gets a structured 504 (the shared computation keeps running for
-   other waiters and warms the cache for the retry).
+   other waiters and warms the cache for the retry);
+7. **renders** the answer on the loop. The ``cliques`` array is the bulk
+   of a body (up to ``max_response_cliques`` cliques), so its JSON text
+   is encoded once per complete answer and kept in the tenant's memo
+   (:attr:`Tenant.encoded <repro.net.tenants.Tenant>`), keyed by the
+   flight key with the fingerprint the answer was *computed on*; a
+   repeat read of the same graph version splices the stored text in
+   and encodes only the small per-request fields (``stats``, ``count``,
+   ``elapsed_ms``, ``coalesced``, ...). ``"cliques"`` sorts first among
+   the payload's keys, so ``{"cliques": <text>, <rest>}`` is byte for
+   byte the ``json.dumps(payload, sort_keys=True)`` of the whole
+   payload. A partial answer (deadline, truncation, interruption) is
+   encoded for its own response and never stored.
 
 Every failure is answered as a structured JSON envelope
 ``{"error": {"code", "message", "status"}}`` scoped to its own request;
@@ -45,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 import threading
 import time
 import traceback
@@ -85,6 +98,8 @@ COUNTER_NAMES = (
     "computes",
     "edits",
     "slow_client_drops",
+    "encodes",
+    "encode_hits",
 )
 
 
@@ -417,6 +432,7 @@ class CliqueServer:
         if action == "stats" and request.method == "GET":
             info = tenant.describe()
             info["cache"] = tenant.engine.cache_info()
+            info["encoded"] = tenant.encoded.stats()
             return 200, info, {}
         raise HttpError(404, "not_found", f"no tenant action {action!r}")
 
@@ -552,7 +568,7 @@ class CliqueServer:
         flight_result, coalesced = await self._run_flight(tenant, key, guard, compute)
         computed_on, result = flight_result
         return self._result_payload(
-            tenant, fingerprint, computed_on, result,
+            tenant, key, computed_on, result,
             {"alpha": alpha, "k": k, "mode": mode, "r": r, "model": model},
             coalesced, started,
         )
@@ -585,7 +601,7 @@ class CliqueServer:
         flight_result, coalesced = await self._run_flight(tenant, key, guard, compute)
         computed_on, result = flight_result
         return self._result_payload(
-            tenant, fingerprint, computed_on, result,
+            tenant, key, computed_on, result,
             {"alpha": alpha, "k": k, "mode": "query", "nodes": sorted(nodes, key=repr)},
             coalesced, started,
         )
@@ -678,23 +694,50 @@ class CliqueServer:
             "fingerprint_after": after,
         }, {}
 
+    def _encoded_cliques(self, tenant: Tenant, key: Tuple, result, partial: bool) -> str:
+        """JSON text of the answer's shown cliques, from the tenant's memo.
+
+        *key* is the flight key with the fingerprint the answer was
+        computed on in place of the one the request was keyed under, so
+        an answer is reused only for the graph version it was computed on.
+        """
+        memo = tenant.encoded
+        if tenant.encoded_fingerprint != key[1]:
+            memo.clear()
+            tenant.encoded_fingerprint = key[1]
+        if not partial:
+            encoded = memo.get(key)
+            if encoded is not None:
+                self._bump("encode_hits")
+                return encoded
+        shown = list(result.cliques)[: self.config.max_response_cliques]
+        encoded = json.dumps(
+            [_clique_payload(clique) for clique in shown], sort_keys=True, default=str
+        )
+        self._bump("encodes")
+        if not partial:
+            memo.put(key, encoded, size=len(encoded))
+        return encoded
+
     def _result_payload(
         self,
         tenant: Tenant,
-        requested: str,
+        key: Tuple,
         computed_on: str,
         result,
         params: Dict[str, object],
         coalesced: bool,
         started: float,
     ):
-        cliques = list(result.cliques)
-        truncated_payload = len(cliques) > self.config.max_response_cliques
-        shown = cliques[: self.config.max_response_cliques]
+        requested = key[1]  # the fingerprint the flight was keyed under
+        count = len(result.cliques)
         partial = bool(
             getattr(result, "timed_out", False)
             or getattr(result, "truncated", False)
             or getattr(result, "interrupted", False)
+        )
+        encoded = self._encoded_cliques(
+            tenant, (key[0], computed_on) + key[2:], result, partial
         )
         payload = {
             "tenant": tenant.name,
@@ -705,16 +748,18 @@ class CliqueServer:
             "fingerprint_requested": requested,
             "version_changed": computed_on != requested,
             "params": params,
-            "count": len(cliques),
-            "cliques": [_clique_payload(clique) for clique in shown],
+            "count": count,
             "stats": result.stats.as_dict() if result.stats is not None else None,
             "partial": partial,
             "interrupted_reason": getattr(result, "interrupted_reason", None),
-            "payload_truncated": truncated_payload,
+            "payload_truncated": count > self.config.max_response_cliques,
             "coalesced": coalesced,
             "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
         }
-        return 200, payload, {}
+        # "cliques" sorts before every other key, so this is byte for byte
+        # json.dumps({"cliques": ..., **payload}, sort_keys=True) + "\n".
+        rest = json.dumps(payload, sort_keys=True, default=str)
+        return 200, '{"cliques": ' + encoded + ", " + rest[1:] + "\n", {}
 
     # ------------------------------------------------------------------
     # Introspection

@@ -18,7 +18,9 @@ entries are fingerprint-keyed. A flight's compute pins the engine lock
 and re-reads the fingerprint inside it, so every response is labelled
 with the exact version it was computed against; when a write slips in
 between a request's keying and its compute, the response says so
-(``version_changed``) instead of mislabelling the result.
+(``version_changed``) instead of mislabelling the result. Each tenant
+also keeps the encoded JSON of its complete answers
+(:attr:`Tenant.encoded`) for that one version only.
 
 Tenant names double as path components (cache directories) and label
 values (Prometheus), so they are restricted to a conservative character
@@ -40,6 +42,7 @@ from repro.serve.engine import (
     DEFAULT_CACHE_MEM_ENTRIES,
     SignedCliqueEngine,
 )
+from repro.serve.lru import MemoryLRU
 
 __all__ = ["Tenant", "TenantError", "TenantRegistry", "UnknownTenant"]
 
@@ -59,7 +62,15 @@ class UnknownTenant(TenantError):
 class Tenant:
     """One hosted graph: a named engine plus its serving metadata."""
 
-    __slots__ = ("name", "engine", "created_at", "requests", "errors")
+    __slots__ = (
+        "name",
+        "engine",
+        "created_at",
+        "requests",
+        "errors",
+        "encoded",
+        "encoded_fingerprint",
+    )
 
     def __init__(self, name: str, engine: SignedCliqueEngine):
         self.name = name
@@ -69,6 +80,15 @@ class Tenant:
         self.requests = 0
         #: Requests that ended in a structured error for this tenant.
         self.errors = 0
+        #: JSON text of the ``cliques`` array of complete answers, keyed
+        #: by the flight key with the computed-on fingerprint in it and
+        #: bounded like the engine's memory tier. It only ever holds
+        #: :attr:`encoded_fingerprint`'s answers: the server clears it
+        #: when an answer computed on another version arrives.
+        self.encoded = MemoryLRU(
+            max_entries=engine.memory.max_entries, max_bytes=engine.memory.max_bytes
+        )
+        self.encoded_fingerprint: Optional[str] = None
 
     @property
     def fingerprint(self) -> str:

@@ -18,6 +18,7 @@ The server's promises, each pinned here against a live server driven by
 """
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -893,6 +894,191 @@ class TestMetricsExposure:
             blocker.join()
             assert "repro_net_shed_total 1" in h.metrics()
             assert h.observer.journal.of_kind("net_shed")
+
+
+# ---------------------------------------------------------------------------
+# Live server: the encoded-answer memo
+# ---------------------------------------------------------------------------
+def _whole_payload_body(reply, result, fingerprint, params, max_cliques=1000):
+    """The body as one ``json.dumps`` of the whole payload, computed from
+    an independent engine answer; only the volatile fields come from
+    *reply*."""
+    cliques = list(result.cliques)
+    payload = {
+        "tenant": reply["tenant"],
+        "fingerprint": fingerprint,
+        "fingerprint_requested": fingerprint,
+        "version_changed": False,
+        "params": params,
+        "count": len(cliques),
+        "cliques": [
+            {
+                "nodes": sorted(clique.nodes, key=repr),
+                "size": clique.size,
+                "positive_edges": clique.positive_edges,
+                "negative_edges": clique.negative_edges,
+            }
+            for clique in cliques[:max_cliques]
+        ],
+        "stats": result.stats.as_dict(),
+        "partial": False,
+        "interrupted_reason": None,
+        "payload_truncated": len(cliques) > max_cliques,
+        "coalesced": reply["coalesced"],
+        "elapsed_ms": reply["elapsed_ms"],
+    }
+    return (json.dumps(payload, sort_keys=True, default=str) + "\n").encode("utf-8")
+
+
+class TestEncodedAnswers:
+    #: The three read routes of the benchmark's ``http_read`` mix.
+    SETTINGS = ((3.0, 1), (2.0, 1), (1.0, 0))
+
+    def test_bodies_equal_one_dump_of_the_whole_payload(self, paper_graph):
+        from repro.serve.engine import SignedCliqueEngine
+
+        reference = SignedCliqueEngine(paper_graph)
+        fingerprint = reference.fingerprint
+        with ServerHarness({"g": paper_graph}, config=ServerConfig(port=0)) as h:
+            for alpha, k in self.SETTINGS:
+                base = f"/v1/graphs/g/cliques?alpha={alpha:g}&k={k}"
+                routes = [
+                    (
+                        lambda: h.get(base),
+                        reference.run_grid([alpha], [k])[(alpha, k)],
+                        {"alpha": alpha, "k": k, "mode": "all", "r": None, "model": "msce"},
+                    ),
+                    (
+                        lambda: h.get(base + "&mode=top&r=10"),
+                        reference.top_r_with_stats(alpha, k, 10),
+                        {"alpha": alpha, "k": k, "mode": "top", "r": 10, "model": "msce"},
+                    ),
+                    (
+                        lambda: h.post(
+                            "/v1/graphs/g/query", {"nodes": [5], "alpha": alpha, "k": k}
+                        ),
+                        reference.query_with_stats([5], alpha, k),
+                        {"alpha": alpha, "k": k, "mode": "query", "nodes": [5]},
+                    ),
+                ]
+                for send, result, params in routes:
+                    for _ in range(2):  # first read encodes, the repeat splices
+                        reply = send()
+                        assert reply.status == 200
+                        assert reply.body == _whole_payload_body(
+                            reply.json(), result, fingerprint, params
+                        )
+            counters = h.server.counters
+            assert counters["encodes"] == counters["encode_hits"] == 3 * len(self.SETTINGS)
+
+    def test_a_flip_is_answered_on_the_new_graph(self, paper_graph):
+        path = "/v1/graphs/g/cliques?alpha=3&k=1"
+        edited = paper_graph.copy()
+        edited.set_sign(1, 2, -1)
+        assert _expected_cliques(edited, 3.0, 1) != _expected_cliques(paper_graph, 3.0, 1)
+        with ServerHarness({"g": paper_graph}, config=ServerConfig(port=0)) as h:
+            for _ in range(2):
+                before = h.get(path).json()
+                assert _payload_cliques(before) == _expected_cliques(paper_graph, 3.0, 1)
+            flipped = h.post("/v1/graphs/g/edits", {"edits": [["flip", 1, 2, -1]]})
+            assert flipped.status == 200
+            after = h.get(path).json()
+            assert after["fingerprint"] == flipped.json()["fingerprint_after"]
+            assert _payload_cliques(after) == _expected_cliques(edited, 3.0, 1)
+            assert after["count"] == len(after["cliques"])
+
+    def test_a_partial_answer_is_never_served_again(self, paper_graph):
+        with ServerHarness({"g": paper_graph}, config=ServerConfig(port=0)) as h:
+            engine = h.registry.get("g").engine
+            original = engine.run_grid
+            calls = []
+
+            def timed_out_first(alphas, ks, **kwargs):
+                grid = original(alphas, ks, **kwargs)
+                calls.append(1)
+                if len(calls) in (1, 4):
+                    full = grid[(alphas[0], ks[0])]
+                    grid = {
+                        (alphas[0], ks[0]): dataclasses.replace(
+                            full, cliques=full.cliques[1:], timed_out=True
+                        )
+                    }
+                return grid
+
+            engine.run_grid = timed_out_first
+            path = "/v1/graphs/g/cliques?alpha=2&k=1"
+            expected = _expected_cliques(paper_graph, 2.0, 1)
+
+            def read_partial():
+                partial = h.get(path).json()
+                assert partial["partial"] and partial["count"] == len(expected) - 1
+                assert len(partial["cliques"]) == len(expected) - 1
+                assert set(_payload_cliques(partial)) < set(expected)
+
+            read_partial()
+            assert len(h.registry.get("g").encoded) == 0
+            for _ in range(2):
+                full = h.get(path).json()
+                assert not full["partial"]
+                assert full["count"] == len(expected)
+                assert _payload_cliques(full) == expected
+            # A partial answer arriving while the full one is memoised is
+            # answered with its own cliques.
+            read_partial()
+            assert h.server.counters["encodes"] == 3
+            assert h.server.counters["encode_hits"] == 1
+
+    def test_memo_is_bounded_and_holds_one_version(self, paper_graph):
+        with ServerHarness(
+            {"g": paper_graph}, config=ServerConfig(port=0), cache_mem_entries=2
+        ) as h:
+            tenant = h.registry.get("g")
+            for alpha, k in ((3, 1), (2, 1), (1, 1), (1, 0), (3, 1)):
+                assert h.get(f"/v1/graphs/g/cliques?alpha={alpha}&k={k}").status == 200
+                assert len(tenant.encoded) <= 2
+            assert tenant.encoded.evictions >= 2
+            before = tenant.fingerprint
+            assert {key[1] for key in tenant.encoded.keys()} == {before}
+            h.post("/v1/graphs/g/edits", {"edits": [["flip", 1, 2, -1]]})
+            h.get("/v1/graphs/g/cliques?alpha=3&k=1")
+            assert tenant.fingerprint != before
+            assert {key[1] for key in tenant.encoded.keys()} == {tenant.fingerprint}
+
+    def test_memo_keys_carry_the_computed_on_fingerprint(self, paper_graph):
+        """A flight keyed under one version but computed on the next one
+        (a write slipped in between) is memoised under the version it
+        was computed on, never the requested one."""
+        from repro.net.server import CliqueServer
+
+        with ServerHarness({"g": paper_graph}, config=ServerConfig(port=0)) as h:
+            tenant = h.registry.get("g")
+            result = tenant.engine.run_grid([3.0], [1])[(3.0, 1)]
+        server = CliqueServer(h.registry, ServerConfig(port=0))
+        try:
+            key = ("g", "requested-fp", "all", 3.0, 1, None, "msce")
+            status, body, _ = server._result_payload(
+                tenant, key, "computed-fp", result, {}, False, time.perf_counter()
+            )
+            payload = json.loads(body)
+            assert payload["fingerprint"] == "computed-fp"
+            assert payload["fingerprint_requested"] == "requested-fp"
+            assert tenant.encoded.keys() == [("g", "computed-fp") + key[2:]]
+        finally:
+            server._executor.shutdown(wait=True)
+
+    def test_memo_traffic_is_exposed(self, paper_graph):
+        with ServerHarness({"g": paper_graph}, config=ServerConfig(port=0)) as h:
+            for _ in range(2):
+                h.get("/v1/graphs/g/cliques?alpha=3&k=1")
+            counters = h.get("/v1/server").json()["counters"]
+            assert counters["encodes"] == 1
+            assert counters["encode_hits"] == 1
+            encoded = h.get("/v1/graphs/g/stats").json()["encoded"]
+            assert encoded["entries"] == 1 and encoded["hits"] == 1
+            assert encoded["approximate_bytes"] > 0
+            text = h.metrics()
+            assert "repro_net_encodes_total 1" in text
+            assert "repro_net_encode_hits_total 1" in text
 
 
 # ---------------------------------------------------------------------------

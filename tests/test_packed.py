@@ -137,13 +137,22 @@ def test_popcount_rows_matches_bit_count(spec):
     ]
 
 
-def test_popcount_lut_fallback_matches_bitwise_count():
-    """Force the 8-bit LUT path (the numpy<2 fallback) and pin parity."""
+def test_popcount_swar_fallback_matches_bit_count(monkeypatch):
+    """Force the SWAR path (the numpy<2 fallback) and pin it to Python's
+    popcount, all-zero and all-ones words included."""
     rng = np.random.default_rng(20180414)
-    matrix = rng.integers(0, 2**64, size=(16, 7), dtype=np.uint64)
-    with_lut = packed._POPCOUNT_LUT[matrix.view(np.uint8)].sum(
-        axis=1, dtype=np.int64
-    )
-    assert with_lut.tolist() == packed.popcount_rows(matrix).tolist()
-    expected = [bit_count(m) for m in unpack_rows(matrix)]
+    matrix = rng.integers(0, 2**64, size=(40, 7), dtype=np.uint64)
+    full = np.uint64(2**64 - 1)
+    matrix[0, :] = 0
+    matrix[1, :] = full
+    matrix[2:, 0] = 0
+    matrix[2:, -1] = full
+    matrix[5, 3] = np.uint64(1)
+    matrix[6, 3] = np.uint64(1 << 63)
+    expected = [bin(mask).count("1") for mask in unpack_rows(matrix)]
+    monkeypatch.setattr(packed, "_HAS_BITWISE_COUNT", False)
     assert packed.popcount_rows(matrix).tolist() == expected
+    # A strided view.
+    assert packed.popcount_rows(matrix[::3, 1:]).tolist() == [
+        bin(mask).count("1") for mask in unpack_rows(matrix[::3, 1:])
+    ]
