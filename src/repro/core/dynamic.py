@@ -50,6 +50,45 @@ def closed_neighborhood(graph: SignedGraph, node: Node) -> Set[Node]:
     return {node} | graph.neighbors(node)
 
 
+def apply_edit(graph: SignedGraph, operation: str, *args) -> Set[Node]:
+    """Apply one edit to *graph* in place; return the region it disturbs.
+
+    *operation* is ``"add"``, ``"remove"`` or ``"flip"`` with arguments
+    ``u, v[, sign]`` (an edge edit), or ``"add_node"`` / ``"remove_node"``
+    with one node. The region, taken before the edit, holds every clique
+    whose validity or maximality the edit can change (see the module
+    docstring): ``{u, v} ∪ N(u) ∪ N(v)`` for an edge edit, the closed
+    neighbourhood of a removed node (every clique through it lies
+    inside), and ``{node}`` for a new isolated node, itself a clique when
+    ``ceil(alpha * k) == 0``. An edit that changes nothing (adding a
+    known node) disturbs nothing: the region is empty.
+    """
+    if operation == "add_node":
+        (node,) = args
+        if graph.has_node(node):
+            return set()
+        graph.add_node(node)
+        return {node}
+    if operation == "remove_node":
+        (node,) = args
+        if not graph.has_node(node):
+            raise GraphError(f"node {node!r} not in graph")
+        region = closed_neighborhood(graph, node)
+        graph.remove_node(node)
+        return region
+    u, v = args[0], args[1]
+    region = closed_neighborhood(graph, u) | closed_neighborhood(graph, v)
+    if operation == "add":
+        graph.add_edge(u, v, args[2])
+    elif operation == "remove":
+        graph.remove_edge(u, v)
+    elif operation == "flip":
+        graph.set_sign(u, v, args[2])
+    else:
+        raise GraphError(f"unknown edit operation {operation!r}")
+    return region
+
+
 def refresh_region(
     graph: SignedGraph,
     params: AlphaK,
@@ -61,24 +100,26 @@ def refresh_region(
     """Apply the locality rule to a cached answer set, in place.
 
     Drops every cached clique contained in *region* (the only ones whose
-    validity or maximality can have changed — see the module docstring)
-    and replaces them with the globally-maximal cliques inside *region*
-    on the *current* graph, via :meth:`MSCE.enumerate_seeded`. Returns
-    the number of cliques invalidated.
+    validity or maximality can have changed — see the module docstring;
+    :func:`apply_edit` returns the region of an edit) and replaces them
+    with the globally-maximal cliques inside *region* on the *current*
+    graph, via :meth:`MSCE.enumerate_seeded`. Returns the number of
+    cliques invalidated.
 
     ``search_graph`` may supply an already-compiled representation of
     *graph* (the serving engine passes its long-lived
     :class:`~repro.fastpath.compiled.CompiledGraph`) so repairs across
     many cached (alpha, k) entries share one compilation.
     """
-    region = {node for node in region if graph.has_node(node)}
     stale = [key for key in cliques if key <= region]
     for key in stale:
         del cliques[key]
     searcher = MSCE(
         graph if search_graph is None else search_graph, params, maxtest=maxtest
     )
-    result = searcher.enumerate_seeded(region, frozenset())
+    result = searcher.enumerate_seeded(
+        {node for node in region if graph.has_node(node)}, frozenset()
+    )
     for clique in result.cliques:
         cliques[clique.nodes] = clique
     return len(stale)
@@ -159,44 +200,24 @@ class DynamicSignedCliqueIndex:
     # Updates
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> None:
-        """Add an isolated node (no cliques can change)."""
-        self._graph.add_node(node)
-        self.updates_applied += 1
+        """Add an isolated node (itself a clique when ``ceil(alpha*k) == 0``)."""
+        self._edit("add_node", node)
 
     def add_edge(self, u: Node, v: Node, sign: object) -> None:
         """Add edge ``(u, v)``; raises if present with a different sign."""
-        region = self._closed_neighborhood(u) | self._closed_neighborhood(v)
-        self._graph.add_edge(u, v, sign)
-        region |= {u, v}
-        self._refresh(region)
+        self._edit("add", u, v, sign)
 
     def set_sign(self, u: Node, v: Node, sign: object) -> None:
         """Add edge ``(u, v)`` or flip its sign."""
-        region = self._closed_neighborhood(u) | self._closed_neighborhood(v)
-        self._graph.set_sign(u, v, sign)
-        region |= {u, v}
-        self._refresh(region)
+        self._edit("flip", u, v, sign)
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``(u, v)``; raises :class:`GraphError` if absent."""
-        region = self._closed_neighborhood(u) | self._closed_neighborhood(v)
-        self._graph.remove_edge(u, v)
-        self._refresh(region)
+        self._edit("remove", u, v)
 
     def remove_node(self, node: Node) -> None:
         """Remove *node* and its incident edges."""
-        if not self._graph.has_node(node):
-            raise GraphError(f"node {node!r} not in graph")
-        region = self._closed_neighborhood(node)
-        self._graph.remove_node(node)
-        region.discard(node)
-        # Drop every cached clique that contained the node outright,
-        # then refresh the rest of the region.
-        stale = [key for key in self._cliques if node in key]
-        for key in stale:
-            del self._cliques[key]
-        self.cliques_invalidated += len(stale)
-        self._refresh(region)
+        self._edit("remove_node", node)
 
     def apply_edits(self, edits: Iterable) -> None:
         """Apply a sequence of ``("add"/"remove"/"flip", u, v[, sign])`` edits."""
@@ -214,12 +235,11 @@ class DynamicSignedCliqueIndex:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _closed_neighborhood(self, node: Node) -> Set[Node]:
-        return closed_neighborhood(self._graph, node)
-
-    def _refresh(self, region: Set[Node]) -> None:
-        """Recompute the maximal cliques contained in *region*."""
+    def _edit(self, operation: str, *args) -> None:
+        """Apply one edit and recompute the maximal cliques it disturbs."""
+        region = apply_edit(self._graph, operation, *args)
         self.updates_applied += 1
-        self.cliques_invalidated += refresh_region(
-            self._graph, self._params, self._cliques, region, maxtest=self._maxtest
-        )
+        if region:
+            self.cliques_invalidated += refresh_region(
+                self._graph, self._params, self._cliques, region, maxtest=self._maxtest
+            )

@@ -303,22 +303,17 @@ class FrameSearch:
 
 
 def decompose_root(
-    msce: "MSCE",
+    search: FrameSearch,
     component_mask: int,
-    stats: "SearchStats",
-    found,
-    size_heap: List[int],
     max_tasks: int,
-    seed_mask: int = 0,
     guard: Optional[ResourceGuard] = None,
-    top_r: Optional[int] = None,
 ) -> List[Tuple[int, int]]:
     """Split one component's search into up to *max_tasks* root frames.
 
     Walks the exclude spine of the component's search tree: each step
-    processes the current root frame exactly as :meth:`FrameSearch.expand`
-    would (pruning counters, early terminations and any emitted cliques
-    land in the caller's *stats*/*found*), appends the include branch
+    processes the current root frame with ``search.expand`` (pruning
+    counters, early terminations and any emitted cliques land in the
+    search's ``stats`` / ``found``), appends the include branch
     ``(keep, included | {v_i})`` to the task list, and continues on the
     exclude branch. The spine's branch vertices follow the selector's
     order — a degeneracy-style minimum-degree peel for the default
@@ -335,21 +330,20 @@ def decompose_root(
     lost, and the caller's deadline handling decides whether it still
     runs. Returns ``(candidates, included)`` mask pairs.
 
-    With *top_r*, the spine walk itself prunes against the caller's
-    *size_heap*: a spine frame cut by the size bound roots only
+    With a top-r *search*, the spine walk itself prunes against its
+    ``size_heap``: a spine frame cut by the size bound roots only
     subtrees whose cliques are all smaller than the current cutoff, so
     ending the walk there drops no top-r answer.
     """
-    searcher = FrameSearch(msce, stats, found, size_heap, top_r, None)
     tasks: List[Tuple[int, int]] = []
-    frame: Frame = (component_mask, seed_mask, None)
+    frame: Frame = (component_mask, 0, None)
     while True:
         if len(tasks) >= max_tasks - 1 or (
             guard is not None and guard.check() is not None
         ):
             tasks.append((frame[0], frame[1]))
             break
-        children = searcher.expand(frame)
+        children = search.expand(frame)
         if children is None:
             break
         include, exclude = children

@@ -213,8 +213,9 @@ def cached_enumerate(
 ) -> List[SignedClique]:
     """Enumerate with a disk cache wrapped around :class:`MSCE`.
 
-    Results produced under a ``time_limit``/``max_results`` cap are
-    *not* cached (they are partial); pass no caps for cacheable runs.
+    Results cut short by a ``time_limit``, ``max_results`` or
+    ``max_memory_bytes`` cap are *not* cached (they are partial); pass
+    no caps for cacheable runs.
     A ``model=`` option participates in the cache key, so constraints
     never share entries.
     """
@@ -227,6 +228,6 @@ def cached_enumerate(
     if hit is not None:
         return hit
     result = MSCE(graph, params, **msce_options).enumerate_all()
-    if not (result.timed_out or result.truncated):
+    if not (result.timed_out or result.truncated or result.interrupted):
         cache.put(graph, params, result.cliques, model=model)
     return result.cliques

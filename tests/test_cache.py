@@ -10,6 +10,7 @@ from repro.io.cache import (
     cached_enumerate,
     graph_fingerprint,
 )
+from repro.generators.datasets import load_dataset
 from repro.graphs import SignedGraph
 
 
@@ -147,6 +148,16 @@ class TestCachedEnumerate:
     def test_partial_results_not_cached(self, paper_graph, tmp_path):
         cached_enumerate(paper_graph, 3, 1, cache_dir=tmp_path, time_limit=1e-9)
         assert not list(tmp_path.glob("*.json"))
+
+    def test_memory_interrupted_results_not_cached(self, tmp_path):
+        graph = load_dataset("slashdot").graph
+        partial = cached_enumerate(
+            graph, 3, 3, cache_dir=tmp_path, max_memory_bytes=1, model="msce"
+        )
+        assert len(partial) < 578
+        assert not list(tmp_path.glob("*.json"))
+        full = cached_enumerate(graph, 3, 3, cache_dir=tmp_path, model="msce")
+        assert len(full) == 578
 
     def test_graph_change_invalidates(self, paper_graph, tmp_path):
         cached_enumerate(paper_graph, 3, 1, cache_dir=tmp_path)

@@ -61,6 +61,16 @@ class TestBasicUpdates:
         before = {c.nodes for c in index.cliques()}
         index.add_node("new")
         assert {c.nodes for c in index.cliques()} == before
+        # At ceil(alpha * k) == 0 a new isolated node is itself a maximal
+        # clique, for the index as for a fresh enumeration.
+        triangle = SignedGraph([(1, 2, "+"), (1, 3, "+"), (2, 3, "+")])
+        for params in (AlphaK(3, 0), AlphaK(0, 2)):
+            index = DynamicSignedCliqueIndex(triangle, params)
+            index.add_node(9)
+            assert sorted(sorted(c.nodes) for c in index.cliques()) == [[1, 2, 3], [9]]
+            assert {c.nodes for c in index.cliques()} == _fresh(index.graph, params)
+            index.add_node(9)  # a known node changes nothing
+            assert len(index) == 2
 
     def test_query_helpers(self, paper_graph):
         index = DynamicSignedCliqueIndex(paper_graph, AlphaK(3, 0))

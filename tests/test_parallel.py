@@ -22,7 +22,7 @@ from repro.core.parallel import SMALL_COMPONENT
 from repro.core.reduction import reduction_components
 from repro.core.scheduler import DEFAULT_TASK_BUDGET, HELPER_START_BUDGETS
 from repro.fastpath import compile_graph
-from repro.fastpath.search import decompose_root
+from repro.fastpath.search import FrameSearch, decompose_root
 from repro.generators.datasets import load_dataset
 from repro.graphs import SignedGraph
 from tests.conftest import make_random_signed_graph
@@ -260,10 +260,13 @@ class TestRunFrames:
         nodes_seen = []
         counters = {}
         while frames:
-            frame = frames.pop()
-            result = searcher.run_frames([frame], budget=3, offload=frames.append)
-            nodes_seen.extend(c.nodes for c in result.cliques)
-            for key, value in result.stats.as_dict().items():
+            candidates, included = frames.pop()
+            stats, found = SearchStats(), {}
+            FrameSearch(searcher, stats, found, [], None, None).run(
+                [(candidates, included, None)], budget=3, offload=frames.append
+            )
+            nodes_seen.extend(found)
+            for key, value in stats.as_dict().items():
                 counters[key] = counters.get(key, 0) + value
         assert sorted(map(sorted, nodes_seen)) == sorted(
             sorted(c.nodes) for c in sequential.cliques
@@ -360,11 +363,16 @@ def test_hypothesis_root_decomposition_partitions_cliques(spec, param_spec, max_
     }
     searcher = MSCE(compiled, params, reduction="none")
     stats, found, heap = SearchStats(), {}, []
-    tasks = decompose_root(searcher, compiled.full_mask, stats, found, heap, max_tasks)
+    spine = FrameSearch(searcher, stats, found, heap, None, None)
+    tasks = decompose_root(spine, compiled.full_mask, max_tasks)
     assert len(tasks) <= max_tasks
     buckets = [set(found)]
-    for task in tasks:
-        buckets.append({c.nodes for c in searcher.run_frames([task]).cliques})
+    for candidates, included in tasks:
+        task_found = {}
+        FrameSearch(searcher, SearchStats(), task_found, [], None, None).run(
+            [(candidates, included, None)]
+        )
+        buckets.append(set(task_found))
     union = set().union(*buckets)
     assert union == sequential  # no misses
     assert sum(len(b) for b in buckets) == len(union)  # no duplicates

@@ -3,7 +3,8 @@
 Runs the full cross-validation battery on a stream of random signed
 graphs: MSCE under every branch strategy vs brute force, the compiled
 exact maxtest vs the node-set one, MCBasic vs MCNew, query search vs
-filtered enumeration, the dynamic index vs recompute, the greedy
+filtered enumeration, the dynamic index vs recompute (after edge edits,
+a new isolated node and a node removal), the greedy
 heuristic's subset property, the MSCE frame-state invariant (with and
 without core pruning), and (every 25th trial) the parallel enumerator at
 two and three workers vs the sequential one. Two last runs kill a
@@ -218,12 +219,19 @@ def run_trial(rng: random.Random, trial: int) -> None:
             index.remove_edge(u, v)
         else:
             index.add_edge(u, v, rng.choice([1, -1]))
-    fresh = {
-        clique.nodes for clique in MSCE(index.graph, params).enumerate_all().cliques
-    }
-    assert fresh == {clique.nodes for clique in index.cliques()}, (
-        f"dynamic index diverged: {context}"
-    )
+    check_index(index, f"dynamic index diverged after edge edits: {context}")
+    index.add_node(len(nodes))  # a new isolated node
+    check_index(index, f"dynamic index diverged after add_node: {context}")
+    index.remove_node(rng.choice(nodes))
+    check_index(index, f"dynamic index diverged after remove_node: {context}")
+
+
+def check_index(index: DynamicSignedCliqueIndex, failure: str) -> None:
+    """The index's cliques must equal a fresh enumeration of its graph."""
+    fresh = MSCE(index.graph, index.params).enumerate_all().cliques
+    assert {clique.nodes for clique in fresh} == {
+        clique.nodes for clique in index.cliques()
+    }, failure
 
 
 def run_helper_kill(rng: random.Random) -> None:
