@@ -231,3 +231,20 @@ class TestDriftIsCaught:
         monkeypatch.setattr(AlphaKMaskOps, "_extend_budget", extend)
         with stress.checked_frame_state(), pytest.raises(AssertionError, match="blocked"):
             self._run()
+
+    def test_drift_in_a_scheduled_component_raises(self, monkeypatch):
+        """A violation inside a component the scheduler runs as a task
+        (slashdot (4.3,3) reduces to one 59-node component, above the
+        32-node local sweep and below root decomposition) raises out of
+        the plain run; it is never quarantined into a partial answer."""
+
+        def exclude_degrees(self, branch, exclude_candidates, state):
+            planes, budget = state
+            if planes is not None:
+                planes = [plane & exclude_candidates for plane in planes]
+            return planes, budget
+
+        monkeypatch.setattr(AlphaKMaskOps, "exclude_degrees", exclude_degrees)
+        graph = load_dataset("slashdot").graph
+        with stress.checked_frame_state(), pytest.raises(AssertionError, match="drifted"):
+            MSCE(graph, AlphaK(4.3, 3)).enumerate_all()
