@@ -461,12 +461,8 @@ class MSCE:
             )
             interrupted_reason = searcher.run([frame])
             incomplete = len(searcher.incomplete)
-        except _StopSearch as stop:
-            reason = stop.args[0] if stop.args else ""
-            if reason in ("timeout", "deadline", "memory"):
-                interrupted_reason = "deadline" if reason == "timeout" else reason
-            else:
-                truncated = True
+        except _StopSearch:  # only the max_results cap raises it
+            truncated = True
         cliques = sort_cliques(found.values())
         stats.maximal_found = len(cliques)
         return EnumerationResult(

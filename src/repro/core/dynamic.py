@@ -30,12 +30,12 @@ restricted).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, Iterable, List, Set
 
 from repro.core.bbe import MSCE
 from repro.core.cliques import SignedClique, sort_cliques
 from repro.core.params import AlphaK
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ParameterError
 from repro.graphs.signed_graph import Node, SignedGraph
 
 
@@ -95,7 +95,6 @@ def refresh_region(
     cliques: Dict[FrozenSet[Node], SignedClique],
     region: Set[Node],
     maxtest: str = "exact",
-    search_graph: Optional[object] = None,
 ) -> int:
     """Apply the locality rule to a cached answer set, in place.
 
@@ -105,19 +104,11 @@ def refresh_region(
     with the globally-maximal cliques inside *region* on the *current*
     graph, via :meth:`MSCE.enumerate_seeded`. Returns the number of
     cliques invalidated.
-
-    ``search_graph`` may supply an already-compiled representation of
-    *graph* (the serving engine passes its long-lived
-    :class:`~repro.fastpath.compiled.CompiledGraph`) so repairs across
-    many cached (alpha, k) entries share one compilation.
     """
     stale = [key for key in cliques if key <= region]
     for key in stale:
         del cliques[key]
-    searcher = MSCE(
-        graph if search_graph is None else search_graph, params, maxtest=maxtest
-    )
-    result = searcher.enumerate_seeded(
+    result = MSCE(graph, params, maxtest=maxtest).enumerate_seeded(
         {node for node in region if graph.has_node(node)}, frozenset()
     )
     for clique in result.cliques:
@@ -184,8 +175,10 @@ class DynamicSignedCliqueIndex:
         return sort_cliques(self._cliques.values())
 
     def top_r(self, r: int) -> List[SignedClique]:
-        """The ``r`` largest current cliques."""
-        return self.cliques()[: max(r, 0)]
+        """The ``r`` largest current cliques; ``r`` must be positive."""
+        if r <= 0:
+            raise ParameterError(f"r must be positive, got {r}")
+        return self.cliques()[:r]
 
     def cliques_containing(self, node: Node) -> List[SignedClique]:
         """Current maximal cliques that contain *node*."""

@@ -26,13 +26,14 @@ re-coring per call. Three mechanisms amortise work across requests:
   recompute — the differential contract ``tests/test_serve.py`` pins.
 
 Mutations (:meth:`add_edge` / :meth:`remove_edge` / :meth:`flip_sign` /
-...) route through :mod:`repro.core.dynamic`'s locality rule: only the
-cached cliques inside the affected region ``{u, v} ∪ N(u) ∪ N(v)`` are
-invalidated and recomputed via a seeded search; every other cached
-clique is carried to the new graph fingerprint as a cliques-only entry.
-Stats-bearing requests recompute after a mutation (the fingerprint
-changed, so their entries miss), keeping the differential contract
-intact, while cliques-only requests keep their warm cache.
+...) apply through :func:`repro.core.dynamic.apply_edit` and only
+invalidate: an edit that disturbs a region drops the compiled graph,
+the reduction memo and the memory entries of the old fingerprint. The
+next request of each setting misses (the fingerprint changed) and
+recomputes, so every answer after an edit is the one a one-shot call
+on the current graph returns, stats included. Incremental repair of an
+answer set under edits is :class:`repro.core.dynamic.DynamicSignedCliqueIndex`'s
+job, not the engine's.
 
 Batched grids go through :meth:`run_grid`, which partitions the whole
 (alpha, k) grid over the :class:`~repro.core.scheduler.WorkStealingScheduler`
@@ -54,11 +55,11 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.bbe import MSCE, EnumerationResult, SearchStats
-from repro.core.cliques import SignedClique, sort_cliques
-from repro.core.dynamic import apply_edit, refresh_region
+from repro.core.cliques import SignedClique
+from repro.core.dynamic import apply_edit
 from repro.core.params import AlphaK
 from repro.core.parallel import enumerate_grid
 from repro.core.scheduler import _require_positive_int
@@ -89,7 +90,6 @@ COUNTER_NAMES = (
     "reduce_computed",
     "reduce_shared",
     "updates",
-    "cliques_invalidated",
     "entries_invalidated",
     "grid_points",
     "grid_cache_hits",
@@ -235,15 +235,6 @@ class SignedCliqueEngine:
         self.disk: Optional[ResultCache] = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
-        #: The live locality index: for every (alpha, k) whose full
-        #: answer set is known for the *current* graph, the maximal
-        #: cliques by node set. This is what mutations repair in place
-        #: (see :func:`repro.core.dynamic.refresh_region`); bounded to
-        #: ``cache_mem_entries`` settings, least-recently-served out.
-        self._live: "OrderedDict[AlphaK, Dict[FrozenSet[Node], SignedClique]]" = (
-            OrderedDict()
-        )
-        self._live_limit = max(1, cache_mem_entries)
         #: Plain counter mirror of the ``serve_*`` observer counters.
         self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
         self._seen_evictions = 0
@@ -357,12 +348,12 @@ class SignedCliqueEngine:
         params: AlphaK,
         kind: str,
         cliques: List[SignedClique],
-        stats: Optional[SearchStats],
+        stats: SearchStats,
         model: Optional[str] = None,
     ) -> None:
-        """Write-through store into both tiers (stats may be absent)."""
+        """Write-through store of an answer and its stats into both tiers."""
         model = model or self._model
-        stats_dict = stats.as_dict() if stats is not None else None
+        stats_dict = stats.as_dict()
         value = {"cliques": list(cliques), "stats": stats_dict}
         self.memory.put(self._key(params, kind, model=model), value)
         self._note_evictions()
@@ -375,27 +366,24 @@ class SignedCliqueEngine:
                 pass  # non-JSON-serialisable labels: memory tier only
 
     def _lookup(
-        self,
-        params: AlphaK,
-        kind: str,
-        need_stats: bool,
-        model: Optional[str] = None,
-    ) -> Optional[Tuple[List[SignedClique], Optional[Dict[str, int]], str]]:
+        self, params: AlphaK, kind: str, model: Optional[str] = None
+    ) -> Optional[Tuple[List[SignedClique], Dict[str, int], str]]:
         """Probe memory then disk; promote disk hits into memory.
 
-        Returns ``(cliques, stats-dict-or-None, tier)`` or ``None``.
-        ``need_stats`` skips cliques-only entries (the repaired ones a
-        stats-bearing request must not serve).
+        Returns ``(cliques, stats-dict, tier)`` or ``None``. The engine
+        stores only stats-bearing entries; a disk entry without stats
+        (written by :func:`repro.io.cache.cached_enumerate` into a shared
+        directory) cannot replay a run, so it is a miss.
         """
         model = model or self._model
         key = self._key(params, kind, model=model)
         value = self.memory.get(key)
-        if value is not None and (value["stats"] is not None or not need_stats):
+        if value is not None:
             self._bump("memory_hits")
             return value["cliques"], value["stats"], "memory"
         if self.disk is not None:
             entry = self.disk.get_entry(self._graph, params, kind=kind, model=model)
-            if entry is not None and (entry[1] is not None or not need_stats):
+            if entry is not None and entry[1] is not None:
                 cliques, stats_dict = entry
                 self.memory.put(key, {"cliques": cliques, "stats": stats_dict})
                 self._note_evictions()
@@ -412,12 +400,6 @@ class SignedCliqueEngine:
             elapsed_seconds=elapsed,
         )
 
-    def _seed_live(self, params: AlphaK, cliques: Iterable[SignedClique]) -> None:
-        self._live[params] = {clique.nodes: clique for clique in cliques}
-        self._live.move_to_end(params)
-        while len(self._live) > self._live_limit:
-            self._live.popitem(last=False)
-
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
@@ -430,7 +412,7 @@ class SignedCliqueEngine:
         time_limit: Optional[float] = None,
         model: Optional[str] = None,
     ) -> Tuple["OrderedDict[AlphaK, EnumerationResult]", int]:
-        """Stats-tier lookup of *points*, computing the misses.
+        """Cache lookup of *points*, computing the misses.
 
         Full answers, or the *top_r* largest cliques. With a *workers*
         count (:meth:`run_grid`) the misses go to one
@@ -439,25 +421,21 @@ class SignedCliqueEngine:
         :class:`~repro.core.bbe.MSCE` run in this process, so its stats
         are the ones a later hit replays. Complete results (not
         interrupted, truncated or with quarantined frames) are stored in
-        both tiers, and complete full answer sets of the MSCE model seed
-        the live index. Returns the results in *points* order and the
-        number computed.
+        both tiers. Returns the results in *points* order and the number
+        computed.
         """
         model = model or self._model
-        msce = model == "msce"  # the ceiling memo and locality repair are (alpha, k) rules
-        live = msce and top_r is None
+        msce = model == "msce"  # the ceiling memo is an (alpha, k) rule
         kind = "all" if top_r is None else f"top{top_r}"
         results: "OrderedDict[AlphaK, EnumerationResult]" = OrderedDict()
         missing: List[AlphaK] = []
         for params in points:
-            hit = self._lookup(params, kind, need_stats=True, model=model)
+            hit = self._lookup(params, kind, model=model)
             if hit is None:
                 results[params] = None  # placeholder, filled below
                 missing.append(params)
                 continue
             cliques, stats_dict, _ = hit
-            if live:
-                self._seed_live(params, cliques)
             results[params] = self._result_from_entry(
                 cliques, stats_dict, time.perf_counter() - started
             )
@@ -494,8 +472,6 @@ class SignedCliqueEngine:
                     result.timed_out or result.truncated or result.interrupted or quarantined
                 ):
                     self._store(params, kind, result.cliques, result.stats, model=model)
-                    if live:
-                        self._seed_live(params, result.cliques)
         return results, len(missing)
 
     def _answer(
@@ -550,12 +526,10 @@ class SignedCliqueEngine:
     def enumerate(
         self, alpha: float, k: int, model: Optional[str] = None
     ) -> List[SignedClique]:
-        """All maximal (alpha, k)-cliques, largest first (cliques tier).
+        """All maximal (alpha, k)-cliques, largest first.
 
-        Unlike :meth:`enumerate_with_stats` this may serve entries that
-        were *repaired* across mutations (carried to the new fingerprint
-        by the locality rule) — exact clique sets without replayable
-        stats.
+        The cliques of :meth:`enumerate_with_stats`: the same lookup and
+        compute, so the two share cache entries.
         """
         params = AlphaK(alpha, k)
         model = self._resolve_model(model)
@@ -566,11 +540,6 @@ class SignedCliqueEngine:
                 "serve_request", kind="all", alpha=params.alpha, k=params.k, model=model
             ):
                 self._bump("requests")
-                hit = self._lookup(params, "all", need_stats=False, model=model)
-                if hit is not None:
-                    if model == "msce":
-                        self._seed_live(params, hit[0])
-                    return list(hit[0])
                 return list(self._answer(params, started, model=model).cliques)
 
     def top_r(
@@ -602,7 +571,7 @@ class SignedCliqueEngine:
                 model=model,
             ):
                 self._bump("requests")
-                full = self._lookup(params, "all", need_stats=False, model=model)
+                full = self._lookup(params, "all", model=model)
                 if full is not None:
                     self._bump("derived_hits")
                     return list(full[0][:r])
@@ -666,7 +635,7 @@ class SignedCliqueEngine:
             started = time.perf_counter()
             with obs.span("serve_request", kind="query", alpha=params.alpha, k=params.k):
                 self._bump("requests")
-                hit = self._lookup(params, kind, need_stats=True)
+                hit = self._lookup(params, kind)
                 if hit is not None:
                     cliques, stats_dict, _ = hit
                     return self._result_from_entry(
@@ -830,17 +799,15 @@ class SignedCliqueEngine:
                 raise GraphError(f"unknown edit operation {operation!r}")
 
     def _edit(self, operation: str, *args) -> None:
-        """Apply one edit (:func:`repro.core.dynamic.apply_edit`) and repair.
+        """Apply one edit (:func:`repro.core.dynamic.apply_edit`) and invalidate.
 
         Post-mutation bookkeeping runs only when the edit disturbed a
         region: the compiled graph and reduction memo are graph-global
-        and must rebuild; cache entries of the old fingerprint can never
-        hit again (the key changed), so they are dropped from the memory
-        tier. The live (alpha, k) answer sets survive: only their
-        cliques inside the region are recomputed
-        (:func:`repro.core.dynamic.refresh_region`), then each repaired
-        set is re-published under the new fingerprint as a cliques-only
-        entry — so cliques-tier requests stay warm across updates.
+        and rebuild on the next request; cache entries of the old
+        fingerprint can never hit again (the key changed), so they are
+        dropped from the memory tier. No answer is recomputed here: the
+        next request of each setting misses and computes on the current
+        graph.
         """
         region = apply_edit(self._graph, operation, *args)
         if not region:
@@ -857,30 +824,8 @@ class SignedCliqueEngine:
             for key in stale_keys:
                 self.memory.remove(key)
             self._bump("entries_invalidated", len(stale_keys))
-            invalidated = 0
-            if self._live:
-                compiled = self._compiled()
-                for params, cliques in self._live.items():
-                    invalidated += refresh_region(
-                        self._graph,
-                        params,
-                        cliques,
-                        region,
-                        maxtest=self._maxtest,
-                        search_graph=compiled,
-                    )
-                    # Live sets are only ever seeded by MSCE requests
-                    # (the locality rule is (alpha, k)-specific), so the
-                    # repaired entries republish under that model.
-                    self._store(
-                        params, "all", sort_cliques(cliques.values()), None, model="msce"
-                    )
-            self._bump("cliques_invalidated", invalidated)
             obs.journal_event(
-                "serve_update",
-                region=len(region),
-                entries_invalidated=len(stale_keys),
-                cliques_invalidated=invalidated,
+                "serve_update", region=len(region), entries_invalidated=len(stale_keys)
             )
 
     # ------------------------------------------------------------------
@@ -903,7 +848,6 @@ class SignedCliqueEngine:
             "model": self._model,
             "counters": dict(self.counters),
             "sharing_ratio": self.sharing_ratio,
-            "live_settings": len(self._live),
             "reduction_memo": len(self._reduction_masks),
         }
 

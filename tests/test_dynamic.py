@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import MSCE, AlphaK, DynamicSignedCliqueIndex
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ParameterError
 from repro.graphs import SignedGraph
 from tests.conftest import make_random_signed_graph
 
@@ -77,6 +77,12 @@ class TestBasicUpdates:
         assert len(index.top_r(2)) == 2
         containing = index.cliques_containing(5)
         assert containing and all(5 in c.nodes for c in containing)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_non_positive_r_is_rejected(self, paper_graph, r):
+        index = DynamicSignedCliqueIndex(paper_graph, AlphaK(3, 0))
+        with pytest.raises(ParameterError):
+            index.top_r(r)
 
     def test_apply_edits(self, paper_graph):
         params = AlphaK(3, 1)

@@ -117,7 +117,7 @@ def test_engine_edit_and_inverse_restore_the_answers(point):
     fingerprint = engine.fingerprint
     before = engine.enumerate_with_stats(alpha, k)
     top = engine.top_r_with_stats(alpha, k, 5)
-    # Edit inside the largest clique, so the repair has work to do.
+    # Edit inside the largest clique, so the answer set changes.
     u, v = sorted(before.cliques[0].nodes)[:2]
     sign = graph.sign(u, v)
     for edit, inverse in (
@@ -132,7 +132,8 @@ def test_engine_edit_and_inverse_restore_the_answers(point):
             assert before.cliques[0] not in changed
         engine.apply_edits([inverse])
         assert engine.fingerprint == fingerprint
-        # Repaired live answers, then a fresh compute with stats.
+        # The edit dropped this fingerprint's entries: the cliques are a
+        # recompute, and the stats request replays that recompute.
         assert engine.enumerate(alpha, k) == before.cliques
         after = engine.enumerate_with_stats(alpha, k)
         assert after.cliques == before.cliques

@@ -12,6 +12,7 @@ from repro.core import (
     query_search,
     signed_cliques_containing,
 )
+from repro.core.maxtest import is_maximal
 from repro.exceptions import ParameterError
 from tests.conftest import make_random_signed_graph
 
@@ -51,6 +52,18 @@ class TestValidation:
     def test_unknown_node_rejected(self, paper_graph):
         with pytest.raises(ParameterError):
             signed_cliques_containing(paper_graph, {42}, alpha=2, k=1)
+
+
+class TestRunCaps:
+    def test_max_results_truncates_the_seeded_search(self, paper_graph):
+        params = AlphaK(3, 0)
+        assert len(query_search(paper_graph, {5}, 3, 0).cliques) == 5
+        capped = query_search(paper_graph, {5}, 3, 0, max_results=1)
+        assert capped.truncated and not capped.interrupted
+        assert len(capped.cliques) == 1
+        (clique,) = capped.cliques
+        assert 5 in clique.nodes
+        assert is_maximal(paper_graph, set(clique.nodes), params)
 
 
 class TestCandidateSpace:

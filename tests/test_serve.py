@@ -28,6 +28,7 @@ from repro.core.api import (
 )
 from repro.core.query import query_search
 from repro.exceptions import GraphError, ParameterError
+from repro.fastpath.search import FrameSearch
 from repro.generators import CommunitySpec, gnp_signed, planted_partition_graph
 from repro.generators.datasets import load_dataset
 from repro.graphs import SignedGraph
@@ -341,7 +342,7 @@ class TestRunGrid:
 
 
 class TestUpdates:
-    """Mutations invalidate narrowly; answers track the current graph."""
+    """Mutations invalidate; answers track the current graph."""
 
     def _random_edit(self, rng, engine):
         graph = engine.graph
@@ -362,17 +363,43 @@ class TestUpdates:
             self._random_edit(rng, engine)
             snapshot = engine.snapshot()
             alpha, k = GRID[step % len(GRID)]
-            # cliques tier may serve locality-repaired entries...
+            # The edit dropped the cached answers: the cliques are a
+            # recompute on the current graph...
             assert engine.enumerate(alpha, k) == enumerate_signed_cliques(
                 snapshot, alpha, k
-            ), f"repaired tier diverges at step {step} ({alpha},{k})"
-            # ...while the stats tier recomputes exactly.
+            ), f"cliques diverge at step {step} ({alpha},{k})"
+            # ...and the stats request replays that recompute exactly.
             assert_result_equal(
                 engine.enumerate_with_stats(alpha, k),
                 enumerate_with_stats(snapshot, alpha, k),
                 f"step {step} ({alpha},{k})",
             )
             assert engine.mccore(alpha, k) == find_mccore(snapshot, alpha, k)
+
+    def test_edit_runs_no_search(self, random_graph, monkeypatch):
+        engine = SignedCliqueEngine(random_graph)
+        engine.enumerate_with_stats(2, 2)
+        engine.enumerate(3, 1)
+        searches = []
+
+        def spy(method):
+            def wrapper(*args, **kwargs):
+                searches.append(method.__name__)
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(MSCE, "enumerate_seeded", spy(MSCE.enumerate_seeded))
+        monkeypatch.setattr(FrameSearch, "run", spy(FrameSearch.run))
+        u, v, sign = sorted(random_graph.edges())[0]
+        engine.flip_sign(u, v, -sign)
+        assert searches == []
+        snapshot = engine.snapshot()
+        reference = MSCE(snapshot, AlphaK(2, 2)).enumerate_all()
+        assert_result_equal(engine.enumerate_with_stats(2, 2), reference, "after flip")
+        reference = MSCE(snapshot, AlphaK(3, 1)).enumerate_all()
+        assert engine.enumerate(3, 1) == reference.cliques
+        assert_result_equal(engine.enumerate_with_stats(3, 1), reference, "enumerate's entry")
 
     def test_remove_node_and_add_node(self, paper_graph):
         engine = SignedCliqueEngine(paper_graph)
@@ -582,7 +609,6 @@ class TestObservability:
             "model",
             "counters",
             "sharing_ratio",
-            "live_settings",
             "reduction_memo",
         }
         assert "SignedCliqueEngine" in repr(engine)

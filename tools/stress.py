@@ -4,7 +4,8 @@ Runs the full cross-validation battery on a stream of random signed
 graphs: MSCE under every branch strategy vs brute force, the compiled
 exact maxtest vs the node-set one, MCBasic vs MCNew, query search vs
 filtered enumeration, the dynamic index vs recompute (after edge edits,
-a new isolated node and a node removal), the greedy
+a new isolated node and a node removal), a warmed serving engine vs a
+fresh search after the same edge edits, the greedy
 heuristic's subset property, the MSCE frame-state invariant (with and
 without core pruning), and (every 25th trial) the parallel enumerator at
 two and three workers vs the sequential one. Two last runs kill a
@@ -43,6 +44,7 @@ from repro.core.query import signed_cliques_containing  # noqa: E402
 from repro.fastpath import compile_graph  # noqa: E402
 from repro.fastpath.bitset import bit_count, iter_bits  # noqa: E402
 from repro.models.alpha_k import AlphaKMaskOps  # noqa: E402
+from repro.serve import SignedCliqueEngine  # noqa: E402
 from repro.testing import FaultPlan, injected  # noqa: E402
 
 #: Every this many trials, also run the parallel enumerator.
@@ -211,15 +213,22 @@ def run_trial(rng: random.Random, trial: int) -> None:
     }
     assert queried == expected, f"query search diverged (node {node}): {context}"
 
+    engine = SignedCliqueEngine(graph)
+    engine.enumerate_with_stats(params.alpha, params.k)
+    engine.top_r_with_stats(params.alpha, params.k, 3)
     index = DynamicSignedCliqueIndex(graph, params)
     nodes = sorted(graph.nodes())
+    edits = []
     for _ in range(4):
         u, v = rng.sample(nodes, 2)
         if index.graph.has_edge(u, v):
-            index.remove_edge(u, v)
+            edits.append(("remove", u, v))
         else:
-            index.add_edge(u, v, rng.choice([1, -1]))
+            edits.append(("add", u, v, rng.choice([1, -1])))
+        index.apply_edits(edits[-1:])
     check_index(index, f"dynamic index diverged after edge edits: {context}")
+    engine.apply_edits(edits)
+    check_engine(engine, params, f"engine diverged after edge edits: {context}")
     index.add_node(len(nodes))  # a new isolated node
     check_index(index, f"dynamic index diverged after add_node: {context}")
     index.remove_node(rng.choice(nodes))
@@ -232,6 +241,18 @@ def check_index(index: DynamicSignedCliqueIndex, failure: str) -> None:
     assert {clique.nodes for clique in fresh} == {
         clique.nodes for clique in index.cliques()
     }, failure
+
+
+def check_engine(engine: SignedCliqueEngine, params: AlphaK, failure: str) -> None:
+    """The engine's answers must equal a fresh search of its graph.
+
+    The full answer in cliques and stats, the top-3 in cliques.
+    """
+    fresh = MSCE(engine.snapshot(), params)
+    full = engine.enumerate_with_stats(params.alpha, params.k)
+    assert _fingerprint(full) == _fingerprint(fresh.enumerate_all()), failure
+    top = engine.top_r_with_stats(params.alpha, params.k, 3)
+    assert top.cliques == fresh.top_r(3).cliques, failure
 
 
 def run_helper_kill(rng: random.Random) -> None:
