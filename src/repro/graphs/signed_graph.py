@@ -27,6 +27,7 @@ are exported for readability.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.exceptions import EdgeSignError, GraphError, SelfLoopError
@@ -53,6 +54,31 @@ _SIGN_ALIASES = {
     "positive": POSITIVE,
     "negative": NEGATIVE,
 }
+
+
+#: Modulus of the running fingerprint sum (:func:`repro.io.cache.graph_fingerprint`).
+FINGERPRINT_MODULUS = 1 << 256
+
+
+def edge_digest(u: Node, v: Node, sign: int) -> int:
+    """SHA-256 of the canonical line of edge ``(u, v)``, as an integer.
+
+    The line is ``"E<min repr>|<max repr>|<sign>"``, so both orientations
+    of an edge hash alike. With :func:`node_digest` it is one summand of
+    :func:`repro.io.cache.graph_fingerprint`; the ``E``/``N`` prefixes
+    keep edge and node inputs apart.
+    """
+    a, b = repr(u), repr(v)
+    if b < a:
+        a, b = b, a
+    line = f"E{a}|{b}|{sign}".encode("utf-8")
+    return int.from_bytes(hashlib.sha256(line).digest(), "big")
+
+
+def node_digest(node: Node) -> int:
+    """SHA-256 of the line of *node*, as an integer (see :func:`edge_digest`)."""
+    line = f"N{node!r}".encode("utf-8")
+    return int.from_bytes(hashlib.sha256(line).digest(), "big")
 
 
 def normalize_sign(sign: object) -> int:
@@ -107,7 +133,7 @@ class SignedGraph:
         "_num_pos_edges",
         "_num_neg_edges",
         "_version",
-        "_fingerprint",
+        "_fingerprint_sum",
     )
 
     def __init__(
@@ -122,11 +148,12 @@ class SignedGraph:
         self._neg: Dict[Node, Set[Node]] = {}
         self._num_pos_edges = 0
         self._num_neg_edges = 0
-        # Monotone mutation counter plus a content-hash memo slot; both
-        # serve `repro.io.cache.graph_fingerprint`, which is O(m) to
-        # recompute but constant per graph *version*.
+        # Monotone mutation counter, and the running fingerprint sum of
+        # `repro.io.cache.graph_fingerprint`: None until its first call,
+        # then kept current by the four mutation points below in O(1)
+        # per node or edge they add or remove.
         self._version = 0
-        self._fingerprint: "Optional[str]" = None
+        self._fingerprint_sum: Optional[int] = None
         for node in nodes:
             self.add_node(node)
         for u, v, sign in edges:
@@ -135,11 +162,15 @@ class SignedGraph:
     # ------------------------------------------------------------------
     # Construction / mutation
     # ------------------------------------------------------------------
-    def _mutated(self) -> None:
-        # Every structural change funnels through here so the memoised
-        # fingerprint can never go stale.
+    def _mutated(self, sign: int, digest, *item) -> None:
+        # Every structural change funnels through here with the node or
+        # edge it adds (sign +1) or removes (-1) and that item's digest
+        # function, so the running fingerprint sum can never go stale.
         self._version += 1
-        self._fingerprint = None
+        if self._fingerprint_sum is not None:
+            self._fingerprint_sum = (
+                self._fingerprint_sum + sign * digest(*item)
+            ) % FINGERPRINT_MODULUS
 
     @property
     def version(self) -> int:
@@ -152,7 +183,7 @@ class SignedGraph:
             self._sign[node] = {}
             self._pos[node] = set()
             self._neg[node] = set()
-            self._mutated()
+            self._mutated(1, node_digest, node)
 
     def add_edge(self, u: Node, v: Node, sign: object) -> None:
         """Add the undirected edge ``(u, v)`` with the given *sign*.
@@ -193,7 +224,7 @@ class SignedGraph:
         self._insert(u, v, canonical)
 
     def _insert(self, u: Node, v: Node, canonical: int) -> None:
-        self._mutated()
+        self._mutated(1, edge_digest, u, v, canonical)
         self._sign[u][v] = canonical
         self._sign[v][u] = canonical
         if canonical == POSITIVE:
@@ -206,7 +237,7 @@ class SignedGraph:
             self._num_neg_edges += 1
 
     def _delete(self, u: Node, v: Node, canonical: int) -> None:
-        self._mutated()
+        self._mutated(-1, edge_digest, u, v, canonical)
         del self._sign[u][v]
         del self._sign[v][u]
         if canonical == POSITIVE:
@@ -234,7 +265,7 @@ class SignedGraph:
         del self._sign[node]
         del self._pos[node]
         del self._neg[node]
-        self._mutated()
+        self._mutated(-1, node_digest, node)
 
     def remove_nodes(self, nodes: Iterable[Node]) -> None:
         """Remove every node in *nodes* (each must be present)."""
@@ -404,11 +435,11 @@ class SignedGraph:
             clone._neg[node] = set(self._neg[node])
         clone._num_pos_edges = self._num_pos_edges
         clone._num_neg_edges = self._num_neg_edges
-        # A copy has identical content, so it may inherit the fingerprint
-        # memo; its version counter restarts from the copied value and
-        # diverges independently from here on.
+        # A copy has identical content, so it carries the running
+        # fingerprint sum; its version counter restarts from the copied
+        # value and diverges independently from here on.
         clone._version = self._version
-        clone._fingerprint = self._fingerprint
+        clone._fingerprint_sum = self._fingerprint_sum
         return clone
 
     def subgraph(self, nodes: Iterable[Node]) -> "SignedGraph":

@@ -2,9 +2,13 @@
 
 Enumeration is the expensive step of every workflow here; analyses
 re-run it over the same (graph, alpha, k) triples constantly. The cache
-keys results by a content fingerprint of the graph (order-independent
-SHA-256 over the edge multiset and isolated nodes) plus the parameters,
-so stale hits are impossible: touch one edge and the key changes.
+keys results by a content fingerprint of the graph (the sum mod 2^256
+of the SHA-256 of every node and every signed edge, see
+:func:`graph_fingerprint`) plus the parameters, so stale hits are
+impossible: touch one edge and the key changes. The fingerprint is
+content-defined (the same graph always gets the same value, however it
+was built), and a :class:`~repro.graphs.SignedGraph` keeps it current
+under edits in O(1) per changed node or edge.
 
 >>> import tempfile
 >>> from repro.graphs import SignedGraph
@@ -18,7 +22,6 @@ so stale hits are impossible: touch one edge and the key changes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -27,7 +30,13 @@ import repro
 from repro.core.bbe import MSCE
 from repro.core.cliques import SignedClique
 from repro.core.params import AlphaK
-from repro.graphs.signed_graph import Node, SignedGraph
+from repro.graphs.signed_graph import (
+    FINGERPRINT_MODULUS,
+    Node,
+    SignedGraph,
+    edge_digest,
+    node_digest,
+)
 
 PathLike = Union[str, Path]
 
@@ -39,46 +48,49 @@ PathLike = Union[str, Path]
 #: v3: keys carry the signed-cohesion model segment, so answers produced
 #: under one constraint (e.g. ``balanced``) can never be served for
 #: another (``msce``) sharing the same graph and (alpha, k).
-CACHE_SCHEMA_VERSION = 3
+#: v4: the graph fingerprint is the running sum over node and edge
+#: digests (:func:`graph_fingerprint`); every fingerprint changed value,
+#: so entries written under v3 miss once and are recomputed.
+CACHE_SCHEMA_VERSION = 4
 
 
 def graph_fingerprint(graph: SignedGraph) -> str:
-    """Order-independent content hash of *graph* (SHA-256 hex digest).
+    """Order-independent content hash of *graph* (64 hex digits).
 
-    Covers every edge with its sign and every isolated node; isomorphic
-    but differently-labelled graphs hash differently (labels are part of
-    the content — caching is per concrete graph, not per isomorphism
+    The sum mod 2^256 of the SHA-256 of every edge line (both endpoints'
+    reprs and the sign, :func:`~repro.graphs.signed_graph.edge_digest`)
+    and of every node (:func:`~repro.graphs.signed_graph.node_digest`).
+    The value is content-defined: it depends on the node and signed-edge
+    sets only, not on insertion order, history or process, so a
+    restarted engine on the same file gets the same cache keys, and a
+    graph rebuilt from the same edges hashes alike. Labels are part of
+    the content: isomorphic but differently-labelled graphs hash
+    differently (caching is per concrete graph, not per isomorphism
     class).
 
-    The digest is memoised on the graph instance and invalidated by its
-    mutation counter, so hot query paths (the serving engine, repeated
-    :func:`cached_enumerate` calls) pay the O(m) hash once per graph
-    *version* rather than once per call.
+    Collisions: modelling SHA-256 as a random function, two graphs that
+    differ in any node or edge differ by a sum of independent uniform
+    summands, so they collide with probability 2^-256 (2^-128 for the
+    32-digit key prefix). This is an integrity check for honest inputs,
+    not a security boundary: an adversary who chooses many graphs can
+    find additive collisions far faster than by brute force.
+
+    The first call on a :class:`SignedGraph` computes the sum over all
+    n nodes and m edges and stores it on the graph; every mutation then
+    adds or subtracts the digests of what it changes, so later calls
+    are O(1) and an edit costs O(1) hashes (removing a node costs one
+    per incident edge).
     """
-    cached = getattr(graph, "_fingerprint", None)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    edge_lines = sorted(
-        f"{min(repr(u), repr(v))}|{max(repr(u), repr(v))}|{sign}"
-        for u, v, sign in graph.edges()
-    )
-    isolated = sorted(
-        repr(node) for node in graph.nodes() if graph.degree(node) == 0
-    )
-    for line in edge_lines:
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    digest.update(b"--isolated--\n")
-    for line in isolated:
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    fingerprint = digest.hexdigest()
-    try:
-        graph._fingerprint = fingerprint
-    except AttributeError:
-        pass  # duck-typed graphs without the memo slot still work
-    return fingerprint
+    total = getattr(graph, "_fingerprint_sum", None)
+    if total is None:
+        total = sum(edge_digest(u, v, sign) for u, v, sign in graph.edges())
+        total += sum(map(node_digest, graph.nodes()))
+        total %= FINGERPRINT_MODULUS
+        try:
+            graph._fingerprint_sum = total
+        except AttributeError:
+            pass  # duck-typed graphs without the running sum still work
+    return format(total, "064x")
 
 
 def entry_key(
@@ -194,6 +206,19 @@ class ResultCache:
             payload["stats"] = dict(stats)
         path = self._path(graph_fingerprint(graph), params, kind, model=model)
         path.write_text(json.dumps(payload), encoding="utf-8")
+
+    def discard_graph(self, fingerprint: str) -> int:
+        """Delete every entry of the graph version *fingerprint*; returns the count.
+
+        Entries are matched on the ``fingerprint[:32]`` prefix their
+        filenames start with (:func:`entry_key`), across every model,
+        setting, kind and schema revision.
+        """
+        removed = 0
+        for path in self._dir.glob(f"{fingerprint[:32]}-*.json"):
+            path.unlink(missing_ok=True)
+            removed += 1
+        return removed
 
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed."""

@@ -12,7 +12,7 @@ LRU traffic reaches Prometheus as ``serve_lru_*{tenant="..."}`` series
 (see :mod:`repro.serve.lru`).
 
 Mutations route through the engine's versioned-snapshot machinery: the
-graph fingerprint (memoised behind ``SignedGraph._version``) changes on
+graph fingerprint (a running sum the ``SignedGraph`` keeps) changes on
 every write, request-coalescing keys embed the fingerprint, and cache
 entries are fingerprint-keyed. A flight's compute pins the engine lock
 and re-reads the fingerprint inside it, so every response is labelled

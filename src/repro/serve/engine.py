@@ -6,15 +6,20 @@ once, then answer enumeration / top-r / community-search / MCCore
 requests against shared state instead of re-compiling, re-hashing and
 re-coring per call. Three mechanisms amortise work across requests:
 
-* **one compilation** — the graph is compiled to the CSR fastpath
-  (:func:`repro.fastpath.compiled.compile_graph`) lazily and reused by
-  every request until a mutation invalidates it;
+* **one compilation per floor** — a request compiles only the positive
+  core that holds its answers (:func:`repro.fastpath.compiled.compile_graph`
+  at ``min_positive_degree`` = :func:`~repro.core.bbe.compile_floor`,
+  ``ceil(alpha * k)`` for the (alpha, k) reductions, 0 for ``"none"``;
+  Lemma 1), lazily, and every request of that floor reuses it until a
+  mutation invalidates it; a :meth:`run_grid` batch compiles at the
+  smallest floor of its misses;
 * **a ceiling-keyed reduction memo** — the MCCore depends only on the
   positive threshold ``ceil(alpha * k)`` (Definition 3 constrains ego
   networks by a ``(ceil(alpha*k) - 1)``-core; ``k`` never enters), so
-  all (alpha, k) settings sharing a ceiling share one coring pass. The
-  memo is injected into MSCE / the query planner via their ``reducer``
-  hooks, so the search itself is bit-identical to one-shot calls;
+  all (alpha, k) settings sharing a ceiling and a compiled graph share
+  one coring pass. The memo is injected into MSCE / the query planner
+  via their ``reducer`` hooks, so the search itself is bit-identical to
+  one-shot calls;
 * **a two-tier result cache** — a thread-safe in-memory LRU
   (:class:`~repro.serve.lru.MemoryLRU`, bounded by entries and
   approximate bytes) layered over the disk tier
@@ -27,8 +32,11 @@ re-coring per call. Three mechanisms amortise work across requests:
 
 Mutations (:meth:`add_edge` / :meth:`remove_edge` / :meth:`flip_sign` /
 ...) apply through :func:`repro.core.dynamic.apply_edit` and only
-invalidate: an edit that disturbs a region drops the compiled graph,
-the reduction memo and the memory entries of the old fingerprint. The
+invalidate: an edit that disturbs a region drops the compiled graphs,
+the reduction memo and the entries of the old fingerprint (memory, and
+disk when the engine has a disk tier). The graph keeps its fingerprint
+as a running sum (:func:`~repro.io.cache.graph_fingerprint`), so an edit
+re-hashes only what it changed. The
 next request of each setting misses (the fingerprint changed) and
 recomputes, so every answer after an edit is the one a one-shot call
 on the current graph returns, stats included. Incremental repair of an
@@ -55,9 +63,10 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.core.bbe import MSCE, EnumerationResult, SearchStats
+from repro.core.bbe import MSCE, EnumerationResult, SearchStats, compile_floor
 from repro.core.cliques import SignedClique
 from repro.core.dynamic import apply_edit
 from repro.core.params import AlphaK
@@ -69,7 +78,7 @@ from repro.fastpath.compiled import CompiledGraph, compile_graph
 from repro.fastpath.kernels import reduce_mask
 from repro.graphs.signed_graph import Node, SignedGraph
 from repro.io.cache import ResultCache, entry_key, graph_fingerprint
-from repro.models import get_model, resolve_model
+from repro.models import get_model, make_constraint, resolve_model
 from repro.obs import runtime as obs
 from repro.serve.lru import MemoryLRU, approximate_size
 
@@ -219,16 +228,18 @@ class SignedCliqueEngine:
         #: Optional tenant name (multi-graph serving); labels the memory
         #: tier's per-tenant observer counters.
         self.tenant = tenant
-        self._compiled_graph: Optional[CompiledGraph] = None
+        #: compile floor -> the positive core of that floor, compiled.
+        #: Cleared, with the reduction memo, on every mutation.
+        self._compiled_graphs: Dict[int, CompiledGraph] = {}
         self._selection = selection
         self._reduction = reduction
         self._maxtest = maxtest
         self._seed = seed
         self._model = resolve_model(model)
         self._workers = _require_positive_int("workers", workers)
-        #: (method, positive_threshold) -> survivor bitmask of the
-        #: current compiled graph. Cleared on every mutation.
-        self._reduction_masks: Dict[Tuple[str, int], int] = {}
+        #: (floor, method, positive_threshold) -> survivor bitmask in the
+        #: index space of ``_compiled_graphs[floor]``.
+        self._reduction_masks: Dict[Tuple[int, str, int], int] = {}
         self.memory = MemoryLRU(
             max_entries=cache_mem_entries, max_bytes=cache_mem_bytes, tenant=tenant
         )
@@ -280,10 +291,23 @@ class SignedCliqueEngine:
         with self._lock:
             yield self
 
-    def _compiled(self) -> CompiledGraph:
-        if self._compiled_graph is None:
-            self._compiled_graph = compile_graph(self._graph)
-        return self._compiled_graph
+    def _floor(self, params: AlphaK, model: str) -> int:
+        """The compile floor of *params* under *model*.
+
+        :func:`~repro.core.bbe.compile_floor` of the model-mapped
+        reduction, the rule :func:`repro.core.parallel._compile_for`
+        applies to a one-shot run.
+        """
+        reduction = make_constraint(model, params).reduction_rule(self._reduction)
+        return compile_floor(reduction, params)
+
+    def _compiled(self, floor: int) -> CompiledGraph:
+        """The graph's positive *floor*-core, compiled once per graph version."""
+        compiled = self._compiled_graphs.get(floor)
+        if compiled is None:
+            compiled = compile_graph(self._graph, min_positive_degree=floor)
+            self._compiled_graphs[floor] = compiled
+        return compiled
 
     def _bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
@@ -295,15 +319,19 @@ class SignedCliqueEngine:
             self._seen_evictions = self.memory.evictions
             self._bump("evictions", delta)
 
-    def _reducer(self, compiled, params: AlphaK, method: str) -> int:
+    def _reduce(self, floor: int, compiled, params: AlphaK, method: str) -> int:
         """Ceiling-keyed memoising replacement for ``reduce_mask``.
 
-        Sound because every reduction method dispatched here (mcnew,
-        mcbasic, positive-core) constrains by ``params.positive_threshold``
-        only — two settings with equal ``ceil(alpha * k)`` have the same
-        MCCore, which is what the grid-sharing counters measure.
+        *compiled* is ``self._compiled(floor)``; bind *floor* with
+        :func:`functools.partial` to get the ``reducer`` hook. Sound
+        because every reduction method dispatched here (mcnew, mcbasic,
+        positive-core) constrains by ``params.positive_threshold`` only —
+        two settings with equal ``ceil(alpha * k)`` have the same MCCore,
+        which is what the grid-sharing counters measure. The floor is
+        part of the key because a mask is a bitmask in one compiled
+        graph's index space.
         """
-        key = (method, params.positive_threshold)
+        key = (floor, method, params.positive_threshold)
         mask = self._reduction_masks.get(key)
         if mask is None:
             mask = reduce_mask(compiled, params, method=method)
@@ -314,9 +342,14 @@ class SignedCliqueEngine:
         return mask
 
     def _node_reducer(self, graph, params: AlphaK, method: str) -> Set[Node]:
-        """The memo as a node set, for the query planner's contract."""
-        compiled = self._compiled()
-        return set(compiled.nodes_from_mask(self._reducer(compiled, params, method)))
+        """The memo as a node set, for the query planner's contract.
+
+        Reduces on the compiled core of *method*'s own floor (the whole
+        graph for ``"none"``).
+        """
+        floor = compile_floor(method, params)
+        compiled = self._compiled(floor)
+        return set(compiled.nodes_from_mask(self._reduce(floor, compiled, params, method)))
 
     @property
     def sharing_ratio(self) -> float:
@@ -416,10 +449,11 @@ class SignedCliqueEngine:
 
         Full answers, or the *top_r* largest cliques. With a *workers*
         count (:meth:`run_grid`) the misses go to one
-        :func:`~repro.core.parallel.enumerate_grid` call; without one (a
-        single-point request) each miss is a one-shot
-        :class:`~repro.core.bbe.MSCE` run in this process, so its stats
-        are the ones a later hit replays. Complete results (not
+        :func:`~repro.core.parallel.enumerate_grid` call on the compiled
+        core of their smallest floor; without one (a single-point
+        request) each miss is a one-shot :class:`~repro.core.bbe.MSCE`
+        run in this process on the compiled core of its own floor, so
+        its stats are the ones a later hit replays. Complete results (not
         interrupted, truncated or with quarantined frames) are stored in
         both tiers. Returns the results in *points* order and the number
         computed.
@@ -445,23 +479,31 @@ class SignedCliqueEngine:
                 reduction=self._reduction,
                 maxtest=self._maxtest,
                 seed=self._seed,
-                reducer=self._reducer if msce else None,
                 model=model,
             )
             if workers is None:
                 computed = {}
                 for params in missing:
-                    search = MSCE(self._compiled(), params, time_limit=time_limit, **options)
+                    floor = self._floor(params, model)
+                    search = MSCE(
+                        self._compiled(floor),
+                        params,
+                        time_limit=time_limit,
+                        reducer=partial(self._reduce, floor) if msce else None,
+                        **options,
+                    )
                     computed[params] = (
                         search.enumerate_all() if top_r is None else search.top_r(top_r)
                     )
             else:
+                floor = min(self._floor(params, model) for params in missing)
                 computed = enumerate_grid(
-                    self._compiled(),
+                    self._compiled(floor),
                     missing,
                     workers=workers,
                     time_limit=time_limit,
                     top_r=top_r,
+                    reducer=partial(self._reduce, floor) if msce else None,
                     **options,
                 )
             self._bump("computes", len(missing))
@@ -619,9 +661,9 @@ class SignedCliqueEngine:
         """Community search: maximal cliques containing every query node.
 
         Mirrors :func:`repro.core.query.query_search` bit-for-bit; the
-        engine contributes its compiled graph and reduction memo, and
-        caches per query set (a stable digest of the node reprs keys
-        the entry).
+        engine contributes the compiled core of the point's floor and its
+        reduction memo, and caches per query set (a stable digest of the
+        node reprs keys the entry).
         """
         params = AlphaK(alpha, k)
         if not get_model(self._model).supports_queries:
@@ -641,6 +683,11 @@ class SignedCliqueEngine:
                     return self._result_from_entry(
                         cliques, stats_dict, time.perf_counter() - started
                     )
+                # The core of the point's floor is enough to search on:
+                # every answer lies in it (Lemma 1), and so does every
+                # node that could refute an answer's maximality, since a
+                # feasible strict superset of an answer is itself an
+                # (alpha, k)-clique.
                 result = query_search(
                     self._graph,
                     query_set,
@@ -650,7 +697,7 @@ class SignedCliqueEngine:
                     maxtest=self._maxtest,
                     time_limit=time_limit,
                     reducer=self._node_reducer,
-                    search_graph=self._compiled(),
+                    search_graph=self._compiled(compile_floor(self._reduction, params)),
                 )
                 self._bump("computes")
                 if not (result.timed_out or result.truncated or result.interrupted):
@@ -671,7 +718,11 @@ class SignedCliqueEngine:
         return cliques[0] if cliques else None
 
     def mccore(self, alpha: float, k: int, method: Optional[str] = None) -> Set[Node]:
-        """The MCCore node set (Definition 3), via the ceiling memo."""
+        """The MCCore node set (Definition 3), via the ceiling memo.
+
+        Reduced on the compiled core of *method*'s floor: ``ceil(alpha * k)``,
+        or the whole graph for ``"none"``.
+        """
         params = AlphaK(alpha, k)
         with self._lock:
             self._record("mccore", alpha, k, method)
@@ -696,9 +747,10 @@ class SignedCliqueEngine:
 
         Cached settings (stats-bearing, current fingerprint) are served
         straight from the tiers; the rest are computed together by
-        :func:`repro.core.parallel.enumerate_grid` — one compilation,
-        memoised coring per distinct ceiling, and all missing settings'
-        frames interleaved through one work-stealing pool. Complete
+        :func:`repro.core.parallel.enumerate_grid` — one compilation at
+        the smallest floor of the misses, memoised coring per distinct
+        ceiling, and all missing settings' frames interleaved through
+        one work-stealing pool. Complete
         results are write-through cached, so re-running a grid after a
         partial overlap only computes the new settings.
 
@@ -802,21 +854,26 @@ class SignedCliqueEngine:
         """Apply one edit (:func:`repro.core.dynamic.apply_edit`) and invalidate.
 
         Post-mutation bookkeeping runs only when the edit disturbed a
-        region: the compiled graph and reduction memo are graph-global
-        and rebuild on the next request; cache entries of the old
-        fingerprint can never hit again (the key changed), so they are
-        dropped from the memory tier. No answer is recomputed here: the
-        next request of each setting misses and computes on the current
-        graph.
+        region: the compiled graphs and the reduction memo (whose masks
+        index them) rebuild on the next request; cache entries of the
+        old fingerprint can never hit again (the key changed), so they
+        are dropped from the memory tier and deleted from the disk tier.
+        The new fingerprint is the graph's running sum, updated by the
+        edit itself, so reading it is O(1). No answer is recomputed
+        here: the next request of each setting misses and computes on
+        the current graph.
         """
         region = apply_edit(self._graph, operation, *args)
         if not region:
             return
         with obs.span("serve_update", region=len(region)):
             self._bump("updates")
-            self._compiled_graph = None
+            self._compiled_graphs.clear()
             self._reduction_masks.clear()
+            stale = self._fingerprint
             self._fingerprint = graph_fingerprint(self._graph)
+            if self.disk is not None and stale != self._fingerprint:
+                self.disk.discard_graph(stale)
             fingerprint_prefix = self._fingerprint[:32]
             stale_keys = [
                 key for key in self.memory.keys() if not key.startswith(fingerprint_prefix)

@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -34,3 +36,19 @@ class TestApiDocs:
         text = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
         for name in ("MSCE", "mccore_new", "signed_conductance", "enumerate_signed_cliques"):
             assert name in text
+
+    def test_cli_rejects_arguments_without_writing(self, tmp_path, monkeypatch, capsys):
+        generator = _load_generator()
+        output = tmp_path / "API.md"
+        monkeypatch.setattr(generator, "OUTPUT", output)
+        with pytest.raises(SystemExit) as exit_info:
+            generator.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+        assert not output.exists()
+        with pytest.raises(SystemExit) as exit_info:
+            generator.main(["--no-such-flag"])
+        assert exit_info.value.code != 0
+        assert not output.exists()
+        assert generator.main([]) == 0
+        assert output.read_text(encoding="utf-8") == generator.generate()

@@ -144,3 +144,30 @@ class TestCrossValidation:
         for clique in signed_cliques_containing(graph, {0}, 1, 1):
             assert 0 in clique.nodes
             clique.verify(graph)
+
+
+class TestEngineQueries:
+    """The engine searches a query on the compiled core of its point."""
+
+    def test_query_outside_the_positive_core(self):
+        from repro.algorithms.kcore import positive_core
+        from repro.core.api import find_mccore
+        from repro.serve import SignedCliqueEngine
+        from tests.test_serve import planted_graph
+
+        engine = SignedCliqueEngine(planted_graph())
+        for step in range(2):
+            current = engine.snapshot()
+            core = positive_core(current, AlphaK(3, 2).positive_threshold)
+            outside = sorted(current.node_set() - core, key=repr)
+            inside = sorted(find_mccore(current, 3, 2), key=repr)
+            assert outside and inside
+            for query in ([outside[0]], [inside[0]], [outside[0], inside[0]]):
+                result = engine.query_with_stats(query, 3, 2)
+                reference = query_search(current, query, 3, 2)
+                assert result.cliques == reference.cliques, (step, query)
+                assert result.stats == reference.stats, (step, query)
+            assert engine.query_with_stats([inside[0]], 3, 2).cliques
+            u, v = inside[:2]
+            engine.flip_sign(u, v, "-" if current.has_edge(u, v) and current.sign(u, v) > 0 else "+")
+

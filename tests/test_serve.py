@@ -73,6 +73,22 @@ def random_graph():
     return gnp_signed(36, 0.3, negative_fraction=0.25, seed=11)
 
 
+def planted_graph():
+    """Three planted communities in a sparse background: positive cores
+    of 47, 34 and 23 of the 60 nodes at thresholds 2, 3 and 6."""
+    background = gnp_signed(60, 0.08, negative_fraction=0.3, seed=2)
+    graph, _ = planted_partition_graph(
+        background,
+        [
+            CommunitySpec(12, density=1.0),
+            CommunitySpec(9, density=0.95),
+            CommunitySpec(7, density=0.9),
+        ],
+        seed=2,
+    )
+    return graph
+
+
 def assert_result_equal(result, reference, context=""):
     assert result.cliques == reference.cliques, f"cliques diverge {context}"
     assert result.stats == reference.stats, (
@@ -625,6 +641,86 @@ class TestObservability:
         restarted = SignedCliqueEngine(engine.snapshot(), cache_dir=cache)
         assert_result_equal(restarted.enumerate_with_stats(2, 2), expected, "after restart")
         assert restarted.counters["computes"] == 0
+
+
+class TestPerFloorCompile:
+    """Each request compiles the positive core of its own floor.
+
+    Every answer still equals a one-shot call on the current graph,
+    before and after an edit: a grid over two ceilings (compiled at the
+    smaller), then single points at each ceiling (compiled at their
+    own), whose reductions must not reuse a mask of another compile.
+    """
+
+    GRID_ALPHAS, GRID_KS = (2.0, 3.0), (1,)  # ceilings 2 and 3
+    SINGLES = (AlphaK(1, 2), AlphaK(1.5, 2))  # the same two ceilings
+
+    def _check_against_one_shot(self, engine):
+        graph = engine.snapshot()
+        grid = engine.run_grid(self.GRID_ALPHAS, self.GRID_KS)
+        assert grid.report["computed"] == 2
+        for params, result in grid.items():
+            assert_result_equal(result, MSCE(graph, params).enumerate_all(), f"grid {params}")
+        assert set(engine._compiled_graphs) == {2}
+        assert all(result.cliques for result in grid.results.values())
+        for params in self.SINGLES:
+            assert_result_equal(
+                engine.enumerate_with_stats(params.alpha, params.k),
+                MSCE(graph, params).enumerate_all(),
+                f"single {params}",
+            )
+            assert_result_equal(
+                engine.top_r_with_stats(params.alpha, params.k, 3),
+                MSCE(graph, params).top_r(3),
+                f"top-3 {params}",
+            )
+        assert set(engine._compiled_graphs) == {2, 3}
+        assert engine.mccore(3, 1, "none") == graph.node_set()
+        assert engine.mccore(3, 1) == find_mccore(graph, 3, 1)
+        assert set(engine._compiled_graphs) == {0, 2, 3}
+
+    def test_answers_equal_one_shot_calls_across_an_edit(self):
+        graph = planted_graph()
+        engine = SignedCliqueEngine(graph)
+        self._check_against_one_shot(engine)
+        u, v = sorted(find_mccore(graph, 3, 1), key=repr)[:2]
+        engine.flip_sign(u, v, "-" if graph.has_edge(u, v) and graph.sign(u, v) > 0 else "+")
+        assert not engine._compiled_graphs and not engine._reduction_masks
+        self._check_against_one_shot(engine)
+
+
+class TestDiskTierBound:
+    def test_edits_delete_the_old_fingerprint_files(self, tmp_path):
+        """The disk tier holds the current graph's entries only."""
+        cache = tmp_path / "c"
+        graph = planted_graph()
+        engine = SignedCliqueEngine(graph, cache_dir=cache)
+        edges = sorted(graph.edges())
+        counts = []
+        for u, v, sign in edges[:5]:
+            engine.enumerate_with_stats(3, 1)
+            engine.top_r_with_stats(3, 1, 3)
+            counts.append(len(list(cache.glob("*.json"))))
+            engine.flip_sign(u, v, -sign)
+            assert not list(cache.glob("*.json"))
+        assert counts == [2] * 5
+        expected = engine.enumerate_with_stats(3, 1)
+        expected_top = engine.top_r_with_stats(3, 1, 3)
+        assert len(list(cache.glob("*.json"))) == len(engine.memory) == 2
+        assert expected.cliques
+        restarted = SignedCliqueEngine(engine.snapshot(), cache_dir=cache)
+        assert_result_equal(restarted.enumerate_with_stats(3, 1), expected, "restart")
+        assert_result_equal(restarted.top_r_with_stats(3, 1, 3), expected_top, "restart top")
+        assert restarted.counters["disk_hits"] == 2
+        assert restarted.counters["computes"] == 0
+
+    def test_no_op_edit_keeps_the_current_files(self, random_graph, tmp_path):
+        cache = tmp_path / "c"
+        engine = SignedCliqueEngine(random_graph, cache_dir=cache)
+        engine.enumerate_with_stats(2, 2)
+        u, v, sign = sorted(random_graph.edges())[0]
+        engine.flip_sign(u, v, sign)  # same sign: the graph is unchanged
+        assert len(list(cache.glob("*.json"))) == 1
 
 
 class TestEntryKeys:

@@ -5,7 +5,8 @@ graphs: MSCE under every branch strategy vs brute force, the compiled
 exact maxtest vs the node-set one, MCBasic vs MCNew, query search vs
 filtered enumeration, the dynamic index vs recompute (after edge edits,
 a new isolated node and a node removal), a warmed serving engine vs a
-fresh search after the same edge edits, the greedy
+fresh search after the same edge edits (and its running fingerprint vs
+a full recompute), the greedy
 heuristic's subset property, the MSCE frame-state invariant (with and
 without core pruning), and (every 25th trial) the parallel enumerator at
 two and three workers vs the sequential one. Two last runs kill a
@@ -43,6 +44,7 @@ from repro.core.mcnew import mccore_new  # noqa: E402
 from repro.core.query import signed_cliques_containing  # noqa: E402
 from repro.fastpath import compile_graph  # noqa: E402
 from repro.fastpath.bitset import bit_count, iter_bits  # noqa: E402
+from repro.io.cache import graph_fingerprint  # noqa: E402
 from repro.models.alpha_k import AlphaKMaskOps  # noqa: E402
 from repro.serve import SignedCliqueEngine  # noqa: E402
 from repro.testing import FaultPlan, injected  # noqa: E402
@@ -246,8 +248,13 @@ def check_index(index: DynamicSignedCliqueIndex, failure: str) -> None:
 def check_engine(engine: SignedCliqueEngine, params: AlphaK, failure: str) -> None:
     """The engine's answers must equal a fresh search of its graph.
 
-    The full answer in cliques and stats, the top-3 in cliques.
+    The running fingerprint must equal a full computation on a graph
+    rebuilt from the engine's edge and node lists; the full answer must
+    match in cliques and stats, the top-3 in cliques.
     """
+    graph = engine.graph
+    rebuilt = SignedGraph(list(graph.edges()), nodes=list(graph.nodes()))
+    assert engine.fingerprint == graph_fingerprint(rebuilt), f"fingerprint drifted: {failure}"
     fresh = MSCE(engine.snapshot(), params)
     full = engine.enumerate_with_stats(params.alpha, params.k)
     assert _fingerprint(full) == _fingerprint(fresh.enumerate_all()), failure
